@@ -52,9 +52,6 @@ from .trefoil_predicates import (
     class_masks,
     window_filters,
     nine_functions,
-    satisfies_L_plus,
-    satisfies_R_plus,
-    satisfies_negative_curl,
 )
 from .measure import (
     BoundReport,

@@ -45,29 +45,26 @@ class TriangleInequalityError(ValueError):
     """A fan triangle violates its strict triangle inequality."""
 
 
-def in_moment_polytope(diagonals):
-    """True where (d1, d2, d3) satisfies all six closed triangulation
-    inequalities: 0 <= d_i <= 2 and each d_i <= d_j + d_k."""
+def _polytope(diagonals, below):
     d = np.asarray(diagonals, dtype=float)
     d1, d2, d3 = d[..., 0], d[..., 1], d[..., 2]
     return (
-        (d1 >= 0.0) & (d1 <= 2.0)
-        & (d2 >= 0.0) & (d2 <= 2.0)
-        & (d3 >= 0.0) & (d3 <= 2.0)
-        & (d3 <= d1 + d2) & (d1 <= d2 + d3) & (d2 <= d1 + d3)
+        below(0.0, d1) & below(d1, 2.0)
+        & below(0.0, d2) & below(d2, 2.0)
+        & below(0.0, d3) & below(d3, 2.0)
+        & below(d3, d1 + d2) & below(d1, d2 + d3) & below(d2, d1 + d3)
     )
+
+
+def in_moment_polytope(diagonals):
+    """True where (d1, d2, d3) satisfies all six closed triangulation
+    inequalities: 0 <= d_i <= 2 and each d_i <= d_j + d_k."""
+    return _polytope(diagonals, np.less_equal)
 
 
 def is_interior(diagonals):
     """True where all six inequalities hold strictly (open polytope)."""
-    d = np.asarray(diagonals, dtype=float)
-    d1, d2, d3 = d[..., 0], d[..., 1], d[..., 2]
-    return (
-        (d1 > 0.0) & (d1 < 2.0)
-        & (d2 > 0.0) & (d2 < 2.0)
-        & (d3 > 0.0) & (d3 < 2.0)
-        & (d3 < d1 + d2) & (d1 < d2 + d3) & (d2 < d1 + d3)
-    )
+    return _polytope(diagonals, np.less)
 
 
 def sample_action(rng):
@@ -122,6 +119,35 @@ def triangle_area_scale(diagonals):
     return np.sqrt(np.maximum(expr, 0.0))
 
 
+def interior_coordinates(diagonals, angles):
+    """(diagonals, angles) as broadcast float arrays.
+
+    Raises NotInteriorError unless every diagonal triple is interior.
+    """
+    d = np.asarray(diagonals, dtype=float)
+    th = np.asarray(angles, dtype=float)
+    if not np.all(is_interior(d)):
+        raise NotInteriorError("diagonals must lie in the open moment polytope")
+    return np.broadcast_arrays(d, th)
+
+
+def fold_terms(diagonals, angles):
+    """Terms shared by the vertex formulas and the nine sign functions.
+
+    Returns (d, dd, r, c, s): the validated, broadcast diagonals, four
+    times the central triangle's area, and one triple each of
+    r_i = sqrt(4 - d_i^2) (twice the distance of apex i from its
+    diagonal), cos(theta_i) and sin(theta_i). Raises NotInteriorError
+    unless every diagonal triple is interior.
+    """
+    d, th = interior_coordinates(diagonals, angles)
+    dd = triangle_area_scale(d)
+    r = tuple(np.sqrt(4.0 - d[..., i] * d[..., i]) for i in range(3))
+    c = tuple(np.cos(th[..., i]) for i in range(3))
+    s = tuple(np.sin(th[..., i]) for i in range(3))
+    return d, dd, r, c, s
+
+
 def build_hexagon(diagonals, angles):
     """Vertices of the unit-edge hexagon with the given coordinates.
 
@@ -137,21 +163,8 @@ def build_hexagon(diagonals, angles):
 
     Raises NotInteriorError unless every diagonal triple is interior.
     """
-    d = np.asarray(diagonals, dtype=float)
-    th = np.asarray(angles, dtype=float)
-    if not np.all(is_interior(d)):
-        raise NotInteriorError("diagonals must lie in the open moment polytope")
-    d, th = np.broadcast_arrays(d, th)
-
+    d, dd, (r1, r2, r3), (c1, c2, c3), (s1, s2, s3) = fold_terms(diagonals, angles)
     d1, d2, d3 = d[..., 0], d[..., 1], d[..., 2]
-    t1, t2, t3 = th[..., 0], th[..., 1], th[..., 2]
-    dd = triangle_area_scale(d)
-    r1 = np.sqrt(4.0 - d1 * d1)
-    r2 = np.sqrt(4.0 - d2 * d2)
-    r3 = np.sqrt(4.0 - d3 * d3)
-    c1, s1 = np.cos(t1), np.sin(t1)
-    c2, s2 = np.cos(t2), np.sin(t2)
-    c3, s3 = np.cos(t3), np.sin(t3)
     zero = np.zeros_like(d1)
     x5 = (d1 * d1 - d2 * d2 + d3 * d3) / (2.0 * d1)
     y5 = dd / (2.0 * d1)
@@ -182,9 +195,17 @@ def build_hexagon(diagonals, angles):
     return np.stack([v1, v2, v3, v4, v5, v6], axis=-2)
 
 
-def _central_normal(vertices):
-    v = np.asarray(vertices, dtype=float)
-    return np.cross(v[..., 2, :] - v[..., 0, :], v[..., 4, :] - v[..., 0, :])
+def _central_unit_normal(v):
+    """Unit normal of the plane through v1, v3, v5.
+
+    Raises DegenerateFrameError when (v1, v3, v5) is collinear within
+    EPS_AREA.
+    """
+    n = np.cross(v[..., 2, :] - v[..., 0, :], v[..., 4, :] - v[..., 0, :])
+    nn = np.linalg.norm(n, axis=-1)
+    if np.any(nn <= 2.0 * EPS_AREA):
+        raise DegenerateFrameError("v1, v3, v5 are collinear")
+    return n / nn[..., None]
 
 
 def _unit(u):
@@ -203,20 +224,9 @@ def extract_action_angle(vertices):
     EPS_AREA.
     """
     v = np.asarray(vertices, dtype=float)
-    n = _central_normal(v)
-    nn = np.linalg.norm(n, axis=-1)
-    if np.any(nn <= 2.0 * EPS_AREA):
-        raise DegenerateFrameError("v1, v3, v5 are collinear")
-    nhat = n / nn[..., None]
+    nhat = _central_unit_normal(v)
 
-    diagonals = np.stack(
-        [
-            np.linalg.norm(v[..., 2, :] - v[..., 0, :], axis=-1),
-            np.linalg.norm(v[..., 4, :] - v[..., 2, :], axis=-1),
-            np.linalg.norm(v[..., 0, :] - v[..., 4, :], axis=-1),
-        ],
-        axis=-1,
-    )
+    diagonals = np.linalg.norm(v[..., (2, 4, 0), :] - v[..., (0, 2, 4), :], axis=-1)
 
     angles = []
     # (diagonal endpoints, apex, opposite central vertex)
@@ -241,12 +251,8 @@ def standardize(vertices):
     Raises DegenerateFrameError when (v1, v3, v5) is collinear.
     """
     v = np.asarray(vertices, dtype=float)
-    n = _central_normal(v)
-    nn = np.linalg.norm(n, axis=-1)
-    if np.any(nn <= 2.0 * EPS_AREA):
-        raise DegenerateFrameError("v1, v3, v5 are collinear")
+    ez = _central_unit_normal(v)
     ex = _unit(v[..., 2, :] - v[..., 0, :])
-    ez = n / nn[..., None]
     ey = np.cross(ez, ex)
     frame = np.stack([ex, ey, ez], axis=-2)
     shifted = v - v[..., 0:1, :]

@@ -8,9 +8,12 @@ worker counts. Exit codes: 0 success, 1 runtime failure, 2 usage error.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
+import math
 import os
 import sys
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -18,11 +21,14 @@ from .action_angle import build_hexagon, is_interior
 from .invariants import (
     KNOT_CLASS_FROM_LABEL,
     KNOT_CLASS_LABELS,
+    TREFOIL_CLASSES,
     KnotClass,
     classify_batch,
 )
 from .measure import (
+    ONE_OVER_42,
     REGIONS,
+    EstimationReport,
     analytic_volumes,
     compare_bound,
     estimate_knotting_probability,
@@ -30,7 +36,7 @@ from .measure import (
     repeat_estimates,
     sample_coordinate_stream,
 )
-from .trefoil_predicates import TARGET_PAIRS, window_filters
+from .trefoil_predicates import window_filters
 
 ACTION_HEADER = "d1,d2,d3,theta1,theta2,theta3"
 VERTEX_HEADER = ",".join(f"v{i}{c}" for i in range(1, 7) for c in "xyz")
@@ -54,40 +60,51 @@ def _positive_int(text):
     return value
 
 
-def _default_seed():
-    return int(os.environ.get("HEXKNOT_SEED", "0"))
+def _finite_float(text):
+    try:
+        value = float(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from exc
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"non-finite value: {text!r}")
+    return value
 
 
-def _open_out(path):
+def _default_seed(parser):
+    text = os.environ.get("HEXKNOT_SEED", "0")
+    try:
+        return int(text)
+    except ValueError:
+        parser.error(f"HEXKNOT_SEED must be an integer, got {text!r}")
+
+
+@contextmanager
+def _output(path):
     if path is None or path == "-":
-        return sys.stdout, False
-    return open(path, "w", encoding="utf-8"), True
+        yield sys.stdout
+    else:
+        with open(path, "w", encoding="utf-8") as out:
+            yield out
+
+
+def _sample_rows(seed, n, vertices):
+    for d, th in sample_coordinate_stream(seed, n):
+        yield from (build_hexagon(d, th).reshape(-1, 18)
+                    if vertices else np.concatenate([d, th], axis=1))
 
 
 def cmd_sample(args):
-    out, close = _open_out(args.output)
-    try:
+    header = VERTEX_HEADER if args.vertices else ACTION_HEADER
+    rows = _sample_rows(args.seed, args.n, args.vertices)
+    with _output(args.output) as out:
         if args.format == "csv":
-            out.write((VERTEX_HEADER if args.vertices else ACTION_HEADER) + "\n")
-            for d, th in sample_coordinate_stream(args.seed, args.n):
-                rows = (build_hexagon(d, th).reshape(-1, 18)
-                        if args.vertices else np.concatenate([d, th], axis=1))
-                for row in rows:
-                    out.write(",".join(_fmt(x) for x in row) + "\n")
+            out.write(header + "\n")
+            for row in rows:
+                out.write(",".join(_fmt(x) for x in row) + "\n")
         else:
-            records = []
-            for d, th in sample_coordinate_stream(args.seed, args.n):
-                if args.vertices:
-                    for row in build_hexagon(d, th).reshape(-1, 18):
-                        records.append(dict(zip(VERTEX_HEADER.split(","), row)))
-                else:
-                    for row in np.concatenate([d, th], axis=1):
-                        records.append(dict(zip(ACTION_HEADER.split(","), row)))
-            json.dump(records, out, indent=2)
+            names = header.split(",")
+            json.dump([dict(zip(names, row)) for row in rows], out, indent=2)
             out.write("\n")
-    finally:
-        if close:
-            out.close()
     return 0
 
 
@@ -112,6 +129,8 @@ def _read_rows(path):
             if lineno == 1:
                 continue  # header
             raise CliError(f"line {lineno}: cannot parse {line!r}")
+        if not all(map(math.isfinite, values)):
+            raise CliError(f"line {lineno}: non-finite value in {line!r}")
         if len(values) not in (6, 18):
             raise CliError(
                 f"line {lineno}: expected 6 or 18 columns, got {len(values)}")
@@ -138,14 +157,10 @@ def cmd_classify(args):
         codes = classify_batch(data.reshape(-1, 6, 3))
 
     header = ACTION_HEADER if width == 6 else VERTEX_HEADER
-    out, close = _open_out(args.output)
-    try:
+    with _output(args.output) as out:
         out.write(header + ",class\n")
         for (lineno, text, _), code in zip(rows, codes):
             out.write(f"{text},{KNOT_CLASS_LABELS[KnotClass(int(code))]}\n")
-    finally:
-        if close:
-            out.close()
     counts = {KNOT_CLASS_LABELS[KnotClass(i)]: int((codes == i).sum())
               for i in range(6) if (codes == i).any()}
     print(f"classified {len(rows)} rows: {counts}", file=sys.stderr)
@@ -163,13 +178,9 @@ def cmd_estimate(args):
         report = estimate_knotting_probability(
             args.samples, args.seed, mode=args.mode, workers=args.workers)
         payload = report.to_dict()
-    out, close = _open_out(args.output)
-    try:
+    with _output(args.output) as out:
         json.dump(payload, out, indent=2)
         out.write("\n")
-    finally:
-        if close:
-            out.close()
     return 0
 
 
@@ -198,8 +209,8 @@ def cmd_bound(args):
     table = analytic_volumes()
     ub = table.upper_bound
     print(f"upper bound (14 - 3*pi)/192 = {ub:.12f}")
-    print(f"1/42                        = {1.0 / 42.0:.12f}")
-    relation = "<" if ub < 1.0 / 42.0 else ">"
+    print(f"1/42                        = {ONE_OVER_42:.12f}")
+    relation = "<" if ub < ONE_OVER_42 else ">"
     print(f"ordering: (14 - 3*pi)/192 {relation} 1/42"
           f"  (note: the bound is not below 1/42)")
     print(f"expected positive-curl trefoil fraction bound: "
@@ -222,22 +233,14 @@ def cmd_bound(args):
 
 
 def _report_from_dict(payload):
-    from .measure import EstimationReport
-
-    try:
-        return EstimationReport(
-            samples=payload["samples"], seed=payload["seed"],
-            mode=payload["mode"], hits=payload["hits"],
-            degenerate_count=payload["degenerate_count"],
-            fraction_R_plus=payload["fraction_R_plus"],
-            fraction_total=payload["fraction_total"],
-            std_error=payload["std_error"], ci95=tuple(payload["ci95"]),
-            wall_time_seconds=payload.get("wall_time_seconds", 0.0),
-            workers=payload.get("workers", 1),
-            agreement=payload.get("agreement"),
-        )
-    except KeyError as exc:
-        raise CliError(f"estimate report is missing field {exc}") from exc
+    kwargs = {}
+    for f in dataclasses.fields(EstimationReport):
+        if f.name in payload:
+            kwargs[f.name] = payload[f.name]
+        elif f.default is dataclasses.MISSING:
+            raise CliError(f"estimate report is missing field {f.name!r}")
+    kwargs["ci95"] = tuple(kwargs["ci95"])
+    return EstimationReport(**kwargs)
 
 
 def cmd_check(args):
@@ -250,8 +253,7 @@ def cmd_check(args):
     else:
         code = classify_batch(build_hexagon(d, th))
         payload["class"] = KNOT_CLASS_LABELS[KnotClass(int(code))]
-        target = KNOT_CLASS_FROM_LABEL[args.target]
-        report = window_filters(d, th, TARGET_PAIRS[target])
+        report = window_filters(d, th, KNOT_CLASS_FROM_LABEL[args.target])
         payload["filters"] = report.to_dict()
         payload["filters"]["passes_all"] = report.passes()
     print(json.dumps(payload, indent=2))
@@ -262,12 +264,13 @@ def build_parser():
     parser = argparse.ArgumentParser(
         prog="hexknot",
         description="Sample, classify and count knotted equilateral hexagons.")
+    seed = _default_seed(parser)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("sample", help="write uniformly sampled coordinates")
     p.add_argument("--n", type=_positive_int, required=True,
                    help="number of samples")
-    p.add_argument("--seed", type=int, default=_default_seed())
+    p.add_argument("--seed", type=int, default=seed)
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.add_argument("--vertices", action="store_true",
                    help="emit 18-column vertex rows instead of coordinates")
@@ -282,7 +285,7 @@ def build_parser():
 
     p = sub.add_parser("estimate", help="Monte Carlo knotting probability")
     p.add_argument("--samples", type=_positive_int, required=True)
-    p.add_argument("--seed", type=int, default=_default_seed())
+    p.add_argument("--seed", type=int, default=seed)
     p.add_argument("--mode", choices=("predicate", "oracle"), default="predicate")
     p.add_argument("--workers", type=_positive_int, default=1)
     p.add_argument("--repeats", type=_positive_int, default=1)
@@ -291,7 +294,7 @@ def build_parser():
 
     p = sub.add_parser("volumes", help="MC verification of the volume constants")
     p.add_argument("--samples", type=_positive_int, default=1_000_000)
-    p.add_argument("--seed", type=int, default=_default_seed())
+    p.add_argument("--seed", type=int, default=seed)
     p.add_argument("--workers", type=_positive_int, default=1)
     p.set_defaults(func=cmd_volumes)
 
@@ -301,10 +304,10 @@ def build_parser():
     p.set_defaults(func=cmd_bound)
 
     p = sub.add_parser("check", help="filters and class for one coordinate tuple")
-    p.add_argument("coords", type=float, nargs=6, metavar="X",
+    p.add_argument("coords", type=_finite_float, nargs=6, metavar="X",
                    help="d1 d2 d3 theta1 theta2 theta3")
     p.add_argument("--target",
-                   choices=("trefoil_R+", "trefoil_R-", "trefoil_L+", "trefoil_L-"),
+                   choices=[KNOT_CLASS_LABELS[cls] for cls in TREFOIL_CLASSES],
                    default="trefoil_R+",
                    help="trefoil class for the filter report")
     p.set_defaults(func=cmd_check)
@@ -316,10 +319,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except CliError as exc:
-        print(f"hexknot: error: {exc}", file=sys.stderr)
-        return 1
-    except Exception as exc:  # noqa: BLE001 - CLI boundary
+    except Exception as exc:  # noqa: BLE001 - CLI boundary; CliError included
         print(f"hexknot: error: {exc}", file=sys.stderr)
         return 1
 

@@ -39,23 +39,6 @@ KNOT_CLASS_LABELS = {
 
 KNOT_CLASS_FROM_LABEL = {label: cls for cls, label in KNOT_CLASS_LABELS.items()}
 
-TREFOIL_CLASSES = (
-    KnotClass.TREFOIL_R_PLUS,
-    KnotClass.TREFOIL_R_MINUS,
-    KnotClass.TREFOIL_L_PLUS,
-    KnotClass.TREFOIL_L_MINUS,
-)
-
-# Disk index -> (triangle vertex rows, the two hexagon edges disjoint
-# from those vertices). Edge j runs from vertex j to vertex j+1 mod 6.
-# Only these two edges can pierce the open disk away from a
-# measure-zero set, which the degenerate channel already discards.
-DISK_TABLE = {
-    2: ((0, 1, 2), ((3, 4), (4, 5))),
-    4: ((2, 3, 4), ((5, 0), (0, 1))),
-    6: ((4, 5, 0), ((1, 2), (2, 3))),
-}
-
 
 class JointChiralityCurl(NamedTuple):
     """Pair (chirality, curl part) classifying a hexagon's component."""
@@ -64,13 +47,18 @@ class JointChiralityCurl(NamedTuple):
     curl_part: int
 
 
-_CLASS_BY_PAIR = {
-    (0, 0): KnotClass.UNKNOT,
-    (1, 1): KnotClass.TREFOIL_R_PLUS,
-    (1, -1): KnotClass.TREFOIL_R_MINUS,
-    (-1, 1): KnotClass.TREFOIL_L_PLUS,
-    (-1, -1): KnotClass.TREFOIL_L_MINUS,
+# The one table of the four trefoil components: each class is the
+# component with this (chirality, curl) pair.
+TREFOIL_PAIRS = {
+    KnotClass.TREFOIL_R_PLUS: JointChiralityCurl(1, 1),
+    KnotClass.TREFOIL_R_MINUS: JointChiralityCurl(1, -1),
+    KnotClass.TREFOIL_L_PLUS: JointChiralityCurl(-1, 1),
+    KnotClass.TREFOIL_L_MINUS: JointChiralityCurl(-1, -1),
 }
+
+TREFOIL_CLASSES = tuple(TREFOIL_PAIRS)
+
+_DISKS = (2, 4, 6)
 
 
 def curl(vertices):
@@ -86,69 +74,12 @@ def curl(vertices):
     return (np.where(np.abs(t) < EPS_PLANE, 0, np.sign(t))).astype(np.int8)
 
 
-def _disk_crossing_signs(vertices, i):
-    """Vectorised signed crossing count through disk i in {2, 4, 6}.
-
-    Returns (count, degenerate) arrays; count sums the two transversal
-    crossing signs of the disjoint edges.
-    """
-    v = np.asarray(vertices, dtype=float)
-    (ia, ib, ic), edges = DISK_TABLE[i]
-    a, b, c = v[..., ia, :], v[..., ib, :], v[..., ic, :]
-    total = None
-    degen = None
-    for j0, j1 in edges:
-        sign, bad = crossing_signs(v[..., j0, :], v[..., j1, :], a, b, c)
-        total = sign.astype(np.int16) if total is None else total + sign
-        degen = bad if degen is None else (degen | bad)
-    return total, degen
-
-
-def disk_crossings(vertices, i):
-    """Signed crossing count of the hexagon through the open disk spanned
-    by (v_{i-1}, v_i, v_{i+1}) for i in {2, 4, 6}, or DEGENERATE when a
-    crossing test was within tolerance of a boundary."""
-    if i not in DISK_TABLE:
-        raise ValueError("disk index must be 2, 4 or 6")
-    total, degen = _disk_crossing_signs(vertices, i)
-    if degen:
-        return DEGENERATE
-    return int(total)
-
-
-def joint_chirality_curl(vertices):
-    """The pair (product of the three disk crossing counts, that
-    product squared times curl), or DEGENERATE when any crossing test
-    was degenerate or the product falls outside {-1, 0, 1}."""
-    ds = []
-    for i in (2, 4, 6):
-        value = disk_crossings(vertices, i)
-        if value is DEGENERATE:
-            return DEGENERATE
-        ds.append(value)
-    chirality = ds[0] * ds[1] * ds[2]
-    if chirality not in (-1, 0, 1):
-        return DEGENERATE
-    square = (ds[0] * ds[1] * ds[2]) ** 2
-    return JointChiralityCurl(chirality, square * int(curl(vertices)))
-
-
-def classify(vertices):
-    """KnotClass of one hexagon.
-
-    Non-embedded hexagons, degenerate crossing tests, and a zero curl
-    paired with nonzero chirality all map to KnotClass.DEGENERATE.
-    """
-    if not bool(is_embedded(vertices)):
-        return KnotClass.DEGENERATE
-    j = joint_chirality_curl(vertices)
-    if j is DEGENERATE:
-        return KnotClass.DEGENERATE
-    return _CLASS_BY_PAIR.get(tuple(j), KnotClass.DEGENERATE)
-
-
 # Flattened (edge start, edge end, triangle rows) for the six crossing
-# tests of classify_batch: two edges per disk, disks 2, 4, 6 in order.
+# tests: disk i is spanned by (v_{i-1}, v_i, v_{i+1}) and is tested
+# against the two hexagon edges disjoint from those vertices, disks
+# 2, 4, 6 in order. Edge j runs from vertex j to vertex j+1 mod 6. Only
+# these two edges can pierce the open disk away from a measure-zero
+# set, which the degenerate channel already discards.
 _X_P = (3, 4, 5, 0, 1, 2)
 _X_Q = (4, 5, 0, 1, 2, 3)
 _X_A = (0, 0, 2, 2, 4, 4)
@@ -156,39 +87,77 @@ _X_B = (1, 1, 3, 3, 5, 5)
 _X_C = (2, 2, 4, 4, 0, 0)
 
 
-def classify_batch(vertices):
-    """Vectorised :func:`classify` over an (..., 6, 3) vertex array.
+def _disk_counts(vertices):
+    """Signed crossing counts through disks 2, 4 and 6 of an (..., 6, 3)
+    vertex array, flattened to n hexagons.
 
-    Returns an int8 array of KnotClass values.
+    Returns the (n, 3) int16 counts, each the sum of the two transversal
+    crossing signs of the disk's disjoint edges, and the (n, 3) flags of
+    a crossing test within tolerance of a boundary.
+    """
+    v = np.asarray(vertices, dtype=float).reshape(-1, 6, 3)
+    signs, bad = crossing_signs(
+        v[:, _X_P, :], v[:, _X_Q, :],
+        v[:, _X_A, :], v[:, _X_B, :], v[:, _X_C, :],
+    )
+    signs = signs.astype(np.int16).reshape(-1, 3, 2)
+    return signs[..., 0] + signs[..., 1], bad.reshape(-1, 3, 2).any(axis=-1)
+
+
+def disk_crossings(vertices, i):
+    """Signed crossing count of one hexagon through the open disk spanned
+    by (v_{i-1}, v_i, v_{i+1}) for i in {2, 4, 6}, or DEGENERATE when a
+    crossing test was within tolerance of a boundary."""
+    if i not in _DISKS:
+        raise ValueError("disk index must be 2, 4 or 6")
+    counts, degen = _disk_counts(vertices)
+    k = _DISKS.index(i)
+    if degen[:, k].item():
+        return DEGENERATE
+    return counts[:, k].item()
+
+
+def joint_chirality_curl(vertices):
+    """The pair (product of the three disk crossing counts, that
+    product squared times curl) for one hexagon, or DEGENERATE when any
+    crossing test was degenerate or the product falls outside
+    {-1, 0, 1}."""
+    counts, degen = _disk_counts(vertices)
+    chirality = int(counts.prod(axis=-1).item())
+    if degen.any() or chirality not in (-1, 0, 1):
+        return DEGENERATE
+    return JointChiralityCurl(chirality, chirality ** 2 * int(curl(vertices)))
+
+
+def classify(vertices):
+    """KnotClass of one hexagon; see :func:`classify_batch`."""
+    return KnotClass(classify_batch(vertices).item())
+
+
+def classify_batch(vertices):
+    """KnotClass values of an (..., 6, 3) vertex array, as int8.
+
+    Non-embedded hexagons, degenerate crossing tests, a crossing-count
+    product outside {-1, 0, 1}, and a zero curl paired with nonzero
+    chirality all map to KnotClass.DEGENERATE.
     """
     v = np.asarray(vertices, dtype=float)
     lead = v.shape[:-2]
     v = v.reshape((-1, 6, 3))
 
-    signs, bad = crossing_signs(
-        v[:, _X_P, :], v[:, _X_Q, :],
-        v[:, _X_A, :], v[:, _X_B, :], v[:, _X_C, :],
-    )
-    signs = signs.astype(np.int16)
-    counts = (
-        signs[:, 0] + signs[:, 1],
-        signs[:, 2] + signs[:, 3],
-        signs[:, 4] + signs[:, 5],
-    )
+    counts, bad = _disk_counts(v)
     degen = bad.any(axis=-1)
     degen |= ~is_embedded(v)
 
-    chi = counts[0] * counts[1] * counts[2]
+    chi = counts[:, 0] * counts[:, 1] * counts[:, 2]
     cc = curl(v).astype(np.int16)
     knotted = (np.abs(chi) == 1)
     degen |= np.abs(chi) > 1
     degen |= knotted & (cc == 0)
 
     codes = np.full(v.shape[0], int(KnotClass.UNKNOT), dtype=np.int8)
-    codes[knotted & (chi == 1) & (cc == 1)] = int(KnotClass.TREFOIL_R_PLUS)
-    codes[knotted & (chi == 1) & (cc == -1)] = int(KnotClass.TREFOIL_R_MINUS)
-    codes[knotted & (chi == -1) & (cc == 1)] = int(KnotClass.TREFOIL_L_PLUS)
-    codes[knotted & (chi == -1) & (cc == -1)] = int(KnotClass.TREFOIL_L_MINUS)
+    for cls, (chirality, curl_sign) in TREFOIL_PAIRS.items():
+        codes[(chi == chirality) & (cc == curl_sign)] = int(cls)
     codes[degen] = int(KnotClass.DEGENERATE)
     return codes.reshape(lead)
 

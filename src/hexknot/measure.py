@@ -13,10 +13,12 @@ import json
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, asdict
+from functools import partial
 
 import numpy as np
 
 from .action_angle import (
+    TWO_PI,
     build_hexagon,
     in_moment_polytope,
     sample_action_batch,
@@ -26,11 +28,11 @@ from .invariants import (
     KNOT_CLASS_LABELS,
     KnotClass,
     TREFOIL_CLASSES,
+    TREFOIL_PAIRS,
     classify_batch,
 )
-from .trefoil_predicates import TARGET_PAIRS, class_masks, passes_window_filters
+from .trefoil_predicates import class_masks, passes_window_filters
 
-TWO_PI = 2.0 * np.pi
 CHUNK_SIZE = 1 << 16
 _MASK64 = (1 << 64) - 1
 
@@ -74,11 +76,15 @@ def _run_chunks(func, n, workers, chunk_size):
         return list(pool.map(lambda km: func(*km), chunks))
 
 
+def _chunk_coordinates(seed, k, m):
+    rng = chunk_rng(seed, k)
+    return sample_action_batch(rng, m), sample_angles_batch(rng, m)
+
+
 def sample_coordinate_stream(seed, n, chunk_size=CHUNK_SIZE):
     """Yield (diagonals, angles) chunk pairs of the estimator's stream."""
     for k, m in _chunks(n, chunk_size):
-        rng = chunk_rng(seed, k)
-        yield sample_action_batch(rng, m), sample_angles_batch(rng, m)
+        yield _chunk_coordinates(seed, k, m)
 
 
 @dataclass
@@ -97,7 +103,7 @@ class VolumeTable:
         """Bound on the positive-curl trefoil fraction: obtuse and acute
         diagonal regions weighted by their angle-window fractions."""
         return (self.ratio_obtuse * self.torus_frac_obtuse
-                + (2.0 - np.pi / 2.0) * self.torus_frac_acute)
+                + (1.0 - self.ratio_obtuse) * self.torus_frac_acute)
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -108,12 +114,8 @@ def analytic_volumes() -> VolumeTable:
     return VolumeTable()
 
 
-def _region_P6(d):
-    return in_moment_polytope(d)
-
-
 def _region_third(d):
-    return _region_P6(d) & (d[:, 0] > d[:, 1]) & (d[:, 0] > d[:, 2])
+    return in_moment_polytope(d) & (d[:, 0] > d[:, 1]) & (d[:, 0] > d[:, 2])
 
 
 def _region_obtuse(d):
@@ -124,28 +126,26 @@ def _region_acute(d):
     return _region_third(d) & (d[:, 0] ** 2 < d[:, 1] ** 2 + d[:, 2] ** 2)
 
 
-def _window_obtuse(t):
-    return ((t[:, 0] > np.pi / 2) & (t[:, 0] < np.pi)
+def _angle_window(t, t0_low):
+    return ((t[:, 0] > t0_low) & (t[:, 0] < np.pi)
             & (t[:, 1] > 0) & (t[:, 1] < np.pi / 2)
             & (t[:, 2] > 0) & (t[:, 2] < np.pi / 2)
             & (t[:, 0] + t[:, 1] < np.pi) & (t[:, 0] + t[:, 2] < np.pi))
 
 
-def _window_acute(t):
-    return ((t[:, 0] > 0) & (t[:, 0] < np.pi)
-            & (t[:, 1] > 0) & (t[:, 1] < np.pi / 2)
-            & (t[:, 2] > 0) & (t[:, 2] < np.pi / 2)
-            & (t[:, 0] + t[:, 1] < np.pi) & (t[:, 0] + t[:, 2] < np.pi))
-
+_VOLUMES = analytic_volumes()
 
 # name -> (draw upper bound, membership test, reference volume, analytic value)
 REGIONS = {
-    "P6": (2.0, _region_P6, 8.0, 4.0),
-    "third_d1_max": (2.0, _region_third, 8.0, 4.0 / 3.0),
-    "obtuse_d1": (2.0, _region_obtuse, 8.0, 2.0 * (np.pi - 2.0) / 3.0),
-    "acute_d1": (2.0, _region_acute, 8.0, (8.0 - 2.0 * np.pi) / 3.0),
-    "torus_obtuse_window": (TWO_PI, _window_obtuse, TWO_PI ** 3, TWO_PI ** 3 / 192.0),
-    "torus_acute_window": (TWO_PI, _window_acute, TWO_PI ** 3, TWO_PI ** 3 / 48.0),
+    "P6": (2.0, in_moment_polytope, 8.0, _VOLUMES.vol_P6),
+    "third_d1_max": (2.0, _region_third, 8.0, _VOLUMES.vol_third),
+    "obtuse_d1": (2.0, _region_obtuse, 8.0, _VOLUMES.vol_obtuse),
+    "acute_d1": (2.0, _region_acute, 8.0,
+                 _VOLUMES.vol_third * (1.0 - _VOLUMES.ratio_obtuse)),
+    "torus_obtuse_window": (TWO_PI, partial(_angle_window, t0_low=np.pi / 2),
+                            TWO_PI ** 3, TWO_PI ** 3 * _VOLUMES.torus_frac_obtuse),
+    "torus_acute_window": (TWO_PI, partial(_angle_window, t0_low=0),
+                           TWO_PI ** 3, TWO_PI ** 3 * _VOLUMES.torus_frac_acute),
 }
 
 
@@ -192,8 +192,21 @@ def mc_region_volume(region, n, seed, workers=1, chunk_size=CHUNK_SIZE):
     )
 
 
+class _IntervalReport:
+    """JSON form of a report dataclass that carries a ci95 pair."""
+
+    def to_dict(self) -> dict:
+        out = asdict(self)
+        out["ci95"] = list(self.ci95)
+        return out
+
+    def to_json(self, **kwargs) -> str:
+        kwargs.setdefault("indent", 2)
+        return json.dumps(self.to_dict(), **kwargs)
+
+
 @dataclass
-class EstimationReport:
+class EstimationReport(_IntervalReport):
     """Result of one knotting-probability run.
 
     fraction_* entries exclude degenerate samples from numerator and
@@ -212,18 +225,9 @@ class EstimationReport:
     fraction_total: float
     std_error: float
     ci95: tuple
-    wall_time_seconds: float
+    wall_time_seconds: float = 0.0
     workers: int = 1
     agreement: dict | None = None
-
-    def to_dict(self) -> dict:
-        out = asdict(self)
-        out["ci95"] = list(self.ci95)
-        return out
-
-    def to_json(self, **kwargs) -> str:
-        kwargs.setdefault("indent", 2)
-        return json.dumps(self.to_dict(), **kwargs)
 
     def csv_header(self) -> str:
         return ("samples,seed,mode,degenerate_count,fraction_R_plus,"
@@ -236,30 +240,23 @@ class EstimationReport:
                 f"{self.wall_time_seconds:.6f}")
 
 
-_PREDICATE_ORDER = tuple(TREFOIL_CLASSES)
-
-
 def _predicate_chunk(seed, k, m):
-    rng = chunk_rng(seed, k)
-    d = sample_action_batch(rng, m)
-    th = sample_angles_batch(rng, m)
+    d, th = _chunk_coordinates(seed, k, m)
     masks = class_masks(d, th)
-    return np.array([int(masks[cls].sum()) for cls in _PREDICATE_ORDER])
+    return np.array([int(masks[cls].sum()) for cls in TREFOIL_CLASSES])
 
 
 def _oracle_chunk(seed, k, m):
-    rng = chunk_rng(seed, k)
-    d = sample_action_batch(rng, m)
-    th = sample_angles_batch(rng, m)
+    d, th = _chunk_coordinates(seed, k, m)
     codes = classify_batch(build_hexagon(d, th))
     class_counts = np.bincount(codes, minlength=6)
 
     masks = class_masks(d, th)
-    agree = np.zeros((len(_PREDICATE_ORDER), 4), dtype=np.int64)
-    for row, cls in enumerate(_PREDICATE_ORDER):
-        chirality, curl_sign = TARGET_PAIRS[cls]
+    windows = {sign: passes_window_filters(d, th, sign) for sign in (1, -1)}
+    agree = np.zeros((len(TREFOIL_CLASSES), 4), dtype=np.int64)
+    for row, cls in enumerate(TREFOIL_CLASSES):
         pred = masks[cls]
-        accepted = pred & passes_window_filters(d, th, chirality, curl_sign)
+        accepted = pred & windows[TREFOIL_PAIRS[cls].curl_part]
         oracle = codes == int(cls)
         agree[row] = (
             int(pred.sum()),
@@ -293,7 +290,7 @@ def estimate_knotting_probability(n, seed, mode="predicate", workers=1,
                               n, workers, chunk_size)
         counts = np.sum(tallies, axis=0)
         hits = {KNOT_CLASS_LABELS[cls]: int(counts[i])
-                for i, cls in enumerate(_PREDICATE_ORDER)}
+                for i, cls in enumerate(TREFOIL_CLASSES)}
         degenerate = 0
         frac_rp = counts[0] / n
         frac_total = 4.0 * frac_rp
@@ -325,7 +322,7 @@ def estimate_knotting_probability(n, seed, mode="predicate", workers=1,
                     "necessity_violations": int(agree[i, 2]),
                     "predicate_only": int(agree[i, 3]),
                 }
-                for i, cls in enumerate(_PREDICATE_ORDER)
+                for i, cls in enumerate(TREFOIL_CLASSES)
             },
             "necessity_violations": int(agree[:, 2].sum()),
             "predicate_hits": pred_total,
@@ -361,20 +358,16 @@ def repeat_estimates(n, seed, mode="predicate", workers=1, repeats=10,
                                              workers=workers,
                                              chunk_size=chunk_size)
                for r in range(repeats)]
-    rp = np.array([r.fraction_R_plus for r in reports])
-    tot = np.array([r.fraction_total for r in reports])
-    summary = {
-        "repeats": repeats,
-        "mean_fraction_R_plus": float(rp.mean()),
-        "std_fraction_R_plus": float(rp.std(ddof=1)) if repeats > 1 else 0.0,
-        "mean_fraction_total": float(tot.mean()),
-        "std_fraction_total": float(tot.std(ddof=1)) if repeats > 1 else 0.0,
-    }
+    summary = {"repeats": repeats}
+    for name in ("fraction_R_plus", "fraction_total"):
+        values = np.array([getattr(r, name) for r in reports])
+        summary[f"mean_{name}"] = float(values.mean())
+        summary[f"std_{name}"] = float(values.std(ddof=1)) if repeats > 1 else 0.0
     return reports, summary
 
 
 @dataclass
-class BoundReport:
+class BoundReport(_IntervalReport):
     """Numeric comparison of an estimate against the closed-form bound."""
 
     estimate: float
@@ -382,15 +375,6 @@ class BoundReport:
     upper_bound: float = UPPER_BOUND
     one_over_42: float = ONE_OVER_42
     orderings: dict = field(default_factory=dict)
-
-    def to_dict(self) -> dict:
-        out = asdict(self)
-        out["ci95"] = list(self.ci95)
-        return out
-
-    def to_json(self, **kwargs) -> str:
-        kwargs.setdefault("indent", 2)
-        return json.dumps(self.to_dict(), **kwargs)
 
 
 def compare_bound(report):

@@ -20,12 +20,13 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .action_angle import NotInteriorError, is_interior, triangle_area_scale
-from .invariants import KNOT_CLASS_LABELS, JointChiralityCurl, KnotClass
-
-TWO_PI = 2.0 * np.pi
+from .action_angle import TWO_PI, fold_terms, interior_coordinates
+from .invariants import KNOT_CLASS_LABELS, KnotClass
+from .invariants import TREFOIL_PAIRS as TARGET_PAIRS
 
 _DISTINCT_TOL = 1e-9
+
+_CLASS_BY_PAIR = {pair: cls for cls, pair in TARGET_PAIRS.items()}
 
 
 class NineFunctions(NamedTuple):
@@ -40,14 +41,6 @@ class NineFunctions(NamedTuple):
     h3: np.ndarray
 
 
-def _validate(diagonals, angles):
-    d = np.asarray(diagonals, dtype=float)
-    th = np.asarray(angles, dtype=float)
-    if not np.all(is_interior(d)):
-        raise NotInteriorError("diagonals must lie in the open moment polytope")
-    return np.broadcast_arrays(d, th)
-
-
 def nine_functions(diagonals, angles):
     """Evaluate the nine sign functions; broadcasts over leading axes.
 
@@ -56,125 +49,69 @@ def nine_functions(diagonals, angles):
     under swapping its two (d, theta) argument pairs and g/h exchange
     under the same swap.
     """
-    d, th = _validate(diagonals, angles)
-    d1, d2, d3 = d[..., 0], d[..., 1], d[..., 2]
-    t1, t2, t3 = th[..., 0], th[..., 1], th[..., 2]
-    dd = triangle_area_scale(d)
-    r1 = np.sqrt(4.0 - d1 * d1)
-    r2 = np.sqrt(4.0 - d2 * d2)
-    r3 = np.sqrt(4.0 - d3 * d3)
-    c1, s1 = np.cos(t1), np.sin(t1)
-    c2, s2 = np.cos(t2), np.sin(t2)
-    c3, s3 = np.cos(t3), np.sin(t3)
-    q1 = d1 * d1
-    q2 = d2 * d2
-    q3 = d3 * d3
+    d, dd, r, c, s = fold_terms(diagonals, angles)
+    dl = tuple(d[..., i] for i in range(3))
+    q1, q2, q3 = (x * x for x in dl)
+    # e[i] / (2 d_j d_k) is the cosine of the central triangle's angle
+    # between diagonals j and k (law of cosines).
+    e = (-q1 + q2 + q3, q1 - q2 + q3, q1 + q2 - q3)
+    del q1, q2, q3  # e replaces q: three lane-sized arrays held, not six
 
-    f1 = d2 * r2 * s2 * (d3 * dd - (q1 - q2 + q3) * r3 * c3) \
-        - d3 * r3 * s3 * (d2 * dd - (q1 + q2 - q3) * r2 * c2)
-    g1 = r2 * ((-q1 + q2 + q3) / (2.0 * d2 * d3) * c2 * s3 + s2 * c3) \
-        - dd * s3 / (2.0 * d3)
-    h1 = r3 * ((-q1 + q2 + q3) / (2.0 * d2 * d3) * c3 * s2 + s3 * c2) \
-        - dd * s2 / (2.0 * d2)
+    def f_half(j, k):
+        return dl[j] * r[j] * s[j] * (dl[k] * dd - e[j] * r[k] * c[k])
 
-    f2 = d3 * r3 * s3 * (d1 * dd - (q1 + q2 - q3) * r1 * c1) \
-        - d1 * r1 * s1 * (d3 * dd - (-q1 + q2 + q3) * r3 * c3)
-    g2 = r3 * ((q1 - q2 + q3) / (2.0 * d1 * d3) * c3 * s1 + s3 * c1) \
-        - dd * s1 / (2.0 * d1)
-    h2 = r1 * ((q1 - q2 + q3) / (2.0 * d1 * d3) * c1 * s3 + s1 * c3) \
-        - dd * s3 / (2.0 * d3)
+    def g(i, j, k):
+        return (r[j] * (e[i] / (2.0 * dl[j] * dl[k]) * c[j] * s[k] + s[j] * c[k])
+                - dd * s[k] / (2.0 * dl[k]))
 
-    f3 = d1 * r1 * s1 * (d2 * dd - (-q1 + q2 + q3) * r2 * c2) \
-        - d2 * r2 * s2 * (d1 * dd - (q1 - q2 + q3) * r1 * c1)
-    g3 = r1 * ((q1 + q2 - q3) / (2.0 * d1 * d2) * c1 * s2 + s1 * c2) \
-        - dd * s2 / (2.0 * d2)
-    h3 = r2 * ((q1 + q2 - q3) / (2.0 * d1 * d2) * c2 * s1 + s2 * c1) \
-        - dd * s1 / (2.0 * d1)
-
-    return NineFunctions(f1, g1, h1, f2, g2, h2, f3, g3, h3)
+    # Triple i with (j, k) = (i+1, i+2) mod 3: f_i is antisymmetric under
+    # swapping j and k, and h_i is g_i with j and k swapped.
+    values = []
+    for i in range(3):
+        j, k = (i + 1) % 3, (i + 2) % 3
+        values += [f_half(j, k) - f_half(k, j), g(i, j, k), g(i, k, j)]
+    return NineFunctions(*values)
 
 
 def _angles_in(th, lo, hi):
     return np.all((th > lo) & (th < hi), axis=-1)
 
 
-def satisfies_R_plus(diagonals, angles):
-    """Necessary condition for a right-handed trefoil with positive curl:
-    every angle strictly inside (0, pi) and all nine functions strictly
-    positive."""
-    d, th = _validate(diagonals, angles)
-    nf = nine_functions(d, th)
-    pos = np.ones(np.broadcast_shapes(d.shape[:-1], th.shape[:-1]), dtype=bool)
-    for value in nf:
-        pos = pos & (value > 0.0)
-    return _angles_in(th, 0.0, np.pi) & pos
+def _all(masks):
+    out = masks[0]
+    for m in masks[1:]:
+        out = out & m
+    return out
 
 
-def satisfies_L_plus(diagonals, angles):
-    """Necessary condition for a left-handed trefoil with positive curl:
-    angles in (0, pi), f_i < 0, g_i > 0 and h_i > 0 for all i."""
-    d, th = _validate(diagonals, angles)
-    nf = nine_functions(d, th)
-    ok = (nf.f1 < 0.0) & (nf.f2 < 0.0) & (nf.f3 < 0.0)
-    ok &= (nf.g1 > 0.0) & (nf.g2 > 0.0) & (nf.g3 > 0.0)
-    ok &= (nf.h1 > 0.0) & (nf.h2 > 0.0) & (nf.h3 > 0.0)
-    return _angles_in(th, 0.0, np.pi) & ok
-
-
-def satisfies_negative_curl(diagonals, angles, chirality):
-    """Necessary condition for a trefoil of the given chirality with
-    negative curl, by the mirror reduction theta -> 2*pi - theta (which
-    flips both chirality and curl)."""
-    if chirality not in (-1, 1):
-        raise ValueError("chirality must be +1 or -1")
-    th = np.asarray(angles, dtype=float)
-    mirrored = TWO_PI - th
-    if chirality == 1:
-        return satisfies_L_plus(diagonals, mirrored)
-    return satisfies_R_plus(diagonals, mirrored)
-
-
-def satisfies_class(diagonals, angles, knot_class):
-    """Dispatch the class-specific predicate for one of the four
-    trefoil classes."""
-    cls = KnotClass(knot_class)
-    if cls == KnotClass.TREFOIL_R_PLUS:
-        return satisfies_R_plus(diagonals, angles)
-    if cls == KnotClass.TREFOIL_L_PLUS:
-        return satisfies_L_plus(diagonals, angles)
-    if cls == KnotClass.TREFOIL_R_MINUS:
-        return satisfies_negative_curl(diagonals, angles, 1)
-    if cls == KnotClass.TREFOIL_L_MINUS:
-        return satisfies_negative_curl(diagonals, angles, -1)
-    raise ValueError(f"no trefoil predicate for {cls!r}")
+def _all_of_sign(values, sign):
+    """True where every value is strictly positive (sign +1) or
+    strictly negative (sign -1)."""
+    return _all([value > 0.0 if sign > 0 else value < 0.0 for value in values])
 
 
 def class_masks(diagonals, angles):
     """Predicate masks for all four trefoil classes at once.
 
-    Every term of every one of the nine functions carries exactly one
-    sine factor, so the whole vector is odd under theta -> 2*pi - theta;
-    one evaluation therefore covers both curl signs. This is the hot
-    path of the predicate-mode estimator.
+    The mask of class (chirality, curl) is a necessary condition for
+    that class: every angle strictly inside the curl's half of the
+    circle, (0, pi) for positive curl and (pi, 2*pi) for negative, the
+    three f_i strictly of the chirality's sign, and the six g_i, h_i
+    strictly of the curl's sign. Every term of every one of the nine
+    functions carries exactly one sine factor, so the whole vector is
+    odd under theta -> 2*pi - theta, which flips both chirality and
+    curl; one evaluation therefore covers both curl signs. This is the
+    hot path of the predicate-mode estimator.
 
     Returns a dict KnotClass -> bool array.
     """
-    d, th = _validate(diagonals, angles)
-    nf = nine_functions(d, th)
-    up = _angles_in(th, 0.0, np.pi)
-    down = _angles_in(th, np.pi, TWO_PI)
-    f_pos = (nf.f1 > 0.0) & (nf.f2 > 0.0) & (nf.f3 > 0.0)
-    f_neg = (nf.f1 < 0.0) & (nf.f2 < 0.0) & (nf.f3 < 0.0)
-    gh_pos = ((nf.g1 > 0.0) & (nf.g2 > 0.0) & (nf.g3 > 0.0)
-              & (nf.h1 > 0.0) & (nf.h2 > 0.0) & (nf.h3 > 0.0))
-    gh_neg = ((nf.g1 < 0.0) & (nf.g2 < 0.0) & (nf.g3 < 0.0)
-              & (nf.h1 < 0.0) & (nf.h2 < 0.0) & (nf.h3 < 0.0))
-    return {
-        KnotClass.TREFOIL_R_PLUS: up & f_pos & gh_pos,
-        KnotClass.TREFOIL_L_PLUS: up & f_neg & gh_pos,
-        KnotClass.TREFOIL_R_MINUS: down & f_pos & gh_neg,
-        KnotClass.TREFOIL_L_MINUS: down & f_neg & gh_neg,
-    }
+    nf = nine_functions(diagonals, angles)
+    th = np.asarray(angles, dtype=float)
+    window = {1: _angles_in(th, 0.0, np.pi), -1: _angles_in(th, np.pi, TWO_PI)}
+    f_sign = {sign: _all_of_sign(nf[0::3], sign) for sign in (1, -1)}
+    gh_sign = {sign: _all_of_sign(nf[1::3] + nf[2::3], sign) for sign in (1, -1)}
+    return {cls: window[curl_sign] & f_sign[chirality] & gh_sign[curl_sign]
+            for cls, (chirality, curl_sign) in TARGET_PAIRS.items()}
 
 
 @dataclass
@@ -237,17 +174,13 @@ def _filter_masks(d, th, curl_sign):
     return curl_window, angle_sums, distinct, window
 
 
-def passes_window_filters(diagonals, angles, chirality, curl_sign):
+def passes_window_filters(diagonals, angles, curl_sign):
     """Vectorised conjunction of all four filter clauses for the trefoil
-    class (chirality, curl_sign)."""
-    if chirality not in (-1, 1) or curl_sign not in (-1, 1):
-        raise ValueError("chirality and curl_sign must be +1 or -1")
-    d, th = _validate(diagonals, angles)
-    masks = _filter_masks(d, th, curl_sign)
-    out = masks[0]
-    for m in masks[1:]:
-        out = out & m
-    return out
+    classes of the given curl sign; no clause depends on chirality."""
+    if curl_sign not in (-1, 1):
+        raise ValueError("curl_sign must be +1 or -1")
+    d, th = interior_coordinates(diagonals, angles)
+    return _all(_filter_masks(d, th, curl_sign))
 
 
 def window_filters(diagonals, angles, target):
@@ -256,35 +189,10 @@ def window_filters(diagonals, angles, target):
     `target` is a JointChiralityCurl pair (chirality, curl) with both
     entries in {-1, +1}, or one of the four trefoil KnotClass values.
     """
-    if isinstance(target, KnotClass):
-        chirality, curl_sign = {
-            KnotClass.TREFOIL_R_PLUS: (1, 1),
-            KnotClass.TREFOIL_R_MINUS: (1, -1),
-            KnotClass.TREFOIL_L_PLUS: (-1, 1),
-            KnotClass.TREFOIL_L_MINUS: (-1, -1),
-        }[target]
-    else:
-        chirality, curl_sign = int(target[0]), int(target[1])
-    if chirality not in (-1, 1) or curl_sign not in (-1, 1):
+    if not isinstance(target, KnotClass):
+        target = _CLASS_BY_PAIR.get((int(target[0]), int(target[1])))
+    if target not in TARGET_PAIRS:
         raise ValueError("target must name one of the four trefoil classes")
-    d, th = _validate(diagonals, angles)
-    masks = _filter_masks(d, th, curl_sign)
-    label = KNOT_CLASS_LABELS[_class_for(chirality, curl_sign)]
-    return FilterReport(label, *(bool(m) for m in masks))
-
-
-def _class_for(chirality, curl_sign):
-    return {
-        (1, 1): KnotClass.TREFOIL_R_PLUS,
-        (1, -1): KnotClass.TREFOIL_R_MINUS,
-        (-1, 1): KnotClass.TREFOIL_L_PLUS,
-        (-1, -1): KnotClass.TREFOIL_L_MINUS,
-    }[(chirality, curl_sign)]
-
-
-TARGET_PAIRS = {
-    KnotClass.TREFOIL_R_PLUS: JointChiralityCurl(1, 1),
-    KnotClass.TREFOIL_R_MINUS: JointChiralityCurl(1, -1),
-    KnotClass.TREFOIL_L_PLUS: JointChiralityCurl(-1, 1),
-    KnotClass.TREFOIL_L_MINUS: JointChiralityCurl(-1, -1),
-}
+    d, th = interior_coordinates(diagonals, angles)
+    masks = _filter_masks(d, th, TARGET_PAIRS[target].curl_part)
+    return FilterReport(KNOT_CLASS_LABELS[target], *(bool(m) for m in masks))

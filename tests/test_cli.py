@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -69,6 +70,13 @@ class TestSample:
         assert a.read_bytes() == b.read_bytes()
         assert a.read_bytes() != c.read_bytes()
 
+    def test_non_integer_env_seed_is_usage_error(self, monkeypatch, capsys):
+        monkeypatch.setenv("HEXKNOT_SEED", "abc")
+        with pytest.raises(SystemExit) as err:
+            run(["bound"])
+        assert err.value.code == 2
+        assert "HEXKNOT_SEED" in capsys.readouterr().err
+
 
 class TestClassify:
     def test_round_trip_matches_in_memory(self, tmp_path, capsys):
@@ -124,6 +132,18 @@ class TestClassify:
 
     def test_missing_file_is_runtime_error(self, capsys):
         assert run(["classify", "--input", "/nonexistent/x.csv"]) == 1
+
+    def test_non_finite_row_names_line(self, tmp_path, capsys):
+        src = tmp_path / "nan.csv"
+        src.write_text("d1,d2,d3,theta1,theta2,theta3\n"
+                       "1.0,1.0,1.0,1.0,1.0,1.0\n"
+                       "1.0,1.0,1.0,nan,1.0,1.0\n"
+                       "1.0,1.0,1.0,1.0,inf,1.0\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run(["classify", "--input", str(src)]) == 1
+        err = capsys.readouterr().err
+        assert "line 3" in err and "non-finite" in err
 
 
 class TestEstimate:
@@ -205,6 +225,13 @@ class TestCheck:
         assert run(["check", "1", "1", "2", "0", "0", "0"]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["class"] == "degenerate"
+
+    def test_non_finite_coordinate_is_usage_error(self, capsys):
+        for bad in ("nan", "inf"):
+            with pytest.raises(SystemExit) as err:
+                run(["check", "1", "1", "1", bad, "1", "1"])
+            assert err.value.code == 2
+            assert "non-finite" in capsys.readouterr().err
 
     def test_target_flag(self, capsys):
         d, th = WITNESSES["trefoil_L-"]

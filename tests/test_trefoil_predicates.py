@@ -16,13 +16,14 @@ from hexknot.trefoil_predicates import (
     window_filters,
     nine_functions,
     passes_window_filters,
-    satisfies_L_plus,
-    satisfies_R_plus,
-    satisfies_negative_curl,
 )
 from conftest import WITNESSES
 
 TWO_PI = 2.0 * np.pi
+R_PLUS = KnotClass.TREFOIL_R_PLUS
+R_MINUS = KnotClass.TREFOIL_R_MINUS
+L_PLUS = KnotClass.TREFOIL_L_PLUS
+L_MINUS = KnotClass.TREFOIL_L_MINUS
 
 
 def tp(a, b, c):
@@ -100,51 +101,50 @@ class TestNineFunctions:
 class TestClassPredicates:
     def test_witnesses_satisfy_their_predicate(self):
         d, th = map(np.array, WITNESSES["trefoil_R+"])
-        assert bool(satisfies_R_plus(d, th))
+        assert bool(class_masks(d, th)[R_PLUS])
         d, th = map(np.array, WITNESSES["trefoil_L+"])
-        assert bool(satisfies_L_plus(d, th))
+        assert bool(class_masks(d, th)[L_PLUS])
         d, th = map(np.array, WITNESSES["trefoil_R-"])
-        assert bool(satisfies_negative_curl(d, th, 1))
+        assert bool(class_masks(d, th)[R_MINUS])
         d, th = map(np.array, WITNESSES["trefoil_L-"])
-        assert bool(satisfies_negative_curl(d, th, -1))
+        assert bool(class_masks(d, th)[L_MINUS])
 
     def test_angle_window_required(self, rng):
         d = sample_action_batch(rng, 1000)
         th = rng.uniform(np.pi, TWO_PI, (1000, 3))
-        assert not satisfies_R_plus(d, th).any()
-        assert not satisfies_L_plus(d, th).any()
+        assert not class_masks(d, th)[R_PLUS].any()
+        assert not class_masks(d, th)[L_PLUS].any()
         th_up = rng.uniform(0.0, np.pi, (1000, 3))
-        assert not satisfies_negative_curl(d, th_up, 1).any()
-        assert not satisfies_negative_curl(d, th_up, -1).any()
+        assert not class_masks(d, th_up)[R_MINUS].any()
+        assert not class_masks(d, th_up)[L_MINUS].any()
 
     def test_equal_diagonals_never_satisfy(self, rng):
         x = rng.uniform(0.05, 1.95, 2000)
         d = np.stack([x, x, x], axis=-1)
         th = rng.uniform(0.0, np.pi, (2000, 3))
-        assert not satisfies_R_plus(d, th).any()
+        assert not class_masks(d, th)[R_PLUS].any()
 
     def test_equal_everything_fails_l_plus(self):
-        assert not bool(satisfies_L_plus((1.0, 1.0, 1.0), (0.5, 0.5, 0.5)))
+        assert not bool(class_masks((1.0, 1.0, 1.0), (0.5, 0.5, 0.5))[L_PLUS])
 
     def test_mirror_reduction_is_exact(self, rng):
         d = sample_action_batch(rng, 2000)
         th = sample_angles_batch(rng, 2000)
-        lhs = satisfies_R_plus(d, th)
-        rhs = satisfies_negative_curl(d, TWO_PI - th, -1)
+        lhs = class_masks(d, th)[R_PLUS]
+        rhs = class_masks(d, TWO_PI - th)[L_MINUS]
         assert np.array_equal(lhs, rhs)
 
-    def test_class_masks_match_public_predicates(self, rng):
+    def test_class_masks_mirror_reduction(self, rng):
+        # theta -> 2*pi - theta flips both chirality and curl, so each
+        # class mask is its mirror partner's mask at mirrored angles
         d = sample_action_batch(rng, 20000)
         th = sample_angles_batch(rng, 20000)
         masks = class_masks(d, th)
-        assert np.array_equal(masks[KnotClass.TREFOIL_R_PLUS],
-                              satisfies_R_plus(d, th))
-        assert np.array_equal(masks[KnotClass.TREFOIL_L_PLUS],
-                              satisfies_L_plus(d, th))
-        assert np.array_equal(masks[KnotClass.TREFOIL_R_MINUS],
-                              satisfies_negative_curl(d, th, 1))
-        assert np.array_equal(masks[KnotClass.TREFOIL_L_MINUS],
-                              satisfies_negative_curl(d, th, -1))
+        mirrored = class_masks(d, TWO_PI - th)
+        assert np.array_equal(masks[R_PLUS], mirrored[L_MINUS])
+        assert np.array_equal(masks[L_PLUS], mirrored[R_MINUS])
+        assert np.array_equal(masks[R_MINUS], mirrored[L_PLUS])
+        assert np.array_equal(masks[L_MINUS], mirrored[R_PLUS])
 
     def test_necessity_on_sampled_trefoils(self, rng):
         d = sample_action_batch(rng, 300_000)
@@ -200,6 +200,8 @@ class TestLemmaFilters:
     def test_rejects_non_trefoil_target(self):
         with pytest.raises(ValueError):
             window_filters((1.5, 0.8, 0.9), (2.0, 0.4, 0.3), (0, 0))
+        with pytest.raises(ValueError):
+            window_filters((1.5, 0.8, 0.9), (2.0, 0.4, 0.3), KnotClass.UNKNOT)
 
     def test_json_serialisable(self):
         report = window_filters((1.5, 0.8, 0.9), (2.0, 0.4, 0.3), (1, 1))
@@ -223,7 +225,7 @@ class TestLemmaFilters:
         d = sample_action_batch(rng, 300)
         th = sample_angles_batch(rng, 300)
         for chirality, curl_sign in ((1, 1), (1, -1), (-1, 1), (-1, -1)):
-            mask = passes_window_filters(d, th, chirality, curl_sign)
+            mask = passes_window_filters(d, th, curl_sign)
             for k in range(300):
                 report = window_filters(d[k], th[k], (chirality, curl_sign))
                 assert report.passes() == bool(mask[k])
