@@ -12,9 +12,8 @@ from .geom import (
     EPS_CONTACT,
     EPS_EDGE,
     EPS_PLANE,
-    segment_crossing,
-    segment_segment_distance,
-    segments_intersect,
+    crossing_signs,
+    segment_distances,
     triple_product,
 )
 from .action_angle import (
@@ -27,9 +26,7 @@ from .action_angle import (
     in_moment_polytope,
     is_embedded,
     is_interior,
-    sample_action,
     sample_action_batch,
-    sample_angles,
     sample_angles_batch,
     standardize,
     triangle_area_scale,

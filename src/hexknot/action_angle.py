@@ -67,20 +67,6 @@ def is_interior(diagonals):
     return _polytope(diagonals, np.less)
 
 
-def sample_action(rng):
-    """One diagonal triple uniform on the interior of the moment polytope.
-
-    Rejection from the cube [0,2]^3; the polytope fills half the cube, so
-    the expected number of draws is 2.
-    """
-    for _ in range(_MAX_REJECTIONS):
-        d = rng.uniform(0.0, 2.0, 3)
-        if is_interior(d):
-            return d
-    raise RuntimeError("rejection sampler failed to accept after "
-                       f"{_MAX_REJECTIONS} draws")
-
-
 def sample_action_batch(rng, n):
     """(n, 3) diagonal triples uniform on the interior of the polytope."""
     out = np.empty((n, 3))
@@ -95,11 +81,6 @@ def sample_action_batch(rng, n):
         out[have:have + take] = good[:take]
         have += take
     raise RuntimeError("rejection sampler failed to fill the batch")
-
-
-def sample_angles(rng):
-    """Three independent angles uniform on [0, 2*pi)."""
-    return rng.uniform(0.0, TWO_PI, 3)
 
 
 def sample_angles_batch(rng, n):

@@ -134,10 +134,10 @@ def _read_rows(path):
         if len(values) not in (6, 18):
             raise CliError(
                 f"line {lineno}: expected 6 or 18 columns, got {len(values)}")
-        rows.append((lineno, text, values))
+        rows.append((text, values))
     if not rows:
         raise CliError("no data rows in input")
-    widths = {len(v) for _, _, v in rows}
+    widths = {len(v) for _, v in rows}
     if len(widths) != 1:
         raise CliError("mixed 6- and 18-column rows in input")
     return rows, widths.pop()
@@ -145,7 +145,7 @@ def _read_rows(path):
 
 def cmd_classify(args):
     rows, width = _read_rows(args.input)
-    data = np.array([v for _, _, v in rows])
+    data = np.array([v for _, v in rows])
     if width == 6:
         d, th = data[:, :3], data[:, 3:]
         interior = is_interior(d)
@@ -159,10 +159,10 @@ def cmd_classify(args):
     header = ACTION_HEADER if width == 6 else VERTEX_HEADER
     with _output(args.output) as out:
         out.write(header + ",class\n")
-        for (lineno, text, _), code in zip(rows, codes):
+        for (text, _), code in zip(rows, codes):
             out.write(f"{text},{KNOT_CLASS_LABELS[KnotClass(int(code))]}\n")
-    counts = {KNOT_CLASS_LABELS[KnotClass(i)]: int((codes == i).sum())
-              for i in range(6) if (codes == i).any()}
+    counts = {KNOT_CLASS_LABELS[KnotClass(i)]: int(c)
+              for i, c in enumerate(np.bincount(codes, minlength=6)) if c}
     print(f"classified {len(rows)} rows: {counts}", file=sys.stderr)
     return 0
 
@@ -305,7 +305,7 @@ def build_parser():
 
     p = sub.add_parser("check", help="filters and class for one coordinate tuple")
     p.add_argument("coords", type=_finite_float, nargs=6, metavar="X",
-                   help="d1 d2 d3 theta1 theta2 theta3")
+                   help="d1 d2 d3 theta1 theta2 theta3 (give -- first if any starts with -)")
     p.add_argument("--target",
                    choices=[KNOT_CLASS_LABELS[cls] for cls in TREFOIL_CLASSES],
                    default="trefoil_R+",

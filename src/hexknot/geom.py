@@ -70,7 +70,8 @@ def triple_product(a, b, c):
 
 
 def crossing_signs(p, q, a, b, c):
-    """Vectorised core of :func:`segment_crossing`.
+    """Signed transversal crossings of directed segments through the open
+    interior of oriented triangular disks.
 
     Parameters
     ----------
@@ -82,7 +83,7 @@ def crossing_signs(p, q, a, b, c):
     Returns
     -------
     sign : int8 ndarray
-        +1 transversal crossing with the normal, -1 against it, 0 none.
+        +1 transversal crossing with the normal, -1 against it, else 0.
     degenerate : bool ndarray
         True where the decision is within tolerance of a boundary: an
         endpoint within EPS_PLANE of the supporting plane while the
@@ -142,36 +143,6 @@ def crossing_signs(p, q, a, b, c):
     return sign.reshape(lead), degenerate.reshape(lead)
 
 
-def segment_crossing(seg, tri):
-    """Signed transversal crossing of a directed segment through the open
-    interior of an oriented triangular disk.
-
-    Parameters
-    ----------
-    seg : array-like, shape (2, 3)
-        Endpoints (p, q); the crossing direction is p -> q.
-    tri : array-like, shape (3, 3)
-        Vertices (a, b, c); counter-clockwise order defines the
-        right-hand-rule normal.
-
-    Returns +1 when the segment pierces the open disk in the direction
-    of the normal, -1 against it, 0 when there is no interior crossing,
-    and DEGENERATE when the decision falls inside tolerance of a
-    boundary (endpoint within EPS_PLANE of the plane while near the
-    disk, or crossing point within EPS_EDGE of the disk boundary).
-
-    Raises ValueError if the triangle area is below EPS_AREA.
-    """
-    seg = np.asarray(seg, dtype=float)
-    tri = np.asarray(tri, dtype=float)
-    if _norm(np.cross(tri[1] - tri[0], tri[2] - tri[0])) <= 2.0 * EPS_AREA:
-        raise ValueError("degenerate triangle: area below EPS_AREA")
-    sign, degen = crossing_signs(seg[0], seg[1], tri[0], tri[1], tri[2])
-    if degen:
-        return DEGENERATE
-    return int(sign)
-
-
 def segment_distances(p1, q1, p2, q2):
     """Minimum distance between closed segments [p1,q1] and [p2,q2].
 
@@ -199,21 +170,6 @@ def segment_distances(p1, q1, p2, q2):
     c1 = p1 + s[..., None] * d1
     c2 = p2 + t_cl[..., None] * d2
     return _norm(c1 - c2)
-
-
-def segment_segment_distance(s1, s2):
-    """Minimum distance between two closed segments, each given as (2, 3)."""
-    s1 = np.asarray(s1, dtype=float)
-    s2 = np.asarray(s2, dtype=float)
-    return float(segment_distances(s1[0], s1[1], s2[0], s2[1]))
-
-
-def segments_intersect(s1, s2):
-    """True iff two closed segments come within EPS_CONTACT of each other.
-
-    The distance threshold is the contract; there is no degenerate case.
-    """
-    return segment_segment_distance(s1, s2) <= EPS_CONTACT
 
 
 def _point_face_distance(x, a, b, c, n, nn_safe):

@@ -63,14 +63,18 @@ def chunk_rng(seed, chunk_index):
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def _chunks(n, chunk_size):
-    return [(k, min(chunk_size, n - k * chunk_size))
-            for k in range((n + chunk_size - 1) // chunk_size)]
+def _chunks(n):
+    return [(k, min(CHUNK_SIZE, n - k * CHUNK_SIZE))
+            for k in range((n + CHUNK_SIZE - 1) // CHUNK_SIZE)]
 
 
-def _run_chunks(func, n, workers, chunk_size):
-    chunks = _chunks(n, chunk_size)
-    if workers <= 1:
+def _run_chunks(func, n, workers):
+    if n <= 0:
+        raise ValueError("sample count must be positive")
+    if workers < 1:
+        raise ValueError("worker count must be positive")
+    chunks = _chunks(n)
+    if workers == 1:
         return [func(k, m) for k, m in chunks]
     with ThreadPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(lambda km: func(*km), chunks))
@@ -81,9 +85,9 @@ def _chunk_coordinates(seed, k, m):
     return sample_action_batch(rng, m), sample_angles_batch(rng, m)
 
 
-def sample_coordinate_stream(seed, n, chunk_size=CHUNK_SIZE):
+def sample_coordinate_stream(seed, n):
     """Yield (diagonals, angles) chunk pairs of the estimator's stream."""
-    for k, m in _chunks(n, chunk_size):
+    for k, m in _chunks(n):
         yield _chunk_coordinates(seed, k, m)
 
 
@@ -163,13 +167,16 @@ class VolumeEstimate:
     analytic: float
 
     def z_score(self) -> float:
-        return (self.value - self.analytic) / self.value_std_error
+        diff = self.value - self.analytic
+        if self.value_std_error == 0:
+            return 0.0 if diff == 0 else float(np.copysign(np.inf, diff))
+        return diff / self.value_std_error
 
     def to_dict(self) -> dict:
         return asdict(self)
 
 
-def mc_region_volume(region, n, seed, workers=1, chunk_size=CHUNK_SIZE):
+def mc_region_volume(region, n, seed, workers=1):
     """Monte Carlo volume of a named region: hit fraction times the
     reference volume, with the binomial standard error."""
     if region not in REGIONS:
@@ -181,7 +188,7 @@ def mc_region_volume(region, n, seed, workers=1, chunk_size=CHUNK_SIZE):
         draw = chunk_rng(seed, k).uniform(0.0, hi, (m, 3))
         return int(member(draw).sum())
 
-    hits = sum(_run_chunks(one_chunk, n, workers, chunk_size))
+    hits = sum(_run_chunks(one_chunk, n, workers))
     frac = hits / n
     frac_se = np.sqrt(frac * (1.0 - frac) / n)
     return VolumeEstimate(
@@ -229,16 +236,6 @@ class EstimationReport(_IntervalReport):
     workers: int = 1
     agreement: dict | None = None
 
-    def csv_header(self) -> str:
-        return ("samples,seed,mode,degenerate_count,fraction_R_plus,"
-                "fraction_total,std_error,ci95_low,ci95_high,wall_time_seconds")
-
-    def to_csv_row(self) -> str:
-        return (f"{self.samples},{self.seed},{self.mode},{self.degenerate_count},"
-                f"{self.fraction_R_plus:.17g},{self.fraction_total:.17g},"
-                f"{self.std_error:.17g},{self.ci95[0]:.17g},{self.ci95[1]:.17g},"
-                f"{self.wall_time_seconds:.6f}")
-
 
 def _predicate_chunk(seed, k, m):
     d, th = _chunk_coordinates(seed, k, m)
@@ -267,8 +264,7 @@ def _oracle_chunk(seed, k, m):
     return class_counts, agree
 
 
-def estimate_knotting_probability(n, seed, mode="predicate", workers=1,
-                                  chunk_size=CHUNK_SIZE):
+def estimate_knotting_probability(n, seed, mode="predicate", workers=1):
     """Estimate the fraction of knotted hexagons from n uniform samples.
 
     predicate mode counts coordinate tuples passing the closed-form
@@ -277,17 +273,15 @@ def estimate_knotting_probability(n, seed, mode="predicate", workers=1,
     classifies it geometrically, and additionally cross-tabulates the
     predicate against the classification.
 
-    Deterministic for fixed (n, seed, chunk_size) at any worker count.
+    Deterministic for fixed (n, seed) at any worker count.
     """
-    if n <= 0:
-        raise ValueError("sample count must be positive")
     if mode not in ("predicate", "oracle"):
         raise ValueError(f"unknown mode {mode!r}")
     t0 = time.perf_counter()
 
     if mode == "predicate":
         tallies = _run_chunks(lambda k, m: _predicate_chunk(seed, k, m),
-                              n, workers, chunk_size)
+                              n, workers)
         counts = np.sum(tallies, axis=0)
         hits = {KNOT_CLASS_LABELS[cls]: int(counts[i])
                 for i, cls in enumerate(TREFOIL_CLASSES)}
@@ -299,7 +293,7 @@ def estimate_knotting_probability(n, seed, mode="predicate", workers=1,
         agreement = None
     else:
         tallies = _run_chunks(lambda k, m: _oracle_chunk(seed, k, m),
-                              n, workers, chunk_size)
+                              n, workers)
         class_counts = np.sum([t[0] for t in tallies], axis=0)
         agree = np.sum([t[1] for t in tallies], axis=0)
         hits = {KNOT_CLASS_LABELS[KnotClass(i)]: int(class_counts[i])
@@ -347,16 +341,14 @@ def estimate_knotting_probability(n, seed, mode="predicate", workers=1,
     )
 
 
-def repeat_estimates(n, seed, mode="predicate", workers=1, repeats=10,
-                     chunk_size=CHUNK_SIZE):
+def repeat_estimates(n, seed, mode="predicate", workers=1, repeats=10):
     """Run the estimator `repeats` times with seeds seed..seed+repeats-1.
 
     Returns (reports, summary) where summary carries the across-run mean
     and standard deviation of the headline fractions.
     """
     reports = [estimate_knotting_probability(n, seed + r, mode=mode,
-                                             workers=workers,
-                                             chunk_size=chunk_size)
+                                             workers=workers)
                for r in range(repeats)]
     summary = {"repeats": repeats}
     for name in ("fraction_R_plus", "fraction_total"):

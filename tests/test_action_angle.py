@@ -11,9 +11,7 @@ from hexknot.action_angle import (
     in_moment_polytope,
     is_embedded,
     is_interior,
-    sample_action,
     sample_action_batch,
-    sample_angles,
     sample_angles_batch,
     standardize,
     triangle_area_scale,
@@ -49,11 +47,11 @@ class TestSamplers:
     def test_action_samples_are_interior(self):
         rng = np.random.default_rng(3)
         for _ in range(500):
-            assert is_interior(sample_action(rng))
+            assert is_interior(sample_action_batch(rng, 1)).all()
 
     def test_action_deterministic_for_fixed_seed(self):
-        a = sample_action(np.random.default_rng(42))
-        b = sample_action(np.random.default_rng(42))
+        a = sample_action_batch(np.random.default_rng(42), 5)
+        b = sample_action_batch(np.random.default_rng(42), 5)
         assert np.array_equal(a, b)
 
     def test_batch_matches_interior_contract(self):
@@ -75,8 +73,8 @@ class TestSamplers:
         assert t.min() >= 0.0 and t.max() < 2.0 * np.pi
         assert abs(t[:, 0].mean() - np.pi) < 0.01
         assert abs((t[:, 0] < np.pi).mean() - 0.5) < 0.002
-        single = sample_angles(np.random.default_rng(0))
-        assert single.shape == (3,) and (single >= 0).all() and (single < 2 * np.pi).all()
+        single = sample_angles_batch(np.random.default_rng(0), 1)
+        assert single.shape == (1, 3) and (single >= 0).all() and (single < 2 * np.pi).all()
 
     def test_box_probability_matches_volume_ratio(self):
         # [0.8, 1.2]^3 lies inside the polytope, so its sampling

@@ -192,6 +192,12 @@ class TestVolumesAndBound:
         assert "P6" in text and "torus_acute_window" in text
         assert "largest |z|" in text
 
+    def test_volumes_with_few_samples(self, capsys):
+        # a torus window gets no hits, so its z is infinite, not an error
+        assert run(["volumes", "--samples", "100", "--seed", "0"]) == 0
+        text = capsys.readouterr().out
+        assert "torus_acute_window" in text and "largest |z| = inf" in text
+
     def test_bound_prints_constants(self, capsys):
         assert run(["bound"]) == 0
         text = capsys.readouterr().out
@@ -227,9 +233,11 @@ class TestCheck:
         assert payload["class"] == "degenerate"
 
     def test_non_finite_coordinate_is_usage_error(self, capsys):
-        for bad in ("nan", "inf"):
+        for args in (["1", "1", "1", "nan", "1", "1"],
+                     ["1", "1", "1", "inf", "1", "1"],
+                     ["--", "1", "1", "1", "-inf", "1", "1"]):
             with pytest.raises(SystemExit) as err:
-                run(["check", "1", "1", "1", bad, "1", "1"])
+                run(["check", *args])
             assert err.value.code == 2
             assert "non-finite" in capsys.readouterr().err
 

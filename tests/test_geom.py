@@ -2,12 +2,9 @@ import numpy as np
 import pytest
 
 from hexknot.geom import (
-    DEGENERATE,
     EPS_CONTACT,
     crossing_signs,
-    segment_crossing,
-    segment_segment_distance,
-    segments_intersect,
+    segment_distances,
     triple_product,
 )
 from conftest import solve_crossing
@@ -45,31 +42,34 @@ def _centroid_segment(tri, offset=0.0):
     return np.array([centroid - n + shift, centroid + n + shift])
 
 
+def _crossing(seg, tri):
+    """(sign, degenerate) of one segment against one triangle."""
+    sign, degenerate = crossing_signs(seg[0], seg[1], tri[0], tri[1], tri[2])
+    return int(sign), bool(degenerate)
+
+
 def test_crossing_through_centroid_is_positive():
     seg = _centroid_segment(UNIT_TRI)
-    assert segment_crossing(seg, UNIT_TRI) == 1
+    assert _crossing(seg, UNIT_TRI) == (1, False)
 
 
 def test_crossing_reversed_is_negative():
     seg = _centroid_segment(UNIT_TRI)[::-1]
-    assert segment_crossing(seg, UNIT_TRI) == -1
+    assert _crossing(seg, UNIT_TRI) == (-1, False)
 
 
 def test_crossing_far_outside_is_zero():
     seg = _centroid_segment(UNIT_TRI, offset=10.0)
-    assert segment_crossing(seg, UNIT_TRI) == 0
+    assert _crossing(seg, UNIT_TRI) == (0, False)
 
 
 def test_crossing_cyclic_triangle_permutation(rng):
     for _ in range(200):
         tri = rng.normal(size=(3, 3))
         seg = rng.normal(size=(2, 3))
-        try:
-            base = segment_crossing(seg, tri)
-        except ValueError:
-            continue
+        base = _crossing(seg, tri)
         for perm in ((1, 2, 0), (2, 0, 1)):
-            assert segment_crossing(seg, tri[list(perm)]) == base
+            assert _crossing(seg, tri[list(perm)]) == base
 
 
 def test_crossing_segment_reversal_negates(rng):
@@ -77,9 +77,9 @@ def test_crossing_segment_reversal_negates(rng):
     for _ in range(300):
         tri = rng.normal(size=(3, 3))
         seg = rng.normal(size=(2, 3))
-        fwd = segment_crossing(seg, tri)
-        bwd = segment_crossing(seg[::-1], tri)
-        if fwd is DEGENERATE or bwd is DEGENERATE:
+        fwd, fwd_degenerate = _crossing(seg, tri)
+        bwd, bwd_degenerate = _crossing(seg[::-1], tri)
+        if fwd_degenerate or bwd_degenerate:
             continue
         assert bwd == -fwd
         flips += fwd != 0
@@ -88,30 +88,29 @@ def test_crossing_segment_reversal_negates(rng):
 
 def test_crossing_endpoint_on_plane_near_disk_is_degenerate():
     seg = np.array([[0.25, 0.25, 0.0], [0.25, 0.25, 1.0]])
-    assert segment_crossing(seg, UNIT_TRI) is DEGENERATE
+    assert _crossing(seg, UNIT_TRI) == (0, True)
 
 
 def test_crossing_through_boundary_edge_is_degenerate():
     # crosses the plane exactly on the edge between (0,0,0) and (1,0,0)
     seg = np.array([[0.5, 0.0, -1.0], [0.5, 0.0, 1.0]])
-    assert segment_crossing(seg, UNIT_TRI) is DEGENERATE
+    assert _crossing(seg, UNIT_TRI) == (0, True)
 
 
 def test_coplanar_far_segment_is_zero():
     seg = np.array([[5.0, 5.0, 0.0], [6.0, 5.0, 0.0]])
-    assert segment_crossing(seg, UNIT_TRI) == 0
+    assert _crossing(seg, UNIT_TRI) == (0, False)
 
 
 def test_coplanar_overlapping_segment_is_degenerate():
     seg = np.array([[-1.0, 0.25, 0.0], [1.0, 0.25, 0.0]])
-    assert segment_crossing(seg, UNIT_TRI) is DEGENERATE
+    assert _crossing(seg, UNIT_TRI) == (0, True)
 
 
-def test_flat_triangle_raises():
+def test_flat_triangle_is_degenerate():
     tri = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [2.0, 0.0, 0.0]])
     seg = _centroid_segment(UNIT_TRI)
-    with pytest.raises(ValueError):
-        segment_crossing(seg, tri)
+    assert _crossing(seg, tri) == (0, True)
 
 
 def test_crossing_matches_linear_solve_oracle(rng):
@@ -122,11 +121,8 @@ def test_crossing_matches_linear_solve_oracle(rng):
         oracle_sign, margin = solve_crossing(seg[0], seg[1], *tri)
         if abs(margin) < 1e-6:
             continue
-        try:
-            ours = segment_crossing(seg, tri)
-        except ValueError:
-            continue
-        if ours is DEGENERATE:
+        ours, degenerate = _crossing(seg, tri)
+        if degenerate:
             continue
         assert ours == oracle_sign
         checked += 1
@@ -143,44 +139,49 @@ def test_crossing_signs_batch_matches_scalar(rng):
         assert s == signs[k] and d == degen[k]
 
 
+def _touch(s1, s2):
+    """True iff two closed segments come within EPS_CONTACT."""
+    return bool(segment_distances(*s1, *s2) <= EPS_CONTACT)
+
+
 def test_segments_intersect_planar_crossing():
     s1 = [(0, 0, 0), (1, 0, 0)]
     s2 = [(0.5, -1, 0), (0.5, 1, 0)]
-    assert segments_intersect(s1, s2)
+    assert _touch(s1, s2)
 
 
 def test_segments_intersect_parallel_offset():
-    assert not segments_intersect([(0, 0, 0), (1, 0, 0)], [(0, 0, 1), (1, 0, 1)])
+    assert not _touch([(0, 0, 0), (1, 0, 0)], [(0, 0, 1), (1, 0, 1)])
 
 
 def test_segments_intersect_collinear_disjoint():
-    assert not segments_intersect([(0, 0, 0), (1, 0, 0)], [(2, 0, 0), (3, 0, 0)])
+    assert not _touch([(0, 0, 0), (1, 0, 0)], [(2, 0, 0), (3, 0, 0)])
 
 
 def test_segments_intersect_shared_endpoint():
-    assert segments_intersect([(0, 0, 0), (1, 0, 0)], [(1, 0, 0), (1, 1, 0)])
+    assert _touch([(0, 0, 0), (1, 0, 0)], [(1, 0, 0), (1, 1, 0)])
 
 
 def test_segments_intersect_within_contact_tolerance():
     gap = 0.5 * EPS_CONTACT
-    assert segments_intersect([(0, 0, 0), (1, 0, 0)], [(0.5, -1, gap), (0.5, 1, gap)])
-    assert not segments_intersect([(0, 0, 0), (1, 0, 0)], [(0.5, -1, 1e-9), (0.5, 1, 1e-9)])
+    assert _touch([(0, 0, 0), (1, 0, 0)], [(0.5, -1, gap), (0.5, 1, gap)])
+    assert not _touch([(0, 0, 0), (1, 0, 0)], [(0.5, -1, 1e-9), (0.5, 1, 1e-9)])
 
 
 def test_segments_intersect_symmetric(rng):
     for _ in range(500):
         s1 = rng.normal(size=(2, 3))
         s2 = rng.normal(size=(2, 3))
-        assert segments_intersect(s1, s2) == segments_intersect(s2, s1)
+        assert _touch(s1, s2) == _touch(s2, s1)
 
 
 def test_segment_distance_known_values():
-    assert segment_segment_distance([(0, 0, 0), (1, 0, 0)],
-                                    [(0, 0, 1), (1, 0, 1)]) == pytest.approx(1.0)
-    assert segment_segment_distance([(0, 0, 0), (1, 0, 0)],
-                                    [(2, 0, 0), (3, 0, 0)]) == pytest.approx(1.0)
-    assert segment_segment_distance([(0, 0, 0), (1, 0, 0)],
-                                    [(0.5, -1, 0.25), (0.5, 1, 0.25)]) == pytest.approx(0.25)
+    assert segment_distances((0, 0, 0), (1, 0, 0),
+                             (0, 0, 1), (1, 0, 1)) == pytest.approx(1.0)
+    assert segment_distances((0, 0, 0), (1, 0, 0),
+                             (2, 0, 0), (3, 0, 0)) == pytest.approx(1.0)
+    assert segment_distances((0, 0, 0), (1, 0, 0),
+                             (0.5, -1, 0.25), (0.5, 1, 0.25)) == pytest.approx(0.25)
 
 
 def test_segment_distance_matches_dense_sampling(rng):
@@ -191,7 +192,7 @@ def test_segment_distance_matches_dense_sampling(rng):
         p = s1[0] + t[:, None] * (s1[1] - s1[0])
         q = s2[0] + t[:, None] * (s2[1] - s2[0])
         grid = np.linalg.norm(p[:, None, :] - q[None, :, :], axis=-1).min()
-        ours = segment_segment_distance(s1, s2)
+        ours = segment_distances(*s1, *s2)
         # the sampled minimum can only overestimate, by at most the
         # Lipschitz constant times half a grid step
         lip = np.linalg.norm(s1[1] - s1[0]) + np.linalg.norm(s2[1] - s2[0])

@@ -63,6 +63,22 @@ class TestRegionVolumes:
         with pytest.raises(UnknownRegionError):
             mc_region_volume("nope", 1000, seed=0)
 
+    def test_bad_arguments(self):
+        with pytest.raises(ValueError):
+            mc_region_volume("P6", 0, seed=1)
+        with pytest.raises(ValueError):
+            mc_region_volume("P6", 1000, seed=1, workers=0)
+
+    def test_z_score_with_zero_std_error(self):
+        # a window with no hits has a zero binomial standard error
+        est = mc_region_volume("torus_obtuse_window", 100, seed=0)
+        assert est.hits == 0 and est.value_std_error == 0.0
+        assert est.z_score() == -np.inf
+        est.analytic = 0.0
+        assert est.z_score() == 0.0
+        est.value = 1.0
+        assert est.z_score() == np.inf
+
     def test_deterministic_across_workers(self):
         a = mc_region_volume("P6", 300_000, seed=5, workers=1)
         b = mc_region_volume("P6", 300_000, seed=5, workers=4)
@@ -103,7 +119,6 @@ class TestEstimate:
         assert r.ci95[0] <= r.fraction_total <= r.ci95[1]
         payload = json.loads(r.to_json())
         assert payload["fraction_R_plus"] == r.fraction_R_plus
-        assert r.csv_header().count(",") == r.to_csv_row().count(",")
 
     def test_oracle_report_counts_sum(self):
         r = estimate_knotting_probability(100_000, seed=2, mode="oracle")
@@ -152,6 +167,9 @@ class TestEstimate:
             estimate_knotting_probability(0, seed=1)
         with pytest.raises(ValueError):
             estimate_knotting_probability(10, seed=1, mode="nope")
+        for workers in (0, -5):
+            with pytest.raises(ValueError):
+                estimate_knotting_probability(1000, seed=1, workers=workers)
 
     def test_repeats_summary(self):
         reports, summary = repeat_estimates(50_000, seed=3, repeats=3)

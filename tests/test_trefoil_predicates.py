@@ -127,13 +127,6 @@ class TestClassPredicates:
     def test_equal_everything_fails_l_plus(self):
         assert not bool(class_masks((1.0, 1.0, 1.0), (0.5, 0.5, 0.5))[L_PLUS])
 
-    def test_mirror_reduction_is_exact(self, rng):
-        d = sample_action_batch(rng, 2000)
-        th = sample_angles_batch(rng, 2000)
-        lhs = class_masks(d, th)[R_PLUS]
-        rhs = class_masks(d, TWO_PI - th)[L_MINUS]
-        assert np.array_equal(lhs, rhs)
-
     def test_class_masks_mirror_reduction(self, rng):
         # theta -> 2*pi - theta flips both chirality and curl, so each
         # class mask is its mirror partner's mask at mirrored angles
