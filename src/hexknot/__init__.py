@@ -28,7 +28,6 @@ from .action_angle import (
     is_interior,
     sample_action_batch,
     sample_angles_batch,
-    standardize,
     triangle_area_scale,
 )
 from .invariants import (

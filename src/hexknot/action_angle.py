@@ -176,19 +176,6 @@ def build_hexagon(diagonals, angles):
     return np.stack([v1, v2, v3, v4, v5, v6], axis=-2)
 
 
-def _central_unit_normal(v):
-    """Unit normal of the plane through v1, v3, v5.
-
-    Raises DegenerateFrameError when (v1, v3, v5) is collinear within
-    EPS_AREA.
-    """
-    n = np.cross(v[..., 2, :] - v[..., 0, :], v[..., 4, :] - v[..., 0, :])
-    nn = np.linalg.norm(n, axis=-1)
-    if np.any(nn <= 2.0 * EPS_AREA):
-        raise DegenerateFrameError("v1, v3, v5 are collinear")
-    return n / nn[..., None]
-
-
 def _unit(u):
     return u / np.linalg.norm(u, axis=-1, keepdims=True)
 
@@ -205,7 +192,11 @@ def extract_action_angle(vertices):
     EPS_AREA.
     """
     v = np.asarray(vertices, dtype=float)
-    nhat = _central_unit_normal(v)
+    n = np.cross(v[..., 2, :] - v[..., 0, :], v[..., 4, :] - v[..., 0, :])
+    nn = np.linalg.norm(n, axis=-1)
+    if np.any(nn <= 2.0 * EPS_AREA):
+        raise DegenerateFrameError("v1, v3, v5 are collinear")
+    nhat = n / nn[..., None]
 
     diagonals = np.linalg.norm(v[..., (2, 4, 0), :] - v[..., (0, 2, 4), :], axis=-1)
 
@@ -223,21 +214,6 @@ def extract_action_angle(vertices):
         theta = np.arctan2((w * nhat).sum(-1), (w * inward).sum(-1))
         angles.append(np.mod(theta, TWO_PI))
     return diagonals, np.stack(angles, axis=-1)
-
-
-def standardize(vertices):
-    """Rigid motion taking a hexagon to standard position: v1 at the
-    origin, v3 on the positive x axis, v5 with positive y and zero z.
-
-    Raises DegenerateFrameError when (v1, v3, v5) is collinear.
-    """
-    v = np.asarray(vertices, dtype=float)
-    ez = _central_unit_normal(v)
-    ex = _unit(v[..., 2, :] - v[..., 0, :])
-    ey = np.cross(ez, ex)
-    frame = np.stack([ex, ey, ez], axis=-2)
-    shifted = v - v[..., 0:1, :]
-    return np.einsum("...ij,...kj->...ki", frame, shifted)
 
 
 _PAIR_P1 = tuple(i for i, _ in NON_ADJACENT_EDGE_PAIRS)

@@ -137,7 +137,8 @@ def crossing_signs(p, q, a, b, c):
 
     check = near & ~flat
     if check.any():
-        gap = _segment_triangle_gap(p[check], q[check], a[check], b[check], c[check])
+        gap = _segment_triangle_gap(p[check], q[check], a[check], b[check], c[check],
+                                    n[check], nn_safe[check])
         degenerate[check] = degenerate[check] | (gap <= EPS_EDGE)
 
     return sign.reshape(lead), degenerate.reshape(lead)
@@ -185,16 +186,15 @@ def _point_face_distance(x, a, b, c, n, nn_safe):
     return np.where(inside, np.abs(s), np.inf)
 
 
-def _segment_triangle_gap(p, q, a, b, c):
+def _segment_triangle_gap(p, q, a, b, c, n, nn_safe):
     """Distance from segment [p,q] to the closed triangle (a,b,c), valid
-    for near-coplanar configurations.
+    for near-coplanar configurations; n is the triangle's (b-a) x (c-a)
+    normal and nn_safe its nonzero norm.
 
     Ignores strictly transversal piercing (distance would be 0), which
     cannot occur beyond EPS_PLANE of the plane; only the near-plane
     branch of crossing_signs may call this.
     """
-    n = np.cross(b - a, c - a)
-    nn_safe = np.maximum(_norm(n), _TINY)
     gap = np.minimum(
         _point_face_distance(p, a, b, c, n, nn_safe),
         _point_face_distance(q, a, b, c, n, nn_safe),

@@ -9,7 +9,6 @@ degenerate samples from both numerator and denominator.
 
 from __future__ import annotations
 
-import json
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, asdict
@@ -200,16 +199,12 @@ def mc_region_volume(region, n, seed, workers=1):
 
 
 class _IntervalReport:
-    """JSON form of a report dataclass that carries a ci95 pair."""
+    """JSON-ready dict form of a report dataclass that carries a ci95 pair."""
 
     def to_dict(self) -> dict:
         out = asdict(self)
         out["ci95"] = list(self.ci95)
         return out
-
-    def to_json(self, **kwargs) -> str:
-        kwargs.setdefault("indent", 2)
-        return json.dumps(self.to_dict(), **kwargs)
 
 
 @dataclass
@@ -249,7 +244,7 @@ def _oracle_chunk(seed, k, m):
     class_counts = np.bincount(codes, minlength=6)
 
     masks = class_masks(d, th)
-    windows = {sign: passes_window_filters(d, th, sign) for sign in (1, -1)}
+    windows = passes_window_filters(d, th)
     agree = np.zeros((len(TREFOIL_CLASSES), 4), dtype=np.int64)
     for row, cls in enumerate(TREFOIL_CLASSES):
         pred = masks[cls]
@@ -345,8 +340,11 @@ def repeat_estimates(n, seed, mode="predicate", workers=1, repeats=10):
     """Run the estimator `repeats` times with seeds seed..seed+repeats-1.
 
     Returns (reports, summary) where summary carries the across-run mean
-    and standard deviation of the headline fractions.
+    and standard deviation of the headline fractions. Raises ValueError
+    when repeats < 1.
     """
+    if repeats < 1:
+        raise ValueError("repeat count must be positive")
     reports = [estimate_knotting_probability(n, seed + r, mode=mode,
                                              workers=workers)
                for r in range(repeats)]

@@ -82,6 +82,6 @@ def random_rotation(rng):
     return m
 
 
-@pytest.fixture(scope="session")
+@pytest.fixture
 def rng():
     return np.random.default_rng(20240815)

@@ -13,7 +13,6 @@ from hexknot.action_angle import (
     is_interior,
     sample_action_batch,
     sample_angles_batch,
-    standardize,
     triangle_area_scale,
 )
 from conftest import REGULAR_ANGLES, REGULAR_DIAGONALS, random_rotation
@@ -169,31 +168,6 @@ class TestExtract:
         flat[:, 0] = np.arange(6.0)  # v1, v3, v5 collinear
         with pytest.raises(DegenerateFrameError):
             extract_action_angle(flat)
-
-
-class TestStandardize:
-    def test_identity_on_standard(self, rng):
-        v = build_hexagon((1.2, 0.9, 1.4), (1.0, 2.0, 3.0))
-        assert np.abs(standardize(v) - v).max() < 1e-12
-
-    def test_removes_translation(self):
-        v = build_hexagon((1.2, 0.9, 1.4), (1.0, 2.0, 3.0))
-        assert np.abs(standardize(v + 5.0) - v).max() < 1e-10
-
-    def test_removes_rotation(self):
-        v = build_hexagon((1.2, 0.9, 1.4), (1.0, 2.0, 3.0))
-        rot = np.array([[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
-        assert np.abs(standardize(v @ rot.T) - v).max() < 1e-10
-
-    def test_is_a_rigid_motion(self, rng):
-        v = build_hexagon((0.7, 1.5, 1.1), (5.0, 0.3, 2.8))
-        moved = v @ random_rotation(rng).T + np.array([1.0, 2.0, 3.0])
-        std = standardize(moved)
-        orig = np.linalg.norm(v[:, None] - v[None, :], axis=-1)
-        new = np.linalg.norm(std[:, None] - std[None, :], axis=-1)
-        assert np.abs(orig - new).max() < 1e-10
-        assert np.abs(std[0]).max() < 1e-12
-        assert std[4, 1] > 0 and abs(std[4, 2]) < 1e-10
 
 
 class TestFanPolygon:

@@ -5,7 +5,6 @@ from hexknot.action_angle import (
     build_hexagon,
     sample_action_batch,
     sample_angles_batch,
-    standardize,
 )
 from hexknot.geom import DEGENERATE
 from hexknot.invariants import (
@@ -141,7 +140,6 @@ class TestClassify:
         for label in WITNESSES:
             v = witness_vertices(label)
             moved = v @ random_rotation(rng).T + np.array([0.3, -1.0, 2.0])
-            assert classify(standardize(moved)) == classify(v)
             assert classify(moved) == classify(v)
 
     def test_labels_round_trip(self):

@@ -117,7 +117,7 @@ class TestEstimate:
         assert r.degenerate_count == 0
         assert r.fraction_total == pytest.approx(4.0 * r.fraction_R_plus, abs=0)
         assert r.ci95[0] <= r.fraction_total <= r.ci95[1]
-        payload = json.loads(r.to_json())
+        payload = json.loads(json.dumps(r.to_dict()))
         assert payload["fraction_R_plus"] == r.fraction_R_plus
 
     def test_oracle_report_counts_sum(self):
@@ -170,6 +170,9 @@ class TestEstimate:
         for workers in (0, -5):
             with pytest.raises(ValueError):
                 estimate_knotting_probability(1000, seed=1, workers=workers)
+        for repeats in (0, -2):
+            with pytest.raises(ValueError):
+                repeat_estimates(1000, 1, repeats=repeats)
 
     def test_repeats_summary(self):
         reports, summary = repeat_estimates(50_000, seed=3, repeats=3)
@@ -188,7 +191,7 @@ class TestCompareBound:
         assert b.estimate == r.fraction_total
         assert b.orderings["estimate_lt_upper_bound"]
         assert not b.orderings["upper_bound_lt_one_over_42"]
-        payload = json.loads(b.to_json())
+        payload = json.loads(json.dumps(b.to_dict()))
         assert payload["upper_bound"] == UPPER_BOUND
 
     def test_no_samples(self):

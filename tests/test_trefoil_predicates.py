@@ -154,7 +154,7 @@ class TestLemmaFilters:
         # every clause passes: angles in range, pairwise sums below pi,
         # distinct diagonals, and 1.5^2 > 0.8^2 + 0.9^2 forces the
         # dominant angle into (pi/2, pi), where 2.0 sits
-        report = window_filters((1.5, 0.8, 0.9), (2.0, 0.4, 0.3), (1, 1))
+        report = window_filters((1.5, 0.8, 0.9), (2.0, 0.4, 0.3), R_PLUS)
         assert report.curl_window
         assert report.angle_sums
         assert report.distinct_diagonals
@@ -162,27 +162,27 @@ class TestLemmaFilters:
         assert report.passes()
 
     def test_equal_diagonals_fail_distinctness(self):
-        report = window_filters((1.0, 1.0, 1.0), (1.0, 0.5, 0.3), (1, 1))
+        report = window_filters((1.0, 1.0, 1.0), (1.0, 0.5, 0.3), R_PLUS)
         assert not report.distinct_diagonals
         assert not report.passes()
 
     def test_obtuse_dominant_requires_large_angle(self):
         # d1^2 > d2^2 + d3^2 so theta1 must be in (pi/2, pi); 0.4 is not
-        report = window_filters((1.5, 0.8, 0.9), (0.4, 0.3, 0.2), (1, 1))
+        report = window_filters((1.5, 0.8, 0.9), (0.4, 0.3, 0.2), R_PLUS)
         assert not report.dominant_diagonal_window
         assert report.curl_window and report.angle_sums
 
     def test_angle_sum_violation(self):
-        report = window_filters((1.5, 0.8, 0.9), (2.0, 1.5, 0.3), (1, 1))
+        report = window_filters((1.5, 0.8, 0.9), (2.0, 1.5, 0.3), R_PLUS)
         assert not report.angle_sums
 
     def test_negative_curl_windows_are_mirrored(self):
         d = (1.5, 0.8, 0.9)
         up = (2.0, 0.4, 0.3)
         down = tuple(TWO_PI - t for t in up)
-        assert window_filters(d, up, (1, 1)).passes()
-        assert window_filters(d, down, (1, -1)).passes()
-        assert not window_filters(d, up, (1, -1)).curl_window
+        assert window_filters(d, up, R_PLUS).passes()
+        assert window_filters(d, down, R_MINUS).passes()
+        assert not window_filters(d, up, R_MINUS).curl_window
 
     def test_accepts_knot_class_target(self):
         report = window_filters((1.5, 0.8, 0.9), (2.0, 0.4, 0.3),
@@ -195,9 +195,13 @@ class TestLemmaFilters:
             window_filters((1.5, 0.8, 0.9), (2.0, 0.4, 0.3), (0, 0))
         with pytest.raises(ValueError):
             window_filters((1.5, 0.8, 0.9), (2.0, 0.4, 0.3), KnotClass.UNKNOT)
+        with pytest.raises(ValueError):
+            window_filters((1.5, 0.8, 0.9), (2.0, 0.4, 0.3), (1, 1))
+        with pytest.raises(ValueError):
+            window_filters((1.5, 0.8, 0.9), (2.0, 0.4, 0.3), [1, 1])
 
     def test_json_serialisable(self):
-        report = window_filters((1.5, 0.8, 0.9), (2.0, 0.4, 0.3), (1, 1))
+        report = window_filters((1.5, 0.8, 0.9), (2.0, 0.4, 0.3), R_PLUS)
         payload = json.loads(json.dumps(report.to_dict()))
         assert payload["target"] == "trefoil_R+"
         assert set(payload) == {"target", "curl_window", "angle_sums",
@@ -205,20 +209,21 @@ class TestLemmaFilters:
 
     def test_witnesses_pass_all_filters(self):
         for label, (d, th) in WITNESSES.items():
-            pair = TARGET_PAIRS[{
+            target = {
                 "trefoil_R+": KnotClass.TREFOIL_R_PLUS,
                 "trefoil_R-": KnotClass.TREFOIL_R_MINUS,
                 "trefoil_L+": KnotClass.TREFOIL_L_PLUS,
                 "trefoil_L-": KnotClass.TREFOIL_L_MINUS,
-            }[label]]
-            report = window_filters(np.array(d), np.array(th), pair)
+            }[label]
+            report = window_filters(np.array(d), np.array(th), target)
             assert report.passes(), (label, report)
 
     def test_vectorised_matches_scalar(self, rng):
         d = sample_action_batch(rng, 300)
         th = sample_angles_batch(rng, 300)
-        for chirality, curl_sign in ((1, 1), (1, -1), (-1, 1), (-1, -1)):
-            mask = passes_window_filters(d, th, curl_sign)
+        masks = passes_window_filters(d, th)
+        for cls, (_, curl_sign) in TARGET_PAIRS.items():
+            mask = masks[curl_sign]
             for k in range(300):
-                report = window_filters(d[k], th[k], (chirality, curl_sign))
+                report = window_filters(d[k], th[k], cls)
                 assert report.passes() == bool(mask[k])
