@@ -19,8 +19,6 @@ from .geom import (
 from .action_angle import (
     DegenerateFrameError,
     NotInteriorError,
-    TriangleInequalityError,
-    build_fan_polygon,
     build_hexagon,
     extract_action_angle,
     in_moment_polytope,

@@ -41,10 +41,6 @@ class DegenerateFrameError(ValueError):
     """v1, v3, v5 are collinear; no frame can be extracted."""
 
 
-class TriangleInequalityError(ValueError):
-    """A fan triangle violates its strict triangle inequality."""
-
-
 def _polytope(diagonals, below):
     d = np.asarray(diagonals, dtype=float)
     d1, d2, d3 = d[..., 0], d[..., 1], d[..., 2]
@@ -232,48 +228,3 @@ def is_embedded(vertices):
     )
     return np.all(dist > EPS_CONTACT, axis=-1)
 
-
-def build_fan_polygon(n, diagonals, angles):
-    """Closed unit-edge n-gon from a fan triangulation rooted at v1.
-
-    The n-3 diagonals all emanate from v1 (placed at the origin); the
-    fan triangles are chained in space with the given dihedral angles
-    around the diagonals, pi meaning coplanar. Returns an (n, 3) array
-    with |v1 - v_{i+2}| equal to diagonals[i].
-
-    Raises TriangleInequalityError (naming the offending triangle) when
-    any fan triangle fails its strict triangle inequality.
-    """
-    if n < 4:
-        raise ValueError("fan polygons need n >= 4")
-    ds = [float(x) for x in np.asarray(diagonals, dtype=float).ravel()]
-    ths = [float(x) for x in np.asarray(angles, dtype=float).ravel()]
-    if len(ds) != n - 3 or len(ths) != n - 3:
-        raise ValueError(f"expected {n - 3} diagonals and angles for n={n}")
-
-    sides = [(1.0, 1.0, ds[0])]
-    sides += [(ds[i], ds[i + 1], 1.0) for i in range(n - 4)]
-    sides.append((1.0, 1.0, ds[-1]))
-    for k, (x, y, z) in enumerate(sides):
-        if not (x < y + z and y < x + z and z < x + y):
-            raise TriangleInequalityError(
-                f"fan triangle {k} with sides {(x, y, z)} is not strictly valid"
-            )
-
-    v = np.zeros((n, 3))
-    v[2] = (ds[0], 0.0, 0.0)
-    v[1] = (0.5 * ds[0], -np.sqrt(1.0 - 0.25 * ds[0] ** 2), 0.0)
-    for j in range(1, n - 2):
-        d_prev = ds[j - 1]
-        d_next = ds[j] if j <= n - 4 else 1.0
-        apex = v[j + 1]
-        uhat = apex / d_prev
-        alpha = (d_prev ** 2 + d_next ** 2 - 1.0) / (2.0 * d_prev)
-        radius = np.sqrt(max(d_next ** 2 - alpha ** 2, 0.0))
-        third = v[j]
-        perp = third - np.dot(third, uhat) * uhat
-        phat = perp / np.linalg.norm(perp)
-        zhat = np.cross(uhat, phat)
-        theta = ths[j - 1]
-        v[j + 2] = alpha * uhat + radius * (np.cos(theta) * phat + np.sin(theta) * zhat)
-    return v

@@ -46,10 +46,6 @@ class CliError(RuntimeError):
     """Runtime failure reported on stderr with exit code 1."""
 
 
-def _fmt(x: float) -> str:
-    return f"{x:.17g}"
-
-
 def _positive_int(text):
     try:
         value = int(text)
@@ -87,23 +83,24 @@ def _output(path):
             yield out
 
 
-def _sample_rows(seed, n, vertices):
+def _sample_blocks(seed, n, vertices):
     for d, th in sample_coordinate_stream(seed, n):
-        yield from (build_hexagon(d, th).reshape(-1, 18)
-                    if vertices else np.concatenate([d, th], axis=1))
+        yield (build_hexagon(d, th).reshape(-1, 18)
+               if vertices else np.concatenate([d, th], axis=1))
 
 
 def cmd_sample(args):
     header = VERTEX_HEADER if args.vertices else ACTION_HEADER
-    rows = _sample_rows(args.seed, args.n, args.vertices)
+    blocks = _sample_blocks(args.seed, args.n, args.vertices)
     with _output(args.output) as out:
         if args.format == "csv":
             out.write(header + "\n")
-            for row in rows:
-                out.write(",".join(_fmt(x) for x in row) + "\n")
+            for block in blocks:
+                np.savetxt(out, block, fmt="%.17g", delimiter=",")
         else:
             names = header.split(",")
-            json.dump([dict(zip(names, row)) for row in rows], out, indent=2)
+            json.dump([dict(zip(names, row)) for block in blocks for row in block],
+                      out, indent=2)
             out.write("\n")
     return 0
 
@@ -118,16 +115,18 @@ def _read_rows(path):
         except OSError as exc:
             raise CliError(f"cannot read {path}: {exc}") from exc
     rows = []
+    first = True
     for lineno, line in enumerate(lines, start=1):
         text = line.strip()
         if not text:
             continue
+        header, first = first, False
         fields = text.split(",")
         try:
             values = [float(f) for f in fields]
         except ValueError:
-            if lineno == 1:
-                continue  # header
+            if header:
+                continue
             raise CliError(f"line {lineno}: cannot parse {line!r}")
         if not all(map(math.isfinite, values)):
             raise CliError(f"line {lineno}: non-finite value in {line!r}")
@@ -305,7 +304,8 @@ def build_parser():
 
     p = sub.add_parser("check", help="filters and class for one coordinate tuple")
     p.add_argument("coords", type=_finite_float, nargs=6, metavar="X",
-                   help="d1 d2 d3 theta1 theta2 theta3 (give -- first if any starts with -)")
+                   help="d1 d2 d3 theta1 theta2 theta3 (give -- first if any starts "
+                        "with -; --target must come before --)")
     p.add_argument("--target",
                    choices=[KNOT_CLASS_LABELS[cls] for cls in TREFOIL_CLASSES],
                    default="trefoil_R+",

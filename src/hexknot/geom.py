@@ -49,24 +49,18 @@ def _cross(u, v):
     return out
 
 
-def _triple(a, b, c):
-    return (
-        c[..., 0] * (a[..., 1] * b[..., 2] - a[..., 2] * b[..., 1])
-        + c[..., 1] * (a[..., 2] * b[..., 0] - a[..., 0] * b[..., 2])
-        + c[..., 2] * (a[..., 0] * b[..., 1] - a[..., 1] * b[..., 0])
-    )
-
-
 def triple_product(a, b, c):
     """Scalar triple product (a x b) . c.
 
     Inputs are array-likes with trailing shape (3,); leading axes
     broadcast. Antisymmetric under swapping any two arguments.
     """
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    c = np.asarray(c, dtype=float)
-    return _triple(a, b, c)
+    a, b, c = (np.asarray(x, dtype=float) for x in (a, b, c))
+    return (
+        c[..., 0] * (a[..., 1] * b[..., 2] - a[..., 2] * b[..., 1])
+        + c[..., 1] * (a[..., 2] * b[..., 0] - a[..., 0] * b[..., 2])
+        + c[..., 2] * (a[..., 0] * b[..., 1] - a[..., 1] * b[..., 0])
+    )
 
 
 def crossing_signs(p, q, a, b, c):
@@ -128,9 +122,9 @@ def crossing_signs(p, q, a, b, c):
         h_b = nn[idx] / np.maximum(_norm(am - cm), _TINY)
         h_c = nn[idx] / np.maximum(_norm(bm - am), _TINY)
         margin = np.minimum(
-            np.minimum(_triple(d, bp, cp) / tsum * h_a,
-                       _triple(d, cp, ap) / tsum * h_b),
-            _triple(d, ap, bp) / tsum * h_c,
+            np.minimum(triple_product(d, bp, cp) / tsum * h_a,
+                       triple_product(d, cp, ap) / tsum * h_b),
+            triple_product(d, ap, bp) / tsum * h_c,
         )
         sign[idx] = np.where(margin > EPS_EDGE, np.where(tsum > 0.0, 1, -1), 0)
         degenerate[idx] = np.abs(margin) <= EPS_EDGE
@@ -179,9 +173,9 @@ def _point_face_distance(x, a, b, c, n, nn_safe):
     proximity is the caller's job)."""
     s = _dot(x - a, n) / nn_safe
     foot = x - s[..., None] * (n / nn_safe[..., None])
-    w_a = _dot(np.cross(b - foot, c - foot), n)
-    w_b = _dot(np.cross(c - foot, a - foot), n)
-    w_c = _dot(np.cross(a - foot, b - foot), n)
+    w_a = _dot(_cross(b - foot, c - foot), n)
+    w_b = _dot(_cross(c - foot, a - foot), n)
+    w_c = _dot(_cross(a - foot, b - foot), n)
     inside = (w_a >= 0.0) & (w_b >= 0.0) & (w_c >= 0.0)
     return np.where(inside, np.abs(s), np.inf)
 

@@ -4,8 +4,6 @@ import pytest
 from hexknot.action_angle import (
     DegenerateFrameError,
     NotInteriorError,
-    TriangleInequalityError,
-    build_fan_polygon,
     build_hexagon,
     extract_action_angle,
     in_moment_polytope,
@@ -168,48 +166,6 @@ class TestExtract:
         flat[:, 0] = np.arange(6.0)  # v1, v3, v5 collinear
         with pytest.raises(DegenerateFrameError):
             extract_action_angle(flat)
-
-
-class TestFanPolygon:
-    def test_regular_pentagon(self):
-        phi = (1.0 + np.sqrt(5.0)) / 2.0
-        v = build_fan_polygon(5, (phi, phi), (np.pi, np.pi))
-        assert np.abs(edge_lengths(v) - 1.0).max() < 1e-10
-        assert np.abs(v[:, 2]).max() < 1e-12
-        centre = v.mean(axis=0)
-        radii = np.linalg.norm(v - centre, axis=-1)
-        assert np.allclose(radii, 1.0 / (2.0 * np.sin(np.pi / 5.0)), atol=1e-10)
-
-    def test_unit_rhombus(self):
-        v = build_fan_polygon(4, (1.0,), (np.pi,))
-        assert np.abs(edge_lengths(v) - 1.0).max() < 1e-12
-        assert np.abs(v[:, 2]).max() < 1e-12
-
-    def test_hexagon_fan_unit_edges(self, rng):
-        for _ in range(50):
-            while True:
-                ds = rng.uniform(0.1, 1.9, 3)
-                ok = (ds[0] < 2.0 and ds[2] < 2.0
-                      and abs(ds[0] - ds[1]) < 1.0 and ds[0] + ds[1] > 1.0
-                      and abs(ds[1] - ds[2]) < 1.0 and ds[1] + ds[2] > 1.0)
-                if ok:
-                    break
-            v = build_fan_polygon(6, ds, rng.uniform(0, 2 * np.pi, 3))
-            assert np.abs(edge_lengths(v) - 1.0).max() < 1e-10
-            for i, d in enumerate(ds):
-                assert abs(np.linalg.norm(v[i + 2] - v[0]) - d) < 1e-10
-
-    def test_diagonal_postcondition(self):
-        phi = (1.0 + np.sqrt(5.0)) / 2.0
-        v = build_fan_polygon(5, (phi, phi), (2.0, 4.0))
-        assert abs(np.linalg.norm(v[2] - v[0]) - phi) < 1e-10
-        assert abs(np.linalg.norm(v[3] - v[0]) - phi) < 1e-10
-
-    def test_triangle_inequality_error_names_triangle(self):
-        with pytest.raises(TriangleInequalityError, match="triangle 0"):
-            build_fan_polygon(5, (2.5, 1.0), (np.pi, np.pi))
-        with pytest.raises(TriangleInequalityError, match="triangle 1"):
-            build_fan_polygon(5, (0.4, 1.6), (np.pi, np.pi))
 
 
 class TestEmbedded:

@@ -7,6 +7,7 @@ import pytest
 from hexknot.action_angle import build_hexagon
 from hexknot.cli import main
 from hexknot.invariants import KnotClass, classify_batch
+from hexknot.measure import CHUNK_SIZE, sample_coordinate_stream
 from conftest import REGULAR_ANGLES, REGULAR_DIAGONALS, WITNESSES
 
 
@@ -51,6 +52,26 @@ class TestSample:
         payload = json.loads(out.read_text())
         assert len(payload) == 5 and set(payload[0]) == {
             "d1", "d2", "d3", "theta1", "theta2", "theta3"}
+
+    @pytest.mark.parametrize("vertices", [False, True], ids=["coords", "vertices"])
+    def test_output_matches_stream(self, tmp_path, vertices):
+        n, seed = CHUNK_SIZE + 5, 4  # crosses a chunk boundary
+        blocks = [build_hexagon(d, th).reshape(-1, 18) if vertices
+                  else np.concatenate([d, th], axis=1)
+                  for d, th in sample_coordinate_stream(seed, n)]
+        expected = np.concatenate(blocks)
+        flag = ["--vertices"] if vertices else []
+        csv, js = tmp_path / "rows.csv", tmp_path / "rows.json"
+        run(["sample", "--n", str(n), "--seed", str(seed), *flag, "--output", str(csv)])
+        lines = csv.read_text().splitlines()
+        assert len(lines) == n + 1
+        assert lines[1:] == [",".join(f"{x:.17g}" for x in row) for row in expected]
+        if not vertices:  # the JSON writer walks the same blocks either way
+            run(["sample", "--n", str(n), "--seed", str(seed), "--format", "json",
+                 "--output", str(js)])
+            names = lines[0].split(",")
+            payload = json.loads(js.read_text())
+            assert np.array_equal([[r[k] for k in names] for r in payload], expected)
 
     def test_zero_samples_is_usage_error(self):
         with pytest.raises(SystemExit) as err:
@@ -121,6 +142,14 @@ class TestClassify:
         assert lines[1].endswith(",degenerate")
         summary = capsys.readouterr().err
         assert "degenerate" in summary
+
+    def test_header_after_blank_first_line(self, tmp_path, capsys):
+        src = tmp_path / "blank.csv"
+        src.write_text("\nd1,d2,d3,theta1,theta2,theta3\n"
+                       "1.5,0.8,0.9,2.0,0.4,0.3\n")
+        out = tmp_path / "out.csv"
+        assert run(["classify", "--input", str(src), "--output", str(out)]) == 0
+        assert len(out.read_text().splitlines()) == 2
 
     def test_malformed_row_names_line(self, tmp_path, capsys):
         src = tmp_path / "bad.csv"
@@ -249,3 +278,10 @@ class TestCheck:
         assert payload["class"] == "trefoil_L-"
         assert payload["filters"]["target"] == "trefoil_L-"
         assert payload["filters"]["passes_all"]
+
+    def test_target_before_double_dash(self, capsys):
+        d, th = WITNESSES["trefoil_L-"]
+        args = ["check", "--target", "trefoil_L-", "--"] + [f"{x:.17g}" for x in (*d, *th)]
+        assert run(args) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["filters"]["target"] == "trefoil_L-"

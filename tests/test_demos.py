@@ -17,7 +17,9 @@ DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 
 def test_demos_found():
-    assert len(DEMOS) >= 4
+    assert [p.name for p in DEMOS] == ["01_build_and_classify.py",
+                                       "02_knotting_probability.py",
+                                       "03_volumes_and_bound.py"]
 
 
 @pytest.mark.parametrize("script", DEMOS, ids=lambda p: p.name)
