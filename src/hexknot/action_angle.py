@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .geom import EPS_AREA, EPS_CONTACT, segment_distances
+from .geom import EPS_AREA, EPS_CONTACT, _cross, _dot, _norm, segment_distances
 
 TWO_PI = 2.0 * np.pi
 
@@ -135,81 +135,56 @@ def build_hexagon(diagonals, angles):
 
     The hexagon comes out in standard position: v1 at the origin, v3 at
     (d1, 0, 0), v5 in the upper half xy-plane. Each of v2, v4, v6 is the
-    apex of a unit-edge isosceles triangle folded over its diagonal by
-    the matching angle (pi = coplanar, pointing away from the centre).
+    apex of a unit-edge isosceles triangle folded over its diagonal
+    p -> q by the matching angle: with n the central triangle's unit
+    normal and u the unit vector along p -> q, the apex sits at
+    (p + q)/2 + (r_i/2)(cos(theta_i) n x u + sin(theta_i) n), where
+    n x u points into the central triangle (pi = coplanar, pointing
+    away from the centre).
 
     Raises NotInteriorError unless every diagonal triple is interior.
     """
-    d, dd, (r1, r2, r3), (c1, c2, c3), (s1, s2, s3) = fold_terms(diagonals, angles)
+    d, dd, r, c, s = fold_terms(diagonals, angles)
     d1, d2, d3 = d[..., 0], d[..., 1], d[..., 2]
-    zero = np.zeros_like(d1)
-    x5 = (d1 * d1 - d2 * d2 + d3 * d3) / (2.0 * d1)
-    y5 = dd / (2.0 * d1)
-
-    v1 = np.stack([zero, zero, zero], axis=-1)
-    v2 = np.stack([0.5 * d1, 0.5 * r1 * c1, 0.5 * r1 * s1], axis=-1)
-    v3 = np.stack([d1, zero, zero], axis=-1)
-    v4 = np.stack(
-        [
-            (3.0 * d1 * d1 - d2 * d2 + d3 * d3) / (4.0 * d1)
-            - dd * r2 * c2 / (4.0 * d1 * d2),
-            dd / (4.0 * d1)
-            - (d1 * d1 + d2 * d2 - d3 * d3) * r2 * c2 / (4.0 * d1 * d2),
-            0.5 * r2 * s2,
-        ],
-        axis=-1,
-    )
-    v5 = np.stack([x5, y5, zero], axis=-1)
-    v6 = np.stack(
-        [
-            0.5 * x5 + dd * r3 * c3 / (4.0 * d1 * d3),
-            dd / (4.0 * d1)
-            - (d1 * d1 - d2 * d2 + d3 * d3) * r3 * c3 / (4.0 * d1 * d3),
-            0.5 * r3 * s3,
-        ],
-        axis=-1,
-    )
-    return np.stack([v1, v2, v3, v4, v5, v6], axis=-2)
-
-
-def _unit(u):
-    return u / np.linalg.norm(u, axis=-1, keepdims=True)
+    v = np.zeros(d.shape[:-1] + (6, 3))
+    v[..., 2, 0] = d1
+    v[..., 4, 0] = (d1 * d1 - d2 * d2 + d3 * d3) / (2.0 * d1)
+    v[..., 4, 1] = dd / (2.0 * d1)
+    for i in range(3):
+        # In standard position n = z, so n x u = (-u_y, u_x, 0).
+        p, q = v[..., 2 * i, :], v[..., (2 * i + 2) % 6, :]
+        h = r[i] * c[i] / (2.0 * d[..., i])
+        v[..., 2 * i + 1, 0] = 0.5 * (p[..., 0] + q[..., 0]) - h * (q[..., 1] - p[..., 1])
+        v[..., 2 * i + 1, 1] = 0.5 * (p[..., 1] + q[..., 1]) + h * (q[..., 0] - p[..., 0])
+        v[..., 2 * i + 1, 2] = 0.5 * r[i] * s[i]
+    return v
 
 
 def extract_action_angle(vertices):
     """Recover (diagonals, angles) from hexagon vertices.
 
-    Inverse of :func:`build_hexagon` up to rigid motion: the diagonal
-    lengths are |v1-v3|, |v3-v5|, |v5-v1| and each angle is read off the
-    apex offset from its diagonal midpoint, so the planar configuration
-    reads pi and angles land in [0, 2*pi).
+    Inverse of :func:`build_hexagon` up to rigid motion, in the same
+    fold frame: the diagonal lengths are |v1-v3|, |v3-v5|, |v5-v1| and
+    each angle is read off the apex offset from its diagonal midpoint
+    against n x u and n, so the planar configuration reads pi and
+    angles land in [0, 2*pi).
 
     Raises DegenerateFrameError when (v1, v3, v5) is collinear within
     EPS_AREA.
     """
     v = np.asarray(vertices, dtype=float)
-    n = np.cross(v[..., 2, :] - v[..., 0, :], v[..., 4, :] - v[..., 0, :])
-    nn = np.linalg.norm(n, axis=-1)
+    centre, ahead = v[..., 0::2, :], v[..., (2, 4, 0), :]
+    n = _cross(v[..., 2, :] - v[..., 0, :], v[..., 4, :] - v[..., 0, :])
+    nn = _norm(n)
     if np.any(nn <= 2.0 * EPS_AREA):
         raise DegenerateFrameError("v1, v3, v5 are collinear")
-    nhat = n / nn[..., None]
+    normal = (n / nn[..., None])[..., None, :]
 
-    diagonals = np.linalg.norm(v[..., (2, 4, 0), :] - v[..., (0, 2, 4), :], axis=-1)
-
-    angles = []
-    # (diagonal endpoints, apex, opposite central vertex)
-    for ip, iq, ix, ir in ((0, 2, 1, 4), (2, 4, 3, 0), (4, 0, 5, 2)):
-        pp = v[..., ip, :]
-        qq = v[..., iq, :]
-        mid = 0.5 * (pp + qq)
-        uhat = _unit(qq - pp)
-        w = v[..., ix, :] - mid
-        w = w - (w * uhat).sum(-1, keepdims=True) * uhat
-        inward = v[..., ir, :] - mid
-        inward = _unit(inward - (inward * uhat).sum(-1, keepdims=True) * uhat)
-        theta = np.arctan2((w * nhat).sum(-1), (w * inward).sum(-1))
-        angles.append(np.mod(theta, TWO_PI))
-    return diagonals, np.stack(angles, axis=-1)
+    diagonals = _norm(ahead - centre)
+    inward = _cross(normal, (ahead - centre) / diagonals[..., None])
+    w = v[..., 1::2, :] - 0.5 * (centre + ahead)
+    theta = np.arctan2(_dot(w, normal), _dot(w, inward))
+    return diagonals, np.mod(theta, TWO_PI)
 
 
 _PAIR_P1 = tuple(i for i, _ in NON_ADJACENT_EDGE_PAIRS)

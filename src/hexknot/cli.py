@@ -66,12 +66,21 @@ def _finite_float(text):
     return value
 
 
-def _default_seed(parser):
-    text = os.environ.get("HEXKNOT_SEED", "0")
+def _seed(text):
     try:
-        return int(text)
-    except ValueError:
-        parser.error(f"HEXKNOT_SEED must be an integer, got {text!r}")
+        value = int(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from exc
+    if not 0 <= value < 1 << 64:
+        raise argparse.ArgumentTypeError(f"seed must be in [0, 2**64), got {value}")
+    return value
+
+
+def _default_seed(parser):
+    try:
+        return _seed(os.environ.get("HEXKNOT_SEED", "0"))
+    except argparse.ArgumentTypeError as exc:
+        parser.error(f"HEXKNOT_SEED: {exc}")
 
 
 @contextmanager
@@ -220,8 +229,6 @@ def cmd_bound(args):
                 payload = json.load(fh)
         except (OSError, json.JSONDecodeError) as exc:
             raise CliError(f"cannot read estimate report: {exc}") from exc
-        if "across_runs" in payload:
-            payload = payload["runs"][0]
         report = _report_from_dict(payload)
         bound = compare_bound(report)
         print(f"estimate fraction_total = {bound.estimate:.6e}, "
@@ -232,6 +239,12 @@ def cmd_bound(args):
 
 
 def _report_from_dict(payload):
+    if isinstance(payload, dict) and "across_runs" in payload:
+        if not payload.get("runs"):
+            raise CliError("estimate report has no runs")
+        payload = payload["runs"][0]
+    if not isinstance(payload, dict):
+        raise CliError("estimate report is not a JSON object")
     kwargs = {}
     for f in dataclasses.fields(EstimationReport):
         if f.name in payload:
@@ -269,7 +282,7 @@ def build_parser():
     p = sub.add_parser("sample", help="write uniformly sampled coordinates")
     p.add_argument("--n", type=_positive_int, required=True,
                    help="number of samples")
-    p.add_argument("--seed", type=int, default=seed)
+    p.add_argument("--seed", type=_seed, default=seed)
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.add_argument("--vertices", action="store_true",
                    help="emit 18-column vertex rows instead of coordinates")
@@ -284,7 +297,7 @@ def build_parser():
 
     p = sub.add_parser("estimate", help="Monte Carlo knotting probability")
     p.add_argument("--samples", type=_positive_int, required=True)
-    p.add_argument("--seed", type=int, default=seed)
+    p.add_argument("--seed", type=_seed, default=seed)
     p.add_argument("--mode", choices=("predicate", "oracle"), default="predicate")
     p.add_argument("--workers", type=_positive_int, default=1)
     p.add_argument("--repeats", type=_positive_int, default=1)
@@ -293,7 +306,7 @@ def build_parser():
 
     p = sub.add_parser("volumes", help="MC verification of the volume constants")
     p.add_argument("--samples", type=_positive_int, default=1_000_000)
-    p.add_argument("--seed", type=int, default=seed)
+    p.add_argument("--seed", type=_seed, default=seed)
     p.add_argument("--workers", type=_positive_int, default=1)
     p.set_defaults(func=cmd_volumes)
 
@@ -319,6 +332,11 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
+    except BrokenPipeError:
+        # The reader went away (e.g. `| head`): send the rest of stdout,
+        # including the flush at exit, to devnull and fail quietly.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except Exception as exc:  # noqa: BLE001 - CLI boundary; CliError included
         print(f"hexknot: error: {exc}", file=sys.stderr)
         return 1

@@ -64,7 +64,9 @@ _DISKS = (2, 4, 6)
 def curl(vertices):
     """Sign of (v3-v1) x (v5-v1) . (v2-v1): +1 when v2 folds to the side
     of the central plane its right-hand normal points to, -1 opposite,
-    0 within EPS_PLANE of coplanar."""
+    0 where the unnormalised triple product is below EPS_PLANE in
+    magnitude; that product is |(v3-v1) x (v5-v1)| times v2's distance
+    from the central plane."""
     v = np.asarray(vertices, dtype=float)
     t = triple_product(
         v[..., 2, :] - v[..., 0, :],

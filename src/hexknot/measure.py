@@ -33,7 +33,6 @@ from .invariants import (
 from .trefoil_predicates import class_masks, passes_window_filters
 
 CHUNK_SIZE = 1 << 16
-_MASK64 = (1 << 64) - 1
 
 UPPER_BOUND = (14.0 - 3.0 * np.pi) / 192.0
 ONE_OVER_42 = 1.0 / 42.0
@@ -56,9 +55,12 @@ def chunk_rng(seed, chunk_index):
 
     Philox is counter-based: distinct (seed, chunk) keys give distinct,
     reproducible streams with no sequential coupling, which is what
-    makes worker scheduling irrelevant to the results.
+    makes worker scheduling irrelevant to the results. Raises ValueError
+    unless 0 <= seed < 2**64, so no two seeds share a key.
     """
-    key = np.array([seed & _MASK64, chunk_index], dtype=np.uint64)
+    if not 0 <= seed < 1 << 64:
+        raise ValueError(f"seed must be in [0, 2**64), got {seed}")
+    key = np.array([seed, chunk_index], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
 
 

@@ -1,5 +1,9 @@
 import json
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,6 +13,8 @@ from hexknot.cli import main
 from hexknot.invariants import KnotClass, classify_batch
 from hexknot.measure import CHUNK_SIZE, sample_coordinate_stream
 from conftest import REGULAR_ANGLES, REGULAR_DIAGONALS, WITNESSES
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def run(args):
@@ -97,6 +103,33 @@ class TestSample:
             run(["bound"])
         assert err.value.code == 2
         assert "HEXKNOT_SEED" in capsys.readouterr().err
+
+    def test_seed_outside_64_bits_is_usage_error(self, monkeypatch, capsys):
+        for seed in (str(2 ** 64), "18446744073709551617", "-1"):
+            for command in (["sample", "--n", "3"], ["estimate", "--samples", "10"],
+                            ["volumes", "--samples", "10"]):
+                with pytest.raises(SystemExit) as err:
+                    run([*command, "--seed", seed])
+                assert err.value.code == 2
+                assert "seed must be in [0, 2**64)" in capsys.readouterr().err
+            monkeypatch.setenv("HEXKNOT_SEED", seed)
+            with pytest.raises(SystemExit) as err:
+                run(["sample", "--n", "3"])
+            assert err.value.code == 2
+            assert "HEXKNOT_SEED" in capsys.readouterr().err
+            monkeypatch.delenv("HEXKNOT_SEED")
+
+    def test_closed_pipe_exits_quietly(self):
+        # `hexknot sample | head -1`: the reader leaves after one line
+        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "hexknot.cli", "sample", "--n", "200000"],
+            env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        assert proc.stdout.readline().startswith(b"d1,d2,d3")
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=120) == 1
+        assert err == b"", err  # no error line, no "Exception ignored"
 
 
 class TestClassify:
@@ -245,6 +278,16 @@ class TestVolumesAndBound:
 
     def test_bound_with_missing_file(self, capsys):
         assert run(["bound", "--with-estimate", "/nonexistent.json"]) == 1
+
+    @pytest.mark.parametrize("text, message", [
+        ("5", "is not a JSON object"),
+        ('{"runs": [], "across_runs": {}}', "has no runs"),
+    ], ids=["number", "no-runs"])
+    def test_bound_with_malformed_report(self, tmp_path, capsys, text, message):
+        report = tmp_path / "report.json"
+        report.write_text(text)
+        assert run(["bound", "--with-estimate", str(report)]) == 1
+        assert f"hexknot: error: estimate report {message}" in capsys.readouterr().err
 
 
 class TestCheck:

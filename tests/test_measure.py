@@ -20,6 +20,7 @@ from hexknot.measure import (
     sample_coordinate_stream,
 )
 from hexknot.invariants import KnotClass
+from hexknot.trefoil_predicates import passes_window_filters
 
 
 class TestAnalyticVolumes:
@@ -79,6 +80,18 @@ class TestRegionVolumes:
         est.value = 1.0
         assert est.z_score() == np.inf
 
+    @pytest.mark.parametrize("region, diagonals", [
+        ("torus_obtuse_window", (1.5, 1.0, 0.8)),
+        ("torus_acute_window", (1.0, 0.9, 0.8)),
+    ])
+    def test_torus_window_matches_filter_kernel(self, region, diagonals):
+        # criterion 2 checks these regions against 1/192 and 1/48; the
+        # estimator and the bound use the filter kernel's statement of
+        # the same windows (positive curl, d1 the dominant diagonal)
+        t = np.random.default_rng(2).uniform(0.0, 2 * np.pi, (100_000, 3))
+        member = REGIONS[region][1]
+        assert np.array_equal(member(t), passes_window_filters(diagonals, t)[1])
+
     def test_deterministic_across_workers(self):
         a = mc_region_volume("P6", 300_000, seed=5, workers=1)
         b = mc_region_volume("P6", 300_000, seed=5, workers=4)
@@ -99,6 +112,18 @@ class TestChunkStream:
         c = chunk_rng(2, 0).uniform(size=4)
         assert not np.allclose(a, b) and not np.allclose(a, c)
         assert np.array_equal(a, chunk_rng(1, 0).uniform(size=4))
+
+    def test_seed_outside_64_bits_is_rejected(self):
+        # Philox keys are 64-bit words: 2**64 + 1 would alias seed 1
+        for seed in (2 ** 64, 2 ** 64 + 1, -1):
+            with pytest.raises(ValueError, match="seed"):
+                chunk_rng(seed, 0)
+            with pytest.raises(ValueError, match="seed"):
+                estimate_knotting_probability(1000, seed)
+            with pytest.raises(ValueError, match="seed"):
+                mc_region_volume("P6", 1000, seed)
+        assert np.array_equal(chunk_rng(2 ** 64 - 1, 0).uniform(size=2),
+                              chunk_rng(2 ** 64 - 1, 0).uniform(size=2))
 
     def test_stream_concatenation_is_stable(self):
         long_d = np.concatenate([d for d, _ in sample_coordinate_stream(3, 200_000)])
