@@ -21,7 +21,6 @@ from .action_angle import (
     NotInteriorError,
     build_hexagon,
     extract_action_angle,
-    in_moment_polytope,
     is_embedded,
     is_interior,
     sample_action_batch,
@@ -54,8 +53,6 @@ from .measure import (
     NoSamplesError,
     UnknownRegionError,
     VolumeEstimate,
-    VolumeTable,
-    analytic_volumes,
     compare_bound,
     estimate_knotting_probability,
     mc_region_volume,

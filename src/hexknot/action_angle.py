@@ -41,26 +41,17 @@ class DegenerateFrameError(ValueError):
     """v1, v3, v5 are collinear; no frame can be extracted."""
 
 
-def _polytope(diagonals, below):
+def is_interior(diagonals):
+    """True where (d1, d2, d3) lies in the open moment polytope: each
+    0 < d_i < 2 and each d_i < d_j + d_k, all strict."""
     d = np.asarray(diagonals, dtype=float)
     d1, d2, d3 = d[..., 0], d[..., 1], d[..., 2]
     return (
-        below(0.0, d1) & below(d1, 2.0)
-        & below(0.0, d2) & below(d2, 2.0)
-        & below(0.0, d3) & below(d3, 2.0)
-        & below(d3, d1 + d2) & below(d1, d2 + d3) & below(d2, d1 + d3)
+        (0.0 < d1) & (d1 < 2.0)
+        & (0.0 < d2) & (d2 < 2.0)
+        & (0.0 < d3) & (d3 < 2.0)
+        & (d3 < d1 + d2) & (d1 < d2 + d3) & (d2 < d1 + d3)
     )
-
-
-def in_moment_polytope(diagonals):
-    """True where (d1, d2, d3) satisfies all six closed triangulation
-    inequalities: 0 <= d_i <= 2 and each d_i <= d_j + d_k."""
-    return _polytope(diagonals, np.less_equal)
-
-
-def is_interior(diagonals):
-    """True where all six inequalities hold strictly (open polytope)."""
-    return _polytope(diagonals, np.less)
 
 
 def sample_action_batch(rng, n):

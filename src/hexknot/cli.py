@@ -17,7 +17,7 @@ from contextlib import contextmanager
 
 import numpy as np
 
-from .action_angle import build_hexagon, is_interior
+from .action_angle import TWO_PI, build_hexagon, is_interior
 from .invariants import (
     KNOT_CLASS_FROM_LABEL,
     KNOT_CLASS_LABELS,
@@ -26,10 +26,12 @@ from .invariants import (
     classify_batch,
 )
 from .measure import (
+    CLOSED_FORMS,
     ONE_OVER_42,
+    POSITIVE_CURL_BOUND,
     REGIONS,
     EstimationReport,
-    analytic_volumes,
+    check_seed,
     compare_bound,
     estimate_knotting_probability,
     mc_region_volume,
@@ -68,12 +70,10 @@ def _finite_float(text):
 
 def _seed(text):
     try:
-        value = int(text)
+        return check_seed(int(text))
     except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from exc
-    if not 0 <= value < 1 << 64:
-        raise argparse.ArgumentTypeError(f"seed must be in [0, 2**64), got {value}")
-    return value
+        raise argparse.ArgumentTypeError(
+            f"seed must be in [0, 2**64), got {text!r}") from exc
 
 
 def _default_seed(parser):
@@ -193,12 +193,11 @@ def cmd_estimate(args):
 
 
 def cmd_volumes(args):
-    table = analytic_volumes()
-    print(f"closed forms: vol_P6={table.vol_P6:.12g} "
-          f"vol_third={table.vol_third:.12g} vol_obtuse={table.vol_obtuse:.12g} "
-          f"ratio_obtuse={table.ratio_obtuse:.12g}")
-    print(f"torus window fractions: obtuse={table.torus_frac_obtuse:.12g} "
-          f"acute={table.torus_frac_acute:.12g}")
+    c = {name: f"{value:.12g}" for name, value in CLOSED_FORMS.items()}
+    shown = ("vol_P6", "vol_third", "vol_obtuse", "ratio_obtuse")
+    print("closed forms: " + " ".join(f"{name}={c[name]}" for name in shown))
+    print(f"torus window fractions: obtuse={c['torus_frac_obtuse']} "
+          f"acute={c['torus_frac_acute']}")
     print(f"{'region':22s} {'analytic':>14s} {'estimate':>14s} "
           f"{'std_error':>12s} {'z':>7s}")
     worst = 0.0
@@ -214,15 +213,14 @@ def cmd_volumes(args):
 
 
 def cmd_bound(args):
-    table = analytic_volumes()
-    ub = table.upper_bound
+    ub = CLOSED_FORMS["upper_bound"]
     print(f"upper bound (14 - 3*pi)/192 = {ub:.12f}")
     print(f"1/42                        = {ONE_OVER_42:.12f}")
     relation = "<" if ub < ONE_OVER_42 else ">"
     print(f"ordering: (14 - 3*pi)/192 {relation} 1/42"
           f"  (note: the bound is not below 1/42)")
     print(f"expected positive-curl trefoil fraction bound: "
-          f"{table.expected_positive_curl_bound():.12f} = 7/192 - pi/128")
+          f"{POSITIVE_CURL_BOUND:.12f} = 7/192 - pi/128")
     if args.with_estimate:
         try:
             with open(args.with_estimate, "r", encoding="utf-8") as fh:
@@ -251,13 +249,22 @@ def _report_from_dict(payload):
             kwargs[f.name] = payload[f.name]
         elif f.default is dataclasses.MISSING:
             raise CliError(f"estimate report is missing field {f.name!r}")
-    kwargs["ci95"] = tuple(kwargs["ci95"])
+    # the fields compare_bound reads; JSON numbers load as exactly int or float
+    ci = kwargs["ci95"]
+    for name, ok, kind in (
+            ("samples", type(kwargs["samples"]) is int, "an integer"),
+            ("degenerate_count", type(kwargs["degenerate_count"]) is int, "an integer"),
+            ("fraction_total", type(kwargs["fraction_total"]) in (int, float), "a number"),
+            ("ci95", type(ci) is list and len(ci) == 2
+             and all(type(x) in (int, float) for x in ci), "two numbers")):
+        if not ok:
+            raise CliError(f"estimate report field {name!r} must be {kind}")
     return EstimationReport(**kwargs)
 
 
 def cmd_check(args):
     d = np.array(args.coords[:3])
-    th = np.array(args.coords[3:])
+    th = np.mod(args.coords[3:], TWO_PI)
     payload = {"coords": {"d": list(d), "theta": list(th)}}
     if not bool(is_interior(d)):
         payload["class"] = KNOT_CLASS_LABELS[KnotClass.DEGENERATE]

@@ -19,7 +19,7 @@ import numpy as np
 from .action_angle import (
     TWO_PI,
     build_hexagon,
-    in_moment_polytope,
+    is_interior,
     sample_action_batch,
     sample_angles_batch,
 )
@@ -43,11 +43,18 @@ class UnknownRegionError(ValueError):
 
 
 class BoundViolatedError(RuntimeError):
-    """Estimate's confidence interval exceeds the proven upper bound."""
+    """CI does not lie below the proven bound: a bug, or too few samples."""
 
 
 class NoSamplesError(ValueError):
     """Report carries no usable samples."""
+
+
+def check_seed(seed):
+    """Return seed; ValueError unless it is one Philox key word, [0, 2**64)."""
+    if not 0 <= seed < 1 << 64:
+        raise ValueError(f"seed must be in [0, 2**64), got {seed}")
+    return seed
 
 
 def chunk_rng(seed, chunk_index):
@@ -56,11 +63,9 @@ def chunk_rng(seed, chunk_index):
     Philox is counter-based: distinct (seed, chunk) keys give distinct,
     reproducible streams with no sequential coupling, which is what
     makes worker scheduling irrelevant to the results. Raises ValueError
-    unless 0 <= seed < 2**64, so no two seeds share a key.
+    unless the seed passes check_seed.
     """
-    if not 0 <= seed < 1 << 64:
-        raise ValueError(f"seed must be in [0, 2**64), got {seed}")
-    key = np.array([seed, chunk_index], dtype=np.uint64)
+    key = np.array([check_seed(seed), chunk_index], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
 
 
@@ -92,35 +97,27 @@ def sample_coordinate_stream(seed, n):
         yield _chunk_coordinates(seed, k, m)
 
 
-@dataclass
-class VolumeTable:
-    """Closed-form constants behind the knotting-probability bound."""
+# Closed-form constants behind the knotting-probability bound (REGIONS
+# checks each against a Monte Carlo estimate).
+CLOSED_FORMS = {
+    "vol_P6": 4.0,
+    "vol_third": 4.0 / 3.0,
+    "vol_obtuse": 2.0 * (np.pi - 2.0) / 3.0,
+    "ratio_obtuse": np.pi / 2.0 - 1.0,
+    "torus_frac_obtuse": 1.0 / 192.0,
+    "torus_frac_acute": 1.0 / 48.0,
+    "upper_bound": UPPER_BOUND,
+}
 
-    vol_P6: float = 4.0
-    vol_third: float = 4.0 / 3.0
-    vol_obtuse: float = 2.0 * (np.pi - 2.0) / 3.0
-    ratio_obtuse: float = np.pi / 2.0 - 1.0
-    torus_frac_obtuse: float = 1.0 / 192.0
-    torus_frac_acute: float = 1.0 / 48.0
-    upper_bound: float = UPPER_BOUND
-
-    def expected_positive_curl_bound(self) -> float:
-        """Bound on the positive-curl trefoil fraction: obtuse and acute
-        diagonal regions weighted by their angle-window fractions."""
-        return (self.ratio_obtuse * self.torus_frac_obtuse
-                + (1.0 - self.ratio_obtuse) * self.torus_frac_acute)
-
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-
-def analytic_volumes() -> VolumeTable:
-    """The closed-form volume table (verified against MC estimates)."""
-    return VolumeTable()
+# Bound on the positive-curl trefoil fraction: obtuse and acute diagonal
+# regions weighted by their angle-window fractions.
+POSITIVE_CURL_BOUND = (
+    CLOSED_FORMS["ratio_obtuse"] * CLOSED_FORMS["torus_frac_obtuse"]
+    + (1.0 - CLOSED_FORMS["ratio_obtuse"]) * CLOSED_FORMS["torus_frac_acute"])
 
 
 def _region_third(d):
-    return in_moment_polytope(d) & (d[:, 0] > d[:, 1]) & (d[:, 0] > d[:, 2])
+    return is_interior(d) & (d[:, 0] > d[:, 1]) & (d[:, 0] > d[:, 2])
 
 
 def _region_obtuse(d):
@@ -138,19 +135,17 @@ def _angle_window(t, t0_low):
             & (t[:, 0] + t[:, 1] < np.pi) & (t[:, 0] + t[:, 2] < np.pi))
 
 
-_VOLUMES = analytic_volumes()
-
-# name -> (draw upper bound, membership test, reference volume, analytic value)
+# name -> (side of the uniform draw cube [0, hi]^3, membership test, analytic value)
 REGIONS = {
-    "P6": (2.0, in_moment_polytope, 8.0, _VOLUMES.vol_P6),
-    "third_d1_max": (2.0, _region_third, 8.0, _VOLUMES.vol_third),
-    "obtuse_d1": (2.0, _region_obtuse, 8.0, _VOLUMES.vol_obtuse),
-    "acute_d1": (2.0, _region_acute, 8.0,
-                 _VOLUMES.vol_third * (1.0 - _VOLUMES.ratio_obtuse)),
+    "P6": (2.0, is_interior, CLOSED_FORMS["vol_P6"]),
+    "third_d1_max": (2.0, _region_third, CLOSED_FORMS["vol_third"]),
+    "obtuse_d1": (2.0, _region_obtuse, CLOSED_FORMS["vol_obtuse"]),
+    "acute_d1": (2.0, _region_acute,
+                 CLOSED_FORMS["vol_third"] * (1.0 - CLOSED_FORMS["ratio_obtuse"])),
     "torus_obtuse_window": (TWO_PI, partial(_angle_window, t0_low=np.pi / 2),
-                            TWO_PI ** 3, TWO_PI ** 3 * _VOLUMES.torus_frac_obtuse),
+                            TWO_PI ** 3 * CLOSED_FORMS["torus_frac_obtuse"]),
     "torus_acute_window": (TWO_PI, partial(_angle_window, t0_low=0),
-                           TWO_PI ** 3, TWO_PI ** 3 * _VOLUMES.torus_frac_acute),
+                           TWO_PI ** 3 * CLOSED_FORMS["torus_frac_acute"]),
 }
 
 
@@ -183,7 +178,8 @@ def mc_region_volume(region, n, seed, workers=1):
     if region not in REGIONS:
         raise UnknownRegionError(
             f"unknown region {region!r}; choose from {sorted(REGIONS)}")
-    hi, member, ref, analytic = REGIONS[region]
+    hi, member, analytic = REGIONS[region]
+    ref = hi ** 3
 
     def one_chunk(k, m):
         draw = chunk_rng(seed, k).uniform(0.0, hi, (m, 3))
@@ -200,24 +196,23 @@ def mc_region_volume(region, n, seed, workers=1):
     )
 
 
-class _IntervalReport:
-    """JSON-ready dict form of a report dataclass that carries a ci95 pair."""
-
-    def to_dict(self) -> dict:
-        out = asdict(self)
-        out["ci95"] = list(self.ci95)
-        return out
+def wilson_interval(hits, n, z=1.96):
+    """Wilson score interval for hits / n; lower edge exactly 0 at 0 hits."""
+    z2 = z * z
+    centre = (hits + z2 / 2.0) / (n + z2)
+    half = z * np.sqrt(hits * (1.0 - hits / n) + z2 / 4.0) / (n + z2)
+    return float(max(centre - half, 0.0)), float(min(centre + half, 1.0))
 
 
 @dataclass
-class EstimationReport(_IntervalReport):
+class EstimationReport:
     """Result of one knotting-probability run.
 
     fraction_* entries exclude degenerate samples from numerator and
     denominator. In predicate mode fraction_total is 4 * fraction_R_plus
     (the four trefoil classes have equal measure); in oracle mode it is
-    the sum of the four classified trefoil fractions. std_error and ci95
-    describe fraction_total.
+    the sum of the four classified trefoil fractions. std_error (binomial)
+    and ci95 (Wilson score) describe fraction_total.
     """
 
     samples: int
@@ -232,6 +227,9 @@ class EstimationReport(_IntervalReport):
     wall_time_seconds: float = 0.0
     workers: int = 1
     agreement: dict | None = None
+
+    def to_dict(self) -> dict:
+        return asdict(self)
 
 
 def _predicate_chunk(seed, k, m):
@@ -287,6 +285,7 @@ def estimate_knotting_probability(n, seed, mode="predicate", workers=1):
         frac_total = 4.0 * frac_rp
         # variance of 4*p_hat for the single counted class
         se = 4.0 * np.sqrt(frac_rp * (1.0 - frac_rp) / n)
+        ci = tuple(4.0 * edge for edge in wilson_interval(counts[0], n))
         agreement = None
     else:
         tallies = _run_chunks(lambda k, m: _oracle_chunk(seed, k, m),
@@ -303,6 +302,7 @@ def estimate_knotting_probability(n, seed, mode="predicate", workers=1):
         trefoils = sum(class_counts[int(cls)] for cls in TREFOIL_CLASSES)
         frac_total = trefoils / valid
         se = float(np.sqrt(frac_total * (1.0 - frac_total) / valid))
+        ci = wilson_interval(trefoils, valid)
         pred_total = int(agree[:, 0].sum())
         both = int(agree[:, 1].sum())
         agreement = {
@@ -320,8 +320,6 @@ def estimate_knotting_probability(n, seed, mode="predicate", workers=1):
             "agreement_rate": (both / pred_total) if pred_total else 1.0,
         }
 
-    frac_total = float(frac_total)
-    se = float(se)
     return EstimationReport(
         samples=n,
         seed=seed,
@@ -329,9 +327,9 @@ def estimate_knotting_probability(n, seed, mode="predicate", workers=1):
         hits=hits,
         degenerate_count=degenerate,
         fraction_R_plus=float(frac_rp),
-        fraction_total=frac_total,
-        std_error=se,
-        ci95=(frac_total - 1.96 * se, frac_total + 1.96 * se),
+        fraction_total=float(frac_total),
+        std_error=float(se),
+        ci95=ci,
         wall_time_seconds=time.perf_counter() - t0,
         workers=workers,
         agreement=agreement,
@@ -343,10 +341,11 @@ def repeat_estimates(n, seed, mode="predicate", workers=1, repeats=10):
 
     Returns (reports, summary) where summary carries the across-run mean
     and standard deviation of the headline fractions. Raises ValueError
-    when repeats < 1.
+    when repeats < 1 or the last seed fails check_seed, before any run.
     """
     if repeats < 1:
         raise ValueError("repeat count must be positive")
+    check_seed(seed + repeats - 1)
     reports = [estimate_knotting_probability(n, seed + r, mode=mode,
                                              workers=workers)
                for r in range(repeats)]
@@ -359,7 +358,7 @@ def repeat_estimates(n, seed, mode="predicate", workers=1, repeats=10):
 
 
 @dataclass
-class BoundReport(_IntervalReport):
+class BoundReport:
     """Numeric comparison of an estimate against the closed-form bound."""
 
     estimate: float
@@ -368,13 +367,16 @@ class BoundReport(_IntervalReport):
     one_over_42: float = ONE_OVER_42
     orderings: dict = field(default_factory=dict)
 
+    def to_dict(self) -> dict:
+        return asdict(self)
+
 
 def compare_bound(report):
     """BoundReport for an EstimationReport.
 
     Raises NoSamplesError when the report has no usable samples and
     BoundViolatedError when the 95% CI upper edge exceeds the bound
-    (the bound is proven, so that signals an implementation bug).
+    (the bound is proven, so that signals a bug or too few samples).
     """
     if report.samples <= 0 or report.samples - report.degenerate_count <= 0:
         raise NoSamplesError("report has no usable samples")

@@ -93,7 +93,8 @@ def class_masks(diagonals, angles):
     functions carries exactly one sine factor, so the whole vector is
     odd under theta -> 2*pi - theta, which flips both chirality and
     curl; one evaluation therefore covers both curl signs. This is the
-    hot path of the predicate-mode estimator.
+    hot path of the predicate-mode estimator. Angles must lie in
+    [0, 2*pi), the samplers' range; reduce others mod 2*pi first.
 
     Returns a dict KnotClass -> bool array.
     """
@@ -161,7 +162,8 @@ def _filter_masks(d, th):
 
 def passes_window_filters(diagonals, angles):
     """Vectorised conjunction of all four filter clauses, as a dict
-    curl sign (+1, -1) -> bool array; no clause depends on chirality."""
+    curl sign (+1, -1) -> bool array; no clause depends on chirality.
+    Angles must lie in [0, 2*pi)."""
     d, th = interior_coordinates(diagonals, angles)
     return {curl_sign: np.logical_and.reduce(clauses)
             for curl_sign, clauses in _filter_masks(d, th).items()}
@@ -169,7 +171,7 @@ def passes_window_filters(diagonals, angles):
 
 def window_filters(diagonals, angles, target):
     """FilterReport for one coordinate tuple against `target`, one of
-    the four trefoil KnotClass values."""
+    the four trefoil KnotClass values. Angles must lie in [0, 2*pi)."""
     if not isinstance(target, KnotClass) or target not in TARGET_PAIRS:
         raise ValueError("target must be one of the four trefoil KnotClass values")
     d, th = interior_coordinates(diagonals, angles)

@@ -6,7 +6,6 @@ from hexknot.action_angle import (
     NotInteriorError,
     build_hexagon,
     extract_action_angle,
-    in_moment_polytope,
     is_embedded,
     is_interior,
     sample_action_batch,
@@ -25,9 +24,8 @@ def edge_lengths(vertices):
 
 class TestPolytope:
     def test_membership(self):
-        assert in_moment_polytope((1.0, 1.0, 1.0))
-        assert not in_moment_polytope((0.5, 0.5, 1.5))
-        assert in_moment_polytope((2.0, 2.0, 2.0))  # boundary is closed
+        assert is_interior((1.0, 1.0, 1.0))
+        assert not is_interior((0.5, 0.5, 1.5))
 
     def test_interior(self):
         assert is_interior((1.0, 1.0, 1.0))
@@ -36,7 +34,6 @@ class TestPolytope:
 
     def test_vectorised(self):
         d = np.array([[1, 1, 1], [0.5, 0.5, 1.5], [2, 2, 2]], dtype=float)
-        assert list(in_moment_polytope(d)) == [True, False, True]
         assert list(is_interior(d)) == [True, False, False]
 
 

@@ -16,6 +16,11 @@ from conftest import REGULAR_ANGLES, REGULAR_DIAGONALS, WITNESSES
 
 ROOT = Path(__file__).resolve().parent.parent
 
+# a well-formed predicate-mode `estimate` report
+REPORT = {"samples": 1000, "seed": 1, "mode": "predicate", "hits": {},
+          "degenerate_count": 0, "fraction_R_plus": 0.0, "fraction_total": 0.0,
+          "std_error": 0.0, "ci95": [0.0, 0.01]}
+
 
 def run(args):
     return main(args)
@@ -260,6 +265,30 @@ class TestVolumesAndBound:
         text = capsys.readouterr().out
         assert "torus_acute_window" in text and "largest |z| = inf" in text
 
+    def test_volumes_closed_form_lines(self, capsys):
+        assert run(["volumes", "--samples", "1000"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[:2] == [
+            "closed forms: vol_P6=4 vol_third=1.33333333333 vol_obtuse=0.76106176906 "
+            "ratio_obtuse=0.570796326795",
+            "torus window fractions: obtuse=0.00520833333333 acute=0.0208333333333",
+        ]
+
+    def test_bound_full_text(self, capsys):
+        assert run(["bound"]) == 0
+        assert capsys.readouterr().out == (
+            "upper bound (14 - 3*pi)/192 = 0.023829281454\n"
+            "1/42                        = 0.023809523810\n"
+            "ordering: (14 - 3*pi)/192 > 1/42  (note: the bound is not below 1/42)\n"
+            "expected positive-curl trefoil fraction bound: 0.011914640727"
+            " = 7/192 - pi/128\n")
+
+    def test_bound_with_well_formed_report(self, tmp_path, capsys):
+        report = tmp_path / "report.json"
+        report.write_text(json.dumps(REPORT))
+        assert run(["bound", "--with-estimate", str(report)]) == 0
+        assert "estimate < upper bound: True" in capsys.readouterr().out
+
     def test_bound_prints_constants(self, capsys):
         assert run(["bound"]) == 0
         text = capsys.readouterr().out
@@ -282,7 +311,16 @@ class TestVolumesAndBound:
     @pytest.mark.parametrize("text, message", [
         ("5", "is not a JSON object"),
         ('{"runs": [], "across_runs": {}}', "has no runs"),
-    ], ids=["number", "no-runs"])
+        (json.dumps({**REPORT, "ci95": 5}), "field 'ci95' must be two numbers"),
+        (json.dumps({**REPORT, "ci95": [0.1]}), "field 'ci95' must be two numbers"),
+        (json.dumps({**REPORT, "ci95": [0, "1"]}), "field 'ci95' must be two numbers"),
+        (json.dumps({**REPORT, "samples": "10"}), "field 'samples' must be an integer"),
+        (json.dumps({**REPORT, "degenerate_count": 0.5}),
+         "field 'degenerate_count' must be an integer"),
+        (json.dumps({**REPORT, "fraction_total": None}),
+         "field 'fraction_total' must be a number"),
+    ], ids=["number", "no-runs", "ci95-number", "ci95-one-edge", "ci95-string-edge",
+            "samples-string", "degenerate-float", "fraction-null"])
     def test_bound_with_malformed_report(self, tmp_path, capsys, text, message):
         report = tmp_path / "report.json"
         report.write_text(text)
@@ -298,6 +336,19 @@ class TestCheck:
         payload = json.loads(capsys.readouterr().out)
         assert payload["class"] == "trefoil_R+"
         assert payload["filters"]["passes_all"]
+
+    @pytest.mark.parametrize("turn", [2 * np.pi, -2 * np.pi])
+    def test_angle_outside_one_turn_is_reduced(self, capsys, turn):
+        d, th = WITNESSES["trefoil_R+"]
+        assert run(["check"] + [f"{x:.17g}" for x in (*d, *th)]) == 0
+        witness = json.loads(capsys.readouterr().out)
+        shifted = (th[0] + turn, *th[1:])
+        assert run(["check", "--"] + [f"{x:.17g}" for x in (*d, *shifted)]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["class"] == witness["class"] == "trefoil_R+"
+        assert payload["filters"] == witness["filters"]
+        assert payload["filters"]["passes_all"]
+        assert 0.0 <= payload["coords"]["theta"][0] < 2 * np.pi
 
     def test_non_interior_tuple(self, capsys):
         assert run(["check", "1", "1", "2", "0", "0", "0"]) == 0

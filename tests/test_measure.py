@@ -3,15 +3,17 @@ import json
 import numpy as np
 import pytest
 
+from hexknot import measure
 from hexknot.measure import (
     CHUNK_SIZE,
+    CLOSED_FORMS,
     ONE_OVER_42,
+    POSITIVE_CURL_BOUND,
     REGIONS,
     UPPER_BOUND,
     BoundViolatedError,
     NoSamplesError,
     UnknownRegionError,
-    analytic_volumes,
     chunk_rng,
     compare_bound,
     estimate_knotting_probability,
@@ -25,13 +27,14 @@ from hexknot.trefoil_predicates import passes_window_filters
 
 class TestAnalyticVolumes:
     def test_closed_forms(self):
-        t = analytic_volumes()
-        assert t.vol_P6 == 4.0
-        assert t.vol_third == pytest.approx(4.0 / 3.0, abs=0)
-        assert t.vol_obtuse == pytest.approx(2.0 * (np.pi - 2.0) / 3.0, abs=0)
-        assert t.ratio_obtuse == pytest.approx(np.pi / 2.0 - 1.0, abs=0)
-        assert t.torus_frac_obtuse == 1.0 / 192.0
-        assert t.torus_frac_acute == 1.0 / 48.0
+        t = CLOSED_FORMS
+        assert t["vol_P6"] == 4.0
+        assert t["vol_third"] == pytest.approx(4.0 / 3.0, abs=0)
+        assert t["vol_obtuse"] == pytest.approx(2.0 * (np.pi - 2.0) / 3.0, abs=0)
+        assert t["ratio_obtuse"] == pytest.approx(np.pi / 2.0 - 1.0, abs=0)
+        assert t["torus_frac_obtuse"] == 1.0 / 192.0
+        assert t["torus_frac_acute"] == 1.0 / 48.0
+        assert t["upper_bound"] == UPPER_BOUND
 
     def test_upper_bound_digits(self):
         assert abs(UPPER_BOUND - (14.0 - 3.0 * np.pi) / 192.0) == 0.0
@@ -40,18 +43,17 @@ class TestAnalyticVolumes:
         assert UPPER_BOUND > ONE_OVER_42
 
     def test_expected_positive_curl_bound(self):
-        t = analytic_volumes()
-        value = t.expected_positive_curl_bound()
+        value = POSITIVE_CURL_BOUND
         assert value == pytest.approx(7.0 / 192.0 - np.pi / 128.0, abs=1e-15)
         assert 2.0 * value == pytest.approx(UPPER_BOUND, abs=1e-15)
 
     def test_conditional_regions_partition(self):
-        t = analytic_volumes()
-        assert t.ratio_obtuse + (2.0 - np.pi / 2.0) == pytest.approx(1.0, abs=1e-15)
+        assert (CLOSED_FORMS["ratio_obtuse"] + (2.0 - np.pi / 2.0)
+                == pytest.approx(1.0, abs=1e-15))
 
     def test_ratio_consistency(self):
-        t = analytic_volumes()
-        assert t.vol_obtuse / t.vol_third == pytest.approx(t.ratio_obtuse, abs=1e-15)
+        t = CLOSED_FORMS
+        assert t["vol_obtuse"] / t["vol_third"] == pytest.approx(t["ratio_obtuse"], abs=1e-15)
 
 
 class TestRegionVolumes:
@@ -199,6 +201,34 @@ class TestEstimate:
             with pytest.raises(ValueError):
                 repeat_estimates(1000, 1, repeats=repeats)
 
+    def test_repeats_check_last_seed_before_any_run(self, monkeypatch):
+        def must_not_run(*args, **kwargs):
+            raise AssertionError("estimator ran before the seed range check")
+        monkeypatch.setattr(measure, "estimate_knotting_probability", must_not_run)
+        with pytest.raises(ValueError, match="seed"):
+            repeat_estimates(1000, 2 ** 64 - 1, repeats=2)
+
+    def test_zero_hit_interval_has_width(self):
+        # a Wald interval collapses to (0, 0) here
+        r = estimate_knotting_probability(1000, seed=1, mode="predicate")
+        assert sum(r.hits.values()) == 0
+        assert r.ci95[0] == 0.0 and 0.0 < r.ci95[1]
+        assert r.ci95[1] == pytest.approx(0.0153, abs=1e-4)
+
+    def test_interval_is_not_negative(self):
+        # a Wald interval reaches -1.9e-4 here
+        r = estimate_knotting_probability(20_000, seed=1, mode="predicate")
+        assert r.ci95[0] >= 0.0
+        assert r.ci95[0] <= r.fraction_total <= r.ci95[1]
+        assert r.ci95 == pytest.approx((3.5e-5, 1.13e-3), rel=0.01)
+
+    def test_oracle_interval_is_wilson_of_trefoils(self):
+        r = estimate_knotting_probability(50_000, seed=2, mode="oracle")
+        trefoils = sum(r.hits[k] for k in
+                       ("trefoil_R+", "trefoil_R-", "trefoil_L+", "trefoil_L-"))
+        assert trefoils > 0
+        assert r.ci95 == measure.wilson_interval(trefoils, r.samples - r.degenerate_count)
+
     def test_repeats_summary(self):
         reports, summary = repeat_estimates(50_000, seed=3, repeats=3)
         assert len(reports) == 3
@@ -223,6 +253,13 @@ class TestCompareBound:
         r = estimate_knotting_probability(1000, seed=1, mode="predicate")
         r.degenerate_count = r.samples
         with pytest.raises(NoSamplesError):
+            compare_bound(r)
+
+    def test_zero_hits_on_few_samples_raise(self):
+        # with no hits, 500 samples cannot put the interval below the bound
+        r = estimate_knotting_probability(500, seed=1, mode="predicate")
+        assert sum(r.hits.values()) == 0
+        with pytest.raises(BoundViolatedError):
             compare_bound(r)
 
     def test_bound_violation_detected(self):
