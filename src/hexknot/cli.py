@@ -48,11 +48,15 @@ class CliError(RuntimeError):
     """Runtime failure reported on stderr with exit code 1."""
 
 
-def _positive_int(text):
+def _integer(text):
     try:
-        value = int(text)
+        return int(text)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from exc
+
+
+def _positive_int(text):
+    value = _integer(text)
     if value < 1:
         raise argparse.ArgumentTypeError("value must be >= 1")
     return value
@@ -70,10 +74,9 @@ def _finite_float(text):
 
 def _seed(text):
     try:
-        return check_seed(int(text))
+        return check_seed(_integer(text))
     except ValueError as exc:
-        raise argparse.ArgumentTypeError(
-            f"seed must be in [0, 2**64), got {text!r}") from exc
+        raise argparse.ArgumentTypeError(str(exc)) from exc
 
 
 def _default_seed(parser):
@@ -193,11 +196,12 @@ def cmd_estimate(args):
 
 
 def cmd_volumes(args):
-    c = {name: f"{value:.12g}" for name, value in CLOSED_FORMS.items()}
-    shown = ("vol_P6", "vol_third", "vol_obtuse", "ratio_obtuse")
-    print("closed forms: " + " ".join(f"{name}={c[name]}" for name in shown))
-    print(f"torus window fractions: obtuse={c['torus_frac_obtuse']} "
-          f"acute={c['torus_frac_acute']}")
+    print(f"closed forms: vol_P6={CLOSED_FORMS['vol_P6']:.12g} "
+          f"vol_third={CLOSED_FORMS['vol_third']:.12g} "
+          f"vol_obtuse={CLOSED_FORMS['vol_obtuse']:.12g} "
+          f"ratio_obtuse={CLOSED_FORMS['ratio_obtuse']:.12g}")
+    print(f"torus window fractions: obtuse={CLOSED_FORMS['torus_frac_obtuse']:.12g} "
+          f"acute={CLOSED_FORMS['torus_frac_acute']:.12g}")
     print(f"{'region':22s} {'analytic':>14s} {'estimate':>14s} "
           f"{'std_error':>12s} {'z':>7s}")
     worst = 0.0
@@ -250,13 +254,15 @@ def _report_from_dict(payload):
         elif f.default is dataclasses.MISSING:
             raise CliError(f"estimate report is missing field {f.name!r}")
     # the fields compare_bound reads; JSON numbers load as exactly int or float
+    def number(x):  # not NaN, Infinity or an int beyond float range
+        return type(x) in (int, float) and abs(x) <= sys.float_info.max
     ci = kwargs["ci95"]
     for name, ok, kind in (
             ("samples", type(kwargs["samples"]) is int, "an integer"),
             ("degenerate_count", type(kwargs["degenerate_count"]) is int, "an integer"),
-            ("fraction_total", type(kwargs["fraction_total"]) in (int, float), "a number"),
-            ("ci95", type(ci) is list and len(ci) == 2
-             and all(type(x) in (int, float) for x in ci), "two numbers")):
+            ("fraction_total", number(kwargs["fraction_total"]), "a number"),
+            ("ci95", type(ci) is list and len(ci) == 2 and all(map(number, ci)),
+             "two numbers")):
         if not ok:
             raise CliError(f"estimate report field {name!r} must be {kind}")
     return EstimationReport(**kwargs)
@@ -265,6 +271,7 @@ def _report_from_dict(payload):
 def cmd_check(args):
     d = np.array(args.coords[:3])
     th = np.mod(args.coords[3:], TWO_PI)
+    th[th == TWO_PI] = 0.0  # a tiny negative angle rounds up to 2*pi
     payload = {"coords": {"d": list(d), "theta": list(th)}}
     if not bool(is_interior(d)):
         payload["class"] = KNOT_CLASS_LABELS[KnotClass.DEGENERATE]

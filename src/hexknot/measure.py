@@ -168,8 +168,7 @@ class VolumeEstimate:
             return 0.0 if diff == 0 else float(np.copysign(np.inf, diff))
         return diff / self.value_std_error
 
-    def to_dict(self) -> dict:
-        return asdict(self)
+    to_dict = asdict
 
 
 def mc_region_volume(region, n, seed, workers=1):
@@ -196,11 +195,11 @@ def mc_region_volume(region, n, seed, workers=1):
     )
 
 
-def wilson_interval(hits, n, z=1.96):
-    """Wilson score interval for hits / n; lower edge exactly 0 at 0 hits."""
-    z2 = z * z
+def wilson_interval(hits, n):
+    """95% Wilson score interval for hits / n; lower edge exactly 0 at 0 hits."""
+    z2 = 1.96 ** 2
     centre = (hits + z2 / 2.0) / (n + z2)
-    half = z * np.sqrt(hits * (1.0 - hits / n) + z2 / 4.0) / (n + z2)
+    half = 1.96 * np.sqrt(hits * (1.0 - hits / n) + z2 / 4.0) / (n + z2)
     return float(max(centre - half, 0.0)), float(min(centre + half, 1.0))
 
 
@@ -228,8 +227,7 @@ class EstimationReport:
     workers: int = 1
     agreement: dict | None = None
 
-    def to_dict(self) -> dict:
-        return asdict(self)
+    to_dict = asdict
 
 
 def _predicate_chunk(seed, k, m):
@@ -367,8 +365,7 @@ class BoundReport:
     one_over_42: float = ONE_OVER_42
     orderings: dict = field(default_factory=dict)
 
-    def to_dict(self) -> dict:
-        return asdict(self)
+    to_dict = asdict
 
 
 def compare_bound(report):

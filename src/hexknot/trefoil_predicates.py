@@ -129,8 +129,7 @@ class FilterReport:
         return (self.curl_window and self.angle_sums
                 and self.distinct_diagonals and self.dominant_diagonal_window)
 
-    def to_dict(self) -> dict:
-        return asdict(self)
+    to_dict = asdict
 
 
 def _filter_masks(d, th):

@@ -107,7 +107,13 @@ class TestSample:
         with pytest.raises(SystemExit) as err:
             run(["bound"])
         assert err.value.code == 2
-        assert "HEXKNOT_SEED" in capsys.readouterr().err
+        assert "HEXKNOT_SEED: not an integer: 'abc'" in capsys.readouterr().err
+
+    def test_non_integer_seed_is_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as err:
+            run(["sample", "--n", "3", "--seed", "abc"])
+        assert err.value.code == 2
+        assert "not an integer: 'abc'" in capsys.readouterr().err
 
     def test_seed_outside_64_bits_is_usage_error(self, monkeypatch, capsys):
         for seed in (str(2 ** 64), "18446744073709551617", "-1"):
@@ -317,10 +323,17 @@ class TestVolumesAndBound:
         (json.dumps({**REPORT, "samples": "10"}), "field 'samples' must be an integer"),
         (json.dumps({**REPORT, "degenerate_count": 0.5}),
          "field 'degenerate_count' must be an integer"),
+        (json.dumps({**REPORT, "ci95": [float("nan"), float("nan")]}),
+         "field 'ci95' must be two numbers"),
         (json.dumps({**REPORT, "fraction_total": None}),
          "field 'fraction_total' must be a number"),
+        (json.dumps({**REPORT, "fraction_total": float("inf")}),
+         "field 'fraction_total' must be a number"),
+        (json.dumps({**REPORT, "fraction_total": 10 ** 400}),
+         "field 'fraction_total' must be a number"),
     ], ids=["number", "no-runs", "ci95-number", "ci95-one-edge", "ci95-string-edge",
-            "samples-string", "degenerate-float", "fraction-null"])
+            "samples-string", "degenerate-float", "ci95-nan", "fraction-null",
+            "fraction-inf", "fraction-huge-int"])
     def test_bound_with_malformed_report(self, tmp_path, capsys, text, message):
         report = tmp_path / "report.json"
         report.write_text(text)
@@ -349,6 +362,14 @@ class TestCheck:
         assert payload["filters"] == witness["filters"]
         assert payload["filters"]["passes_all"]
         assert 0.0 <= payload["coords"]["theta"][0] < 2 * np.pi
+
+    def test_tiny_negative_angle_is_reduced_to_zero(self, capsys):
+        assert run(["check", "1", "1", "1", "0", "1", "1"]) == 0
+        zero = json.loads(capsys.readouterr().out)
+        assert run(["check", "--", "1", "1", "1", "-1e-20", "1", "1"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["coords"]["theta"][0] == 0.0
+        assert payload == zero
 
     def test_non_interior_tuple(self, capsys):
         assert run(["check", "1", "1", "2", "0", "0", "0"]) == 0
