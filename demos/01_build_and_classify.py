@@ -14,11 +14,11 @@ from hexknot import (
     build_hexagon,
     classify,
     curl,
-    disk_crossings,
+    disk_counts,
     extract_action_angle,
     is_embedded,
-    joint_chirality_curl,
 )
+from hexknot.invariants import TREFOIL_PAIRS
 
 # The flat regular hexagon: equal diagonals sqrt(3), all angles pi.
 d = np.array([np.sqrt(3.0)] * 3)
@@ -43,9 +43,10 @@ d = np.array([1.1015096720772592, 1.0768930543734929, 0.35248056822414475])
 theta = np.array([1.6901028398766105, 0.38533348057545025, 0.32012685222521037])
 knot = build_hexagon(d, theta)
 print("trefoil witness:")
-for i in (2, 4, 6):
-    print(f"  signed crossings through disk {i}: {disk_crossings(knot, i)}")
-print("joint invariant:", joint_chirality_curl(knot))
+counts, _ = disk_counts(knot)
+for i, count in zip((2, 4, 6), counts[0]):
+    print(f"  signed crossings through disk {i}: {count}")
+print("joint invariant:", TREFOIL_PAIRS[classify(knot)])
 print("class:", KNOT_CLASS_LABELS[classify(knot)])
 print()
 

@@ -7,7 +7,6 @@ knotting probability against the closed-form bound (14 - 3*pi)/192.
 """
 
 from .geom import (
-    DEGENERATE,
     EPS_AREA,
     EPS_CONTACT,
     EPS_EDGE,
@@ -34,8 +33,7 @@ from .invariants import (
     classify,
     classify_batch,
     curl,
-    disk_crossings,
-    joint_chirality_curl,
+    disk_counts,
     reverse,
     shift,
 )

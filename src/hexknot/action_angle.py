@@ -151,6 +151,12 @@ def build_hexagon(diagonals, angles):
     return v
 
 
+def wrap_angles(theta):
+    """Angles mod 2*pi in [0, 2*pi); np.mod's round-up to exactly 2*pi reads 0."""
+    theta = np.mod(theta, TWO_PI)
+    return np.where(theta == TWO_PI, 0.0, theta)
+
+
 def extract_action_angle(vertices):
     """Recover (diagonals, angles) from hexagon vertices.
 
@@ -175,7 +181,7 @@ def extract_action_angle(vertices):
     inward = _cross(normal, (ahead - centre) / diagonals[..., None])
     w = v[..., 1::2, :] - 0.5 * (centre + ahead)
     theta = np.arctan2(_dot(w, normal), _dot(w, inward))
-    return diagonals, np.mod(theta, TWO_PI)
+    return diagonals, wrap_angles(theta)
 
 
 _PAIR_P1 = tuple(i for i, _ in NON_ADJACENT_EDGE_PAIRS)

@@ -17,7 +17,7 @@ from contextlib import contextmanager
 
 import numpy as np
 
-from .action_angle import TWO_PI, build_hexagon, is_interior
+from .action_angle import build_hexagon, is_interior, wrap_angles
 from .invariants import (
     KNOT_CLASS_FROM_LABEL,
     KNOT_CLASS_LABELS,
@@ -26,6 +26,7 @@ from .invariants import (
     classify_batch,
 )
 from .measure import (
+    CHUNK_SIZE,
     CLOSED_FORMS,
     ONE_OVER_42,
     POSITIVE_CURL_BOUND,
@@ -154,18 +155,24 @@ def _read_rows(path):
     return rows, widths.pop()
 
 
+def _classify_rows(data):
+    """Class codes of 6-column coordinate or 18-column vertex rows."""
+    if data.shape[1] == 18:
+        return classify_batch(data.reshape(-1, 6, 3))
+    d, th = data[:, :3], data[:, 3:]
+    interior = is_interior(d)
+    codes = np.full(len(data), int(KnotClass.DEGENERATE), dtype=np.int8)
+    if interior.any():
+        codes[interior] = classify_batch(build_hexagon(d[interior], th[interior]))
+    return codes
+
+
 def cmd_classify(args):
     rows, width = _read_rows(args.input)
     data = np.array([v for _, v in rows])
-    if width == 6:
-        d, th = data[:, :3], data[:, 3:]
-        interior = is_interior(d)
-        codes = np.full(len(rows), int(KnotClass.DEGENERATE), dtype=np.int8)
-        if interior.any():
-            verts = build_hexagon(d[interior], th[interior])
-            codes[interior] = classify_batch(verts)
-    else:
-        codes = classify_batch(data.reshape(-1, 6, 3))
+    # one CHUNK_SIZE slice at a time bounds the classifier's temporaries
+    codes = np.concatenate([_classify_rows(data[k:k + CHUNK_SIZE])
+                            for k in range(0, len(data), CHUNK_SIZE)])
 
     header = ACTION_HEADER if width == 6 else VERTEX_HEADER
     with _output(args.output) as out:
@@ -270,8 +277,7 @@ def _report_from_dict(payload):
 
 def cmd_check(args):
     d = np.array(args.coords[:3])
-    th = np.mod(args.coords[3:], TWO_PI)
-    th[th == TWO_PI] = 0.0  # a tiny negative angle rounds up to 2*pi
+    th = wrap_angles(args.coords[3:])
     payload = {"coords": {"d": list(d), "theta": list(th)}}
     if not bool(is_interior(d)):
         payload["class"] = KNOT_CLASS_LABELS[KnotClass.DEGENERATE]

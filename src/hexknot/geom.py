@@ -21,18 +21,6 @@ EPS_CONTACT = 1e-12  # closed-segment contact threshold
 _TINY = 1e-300  # guard for divisions on masked-out lanes
 
 
-class _DegenerateType:
-    """Singleton marker for a result too close to a decision boundary."""
-
-    __slots__ = ()
-
-    def __repr__(self) -> str:
-        return "DEGENERATE"
-
-
-DEGENERATE = _DegenerateType()
-
-
 def _dot(u, v):
     return (u * v).sum(axis=-1)
 

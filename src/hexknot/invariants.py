@@ -15,7 +15,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .geom import DEGENERATE, EPS_PLANE, crossing_signs, triple_product
+from .geom import EPS_PLANE, crossing_signs, triple_product
 from .action_angle import is_embedded
 
 
@@ -58,8 +58,6 @@ TREFOIL_PAIRS = {
 
 TREFOIL_CLASSES = tuple(TREFOIL_PAIRS)
 
-_DISKS = (2, 4, 6)
-
 
 def curl(vertices):
     """Sign of (v3-v1) x (v5-v1) . (v2-v1): +1 when v2 folds to the side
@@ -89,13 +87,14 @@ _X_B = (1, 1, 3, 3, 5, 5)
 _X_C = (2, 2, 4, 4, 0, 0)
 
 
-def _disk_counts(vertices):
+def disk_counts(vertices):
     """Signed crossing counts through disks 2, 4 and 6 of an (..., 6, 3)
     vertex array, flattened to n hexagons.
 
     Returns the (n, 3) int16 counts, each the sum of the two transversal
     crossing signs of the disk's disjoint edges, and the (n, 3) flags of
-    a crossing test within tolerance of a boundary.
+    a crossing test within tolerance of a boundary. The product of a
+    hexagon's three counts is its chirality.
     """
     v = np.asarray(vertices, dtype=float).reshape(-1, 6, 3)
     signs, bad = crossing_signs(
@@ -104,31 +103,6 @@ def _disk_counts(vertices):
     )
     signs = signs.astype(np.int16).reshape(-1, 3, 2)
     return signs[..., 0] + signs[..., 1], bad.reshape(-1, 3, 2).any(axis=-1)
-
-
-def disk_crossings(vertices, i):
-    """Signed crossing count of one hexagon through the open disk spanned
-    by (v_{i-1}, v_i, v_{i+1}) for i in {2, 4, 6}, or DEGENERATE when a
-    crossing test was within tolerance of a boundary."""
-    if i not in _DISKS:
-        raise ValueError("disk index must be 2, 4 or 6")
-    counts, degen = _disk_counts(vertices)
-    k = _DISKS.index(i)
-    if degen[:, k].item():
-        return DEGENERATE
-    return counts[:, k].item()
-
-
-def joint_chirality_curl(vertices):
-    """The pair (product of the three disk crossing counts, that
-    product squared times curl) for one hexagon, or DEGENERATE when any
-    crossing test was degenerate or the product falls outside
-    {-1, 0, 1}."""
-    counts, degen = _disk_counts(vertices)
-    chirality = int(counts.prod(axis=-1).item())
-    if degen.any() or chirality not in (-1, 0, 1):
-        return DEGENERATE
-    return JointChiralityCurl(chirality, chirality ** 2 * int(curl(vertices)))
 
 
 def classify(vertices):
@@ -147,7 +121,7 @@ def classify_batch(vertices):
     lead = v.shape[:-2]
     v = v.reshape((-1, 6, 3))
 
-    counts, bad = _disk_counts(v)
+    counts, bad = disk_counts(v)
     degen = bad.any(axis=-1)
     degen |= ~is_embedded(v)
 

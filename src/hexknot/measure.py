@@ -371,9 +371,10 @@ class BoundReport:
 def compare_bound(report):
     """BoundReport for an EstimationReport.
 
-    Raises NoSamplesError when the report has no usable samples and
+    Raises NoSamplesError when the report has no usable samples,
     BoundViolatedError when the 95% CI upper edge exceeds the bound
-    (the bound is proven, so that signals a bug or too few samples).
+    (the bound is proven, so that signals a bug or too few samples), and
+    ValueError when the CI does not contain fraction_total.
     """
     if report.samples <= 0 or report.samples - report.degenerate_count <= 0:
         raise NoSamplesError("report has no usable samples")
@@ -382,6 +383,9 @@ def compare_bound(report):
     if ci[1] > UPPER_BOUND:
         raise BoundViolatedError(
             f"CI upper edge {ci[1]:.6e} exceeds the bound {UPPER_BOUND:.6e}")
+    if not ci[0] <= estimate <= ci[1]:
+        raise ValueError(f"estimate report ci95 [{ci[0]:.6e}, {ci[1]:.6e}] "
+                         f"does not contain fraction_total {estimate:.6e}")
     orderings = {
         "estimate_lt_upper_bound": bool(estimate < UPPER_BOUND),
         "estimate_lt_one_over_42": bool(estimate < ONE_OVER_42),

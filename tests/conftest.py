@@ -55,7 +55,7 @@ def solve_crossing(p, q, a, b, c):
     return 0, margin
 
 
-def brute_force_disk_crossings(vertices, i):
+def brute_force_disk_count(vertices, i):
     """Signed crossings through disk (v_{i-1}, v_i, v_{i+1}) by checking
     all six hexagon edges with the linear-solve oracle.
 

@@ -158,6 +158,15 @@ class TestExtract:
         assert np.abs(d2 - d).max() < 1e-9
         assert np.abs(np.mod(th2 - th + np.pi, 2 * np.pi) - np.pi).max() < 1e-9
 
+    def test_zero_angle_never_reads_two_pi(self):
+        # arctan2 gives tiny negative angles here, which np.mod alone
+        # rounds up to exactly 2*pi.
+        rng = np.random.default_rng(0)
+        v = build_hexagon(np.ones(3), np.array([0.0, 1.0, 1.0]))
+        for _ in range(2000):
+            _, th = extract_action_angle(v @ random_rotation(rng).T)
+            assert th.min() >= 0.0 and th.max() < 2 * np.pi
+
     def test_degenerate_frame_raises(self):
         flat = np.zeros((6, 3))
         flat[:, 0] = np.arange(6.0)  # v1, v3, v5 collinear

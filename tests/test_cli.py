@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from hexknot import cli
 from hexknot.action_angle import build_hexagon
 from hexknot.cli import main
 from hexknot.invariants import KnotClass, classify_batch
@@ -206,6 +207,28 @@ class TestClassify:
     def test_missing_file_is_runtime_error(self, capsys):
         assert run(["classify", "--input", "/nonexistent/x.csv"]) == 1
 
+    @pytest.mark.parametrize("width", [6, 18])
+    def test_slices_give_the_same_bytes(self, tmp_path, capsys, monkeypatch, width):
+        d, th = (np.array([w[i] for w in WITNESSES.values()]) for i in (0, 1))
+        stream = next(sample_coordinate_stream(5, 40))
+        d, th = np.vstack([d, stream[0]]), np.vstack([th, stream[1]])
+        rows = (np.hstack([d, th]) if width == 6
+                else build_hexagon(d, th).reshape(-1, 18))
+        # (2, 2, 2) is outside the open polytope; all-zero vertices are
+        # not embedded
+        bad = np.full(width, 2.0 if width == 6 else 0.0)
+        rows = np.insert(rows, [0, 7, 15, 44], bad, axis=0)
+        src = tmp_path / "rows.csv"
+        np.savetxt(src, rows, fmt="%.17g", delimiter=",")
+        assert run(["classify", "--input", str(src)]) == 0
+        whole = capsys.readouterr().out
+        monkeypatch.setattr(cli, "CHUNK_SIZE", 7)
+        assert run(["classify", "--input", str(src)]) == 0
+        assert capsys.readouterr().out == whole
+        labels = [ln.rsplit(",", 1)[1] for ln in whole.splitlines()[1:]]
+        assert len(labels) == 48 and labels.count("degenerate") == 4
+        assert set(WITNESSES) <= set(labels)
+
     def test_non_finite_row_names_line(self, tmp_path, capsys):
         src = tmp_path / "nan.csv"
         src.write_text("d1,d2,d3,theta1,theta2,theta3\n"
@@ -331,9 +354,12 @@ class TestVolumesAndBound:
          "field 'fraction_total' must be a number"),
         (json.dumps({**REPORT, "fraction_total": 10 ** 400}),
          "field 'fraction_total' must be a number"),
+        (json.dumps({**REPORT, "fraction_total": 0.5, "ci95": [0.4, 0.0]}),
+         "ci95 [4.000000e-01, 0.000000e+00] does not contain fraction_total "
+         "5.000000e-01"),
     ], ids=["number", "no-runs", "ci95-number", "ci95-one-edge", "ci95-string-edge",
             "samples-string", "degenerate-float", "ci95-nan", "fraction-null",
-            "fraction-inf", "fraction-huge-int"])
+            "fraction-inf", "fraction-huge-int", "inverted-ci95"])
     def test_bound_with_malformed_report(self, tmp_path, capsys, text, message):
         report = tmp_path / "report.json"
         report.write_text(text)

@@ -1,8 +1,8 @@
 """Every narrative script in demos/ runs to completion.
 
-The demos exercise the scalar views classify, disk_crossings and
-joint_chirality_curl, so a change to the batch kernels behind them
-shows up here as a failing script.
+The demos exercise the scalar view classify and the batch kernels
+disk_counts and curl behind it, so a change to those kernels shows up
+here as a failing script.
 """
 
 import os

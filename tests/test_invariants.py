@@ -6,17 +6,15 @@ from hexknot.action_angle import (
     sample_action_batch,
     sample_angles_batch,
 )
-from hexknot.geom import DEGENERATE
 from hexknot.invariants import (
     KNOT_CLASS_FROM_LABEL,
     KNOT_CLASS_LABELS,
-    JointChiralityCurl,
+    TREFOIL_PAIRS,
     KnotClass,
     classify,
     classify_batch,
     curl,
-    disk_crossings,
-    joint_chirality_curl,
+    disk_counts,
     reverse,
     shift,
 )
@@ -24,7 +22,7 @@ from conftest import (
     REGULAR_ANGLES,
     REGULAR_DIAGONALS,
     WITNESSES,
-    brute_force_disk_crossings,
+    brute_force_disk_count,
     random_rotation,
 )
 
@@ -60,54 +58,51 @@ class TestCurl:
         assert np.array_equal(curl(mirror_z(v)), -curl(v))
 
 
-class TestDiskCrossings:
+class TestDiskCounts:
     def test_planar_hexagon_all_zero(self):
-        v = build_hexagon(REGULAR_DIAGONALS, REGULAR_ANGLES)
-        for i in (2, 4, 6):
-            assert disk_crossings(v, i) == 0
+        counts, bad = disk_counts(build_hexagon(REGULAR_DIAGONALS, REGULAR_ANGLES))
+        assert counts.tolist() == [[0, 0, 0]] and not bad.any()
 
     def test_right_trefoil_witness_all_plus_one(self):
-        v = witness_vertices("trefoil_R+")
-        for i in (2, 4, 6):
-            assert disk_crossings(v, i) == 1
+        counts, bad = disk_counts(witness_vertices("trefoil_R+"))
+        assert counts.tolist() == [[1, 1, 1]] and not bad.any()
 
     def test_mirrored_witness_all_minus_one(self):
-        v = mirror_z(witness_vertices("trefoil_R+"))
-        for i in (2, 4, 6):
-            assert disk_crossings(v, i) == -1
+        counts, bad = disk_counts(mirror_z(witness_vertices("trefoil_R+")))
+        assert counts.tolist() == [[-1, -1, -1]] and not bad.any()
 
     def test_matches_brute_force_enumeration(self, rng):
         d = sample_action_batch(rng, 300)
         th = sample_angles_batch(rng, 300)
         v = build_hexagon(d, th)
+        counts, bad = disk_counts(v)
+        assert counts.shape == bad.shape == (300, 3)
         for k in range(300):
-            for i in (2, 4, 6):
-                got = disk_crossings(v[k], i)
-                if got is DEGENERATE:
-                    continue
-                assert got == brute_force_disk_crossings(v[k], i)
+            for col, i in enumerate((2, 4, 6)):
+                if not bad[k, col]:
+                    assert counts[k, col] == brute_force_disk_count(v[k], i)
 
-    def test_invalid_index(self):
-        with pytest.raises(ValueError):
-            disk_crossings(witness_vertices("trefoil_R+"), 3)
+
+def chirality_curl(vertices):
+    """(product of the disk counts, curl) of one hexagon with no flag set."""
+    counts, bad = disk_counts(vertices)
+    assert not bad.any()
+    return int(counts.prod()), int(curl(vertices))
 
 
 class TestJointChiralityCurl:
     def test_planar_hexagon(self):
         v = build_hexagon(REGULAR_DIAGONALS, REGULAR_ANGLES)
-        assert joint_chirality_curl(v) == JointChiralityCurl(0, 0)
+        assert chirality_curl(v) == (0, 0)
 
     def test_witness_pairs(self):
-        expected = {
-            "trefoil_R+": (1, 1), "trefoil_R-": (1, -1),
-            "trefoil_L+": (-1, 1), "trefoil_L-": (-1, -1),
-        }
-        for label, pair in expected.items():
-            assert joint_chirality_curl(witness_vertices(label)) == pair
+        for label in WITNESSES:
+            pair = chirality_curl(witness_vertices(label))
+            assert pair == TREFOIL_PAIRS[KNOT_CLASS_FROM_LABEL[label]]
 
     def test_mirror_flips_both_components(self):
         v = witness_vertices("trefoil_R+")
-        assert joint_chirality_curl(mirror_z(v)) == (-1, -1)
+        assert chirality_curl(mirror_z(v)) == (-1, -1)
 
 
 class TestClassify:
@@ -181,9 +176,9 @@ class TestAutomorphisms:
         for label, chi in chirality.items():
             v = witness_vertices(label)
             for image in (shift(v), reverse(v)):
-                j = joint_chirality_curl(image)
-                assert j is not DEGENERATE
-                assert j.chirality == chi
+                counts, bad = disk_counts(image)
+                assert not bad.any()
+                assert counts.prod() == chi
 
 
 class TestMirrorProperty:

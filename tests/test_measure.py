@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -239,6 +240,37 @@ class TestEstimate:
         assert summary["std_fraction_R_plus"] == pytest.approx(np.std(rp, ddof=1))
 
 
+class TestWilsonCoverage:
+    @staticmethod
+    def misses(p, n):
+        """Exact binomial probabilities that wilson_interval(k, n) lies
+        below p and above p, summed over k within 12 sigma of n*p, and
+        the pmf mass that sum covers."""
+        sd = math.sqrt(n * p * (1.0 - p))
+        log_nf = math.lgamma(n + 1)
+        below = above = mass = 0.0
+        first, last = max(0, int(n * p - 12 * sd)), min(n, int(n * p + 12 * sd) + 1)
+        for k in range(first, last + 1):
+            pmf = math.exp(log_nf - math.lgamma(k + 1) - math.lgamma(n - k + 1)
+                           + k * math.log(p) + (n - k) * math.log1p(-p))
+            lo, hi = measure.wilson_interval(k, n)
+            below += pmf * (hi < p)
+            above += pmf * (lo > p)
+            mass += pmf
+        return below, above, mass
+
+    @pytest.mark.parametrize("p", [3.426005e-5, 1.37e-4])
+    def test_coverage_at_knotting_rates(self, p):
+        # p: the R+ reference fraction and about the total knotting rate
+        for n in np.unique(np.logspace(3, 7, 60).astype(int)):
+            below, above, mass = self.misses(p, int(n))
+            assert mass > 1.0 - 1e-6
+            # compare_bound reads only the upper edge
+            assert below <= 0.026, (n, below)
+            if n * p >= 5:
+                assert 1.0 - below - above >= 0.93, (n, below, above)
+
+
 class TestCompareBound:
     def test_healthy_report(self):
         r = estimate_knotting_probability(500_000, seed=10, mode="predicate")
@@ -266,6 +298,12 @@ class TestCompareBound:
         r = estimate_knotting_probability(1000, seed=1, mode="predicate")
         r.ci95 = (0.9, 1.1)
         with pytest.raises(BoundViolatedError):
+            compare_bound(r)
+
+    def test_interval_must_contain_estimate(self):
+        r = estimate_knotting_probability(1000, seed=1, mode="predicate")
+        r.fraction_total, r.ci95 = 0.5, (0.4, 0.0)
+        with pytest.raises(ValueError, match="does not contain fraction_total"):
             compare_bound(r)
 
 
