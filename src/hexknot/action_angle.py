@@ -184,19 +184,10 @@ def extract_action_angle(vertices):
     return diagonals, wrap_angles(theta)
 
 
-_PAIR_P1 = tuple(i for i, _ in NON_ADJACENT_EDGE_PAIRS)
-_PAIR_Q1 = tuple((i + 1) % 6 for i, _ in NON_ADJACENT_EDGE_PAIRS)
-_PAIR_P2 = tuple(j for _, j in NON_ADJACENT_EDGE_PAIRS)
-_PAIR_Q2 = tuple((j + 1) % 6 for _, j in NON_ADJACENT_EDGE_PAIRS)
-
-
 def is_embedded(vertices):
     """True where none of the 9 non-adjacent edge pairs come within
     EPS_CONTACT of each other."""
     v = np.asarray(vertices, dtype=float)
-    dist = segment_distances(
-        v[..., _PAIR_P1, :], v[..., _PAIR_Q1, :],
-        v[..., _PAIR_P2, :], v[..., _PAIR_Q2, :],
-    )
-    return np.all(dist > EPS_CONTACT, axis=-1)
-
+    edges = [(v[..., i, :], v[..., (i + 1) % 6, :]) for i in range(6)]
+    return np.all([segment_distances(*edges[i], *edges[j]) > EPS_CONTACT
+                   for i, j in NON_ADJACENT_EDGE_PAIRS], axis=0)

@@ -63,11 +63,17 @@ def _positive_int(text):
     return value
 
 
-def _finite_float(text):
+def _float_or_none(text):
     try:
-        value = float(text)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from exc
+        return float(text)
+    except ValueError:
+        return None
+
+
+def _finite_float(text):
+    value = _float_or_none(text)
+    if value is None:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}")
     if not math.isfinite(value):
         raise argparse.ArgumentTypeError(f"non-finite value: {text!r}")
     return value
@@ -138,7 +144,7 @@ def _read_rows(path):
         try:
             values = [float(f) for f in fields]
         except ValueError:
-            if header:
+            if header and all(_float_or_none(f) is None for f in fields):
                 continue
             raise CliError(f"line {lineno}: cannot parse {line!r}")
         if not all(map(math.isfinite, values)):

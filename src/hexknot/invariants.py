@@ -74,22 +74,14 @@ def curl(vertices):
     return (np.where(np.abs(t) < EPS_PLANE, 0, np.sign(t))).astype(np.int8)
 
 
-# Flattened (edge start, edge end, triangle rows) for the six crossing
-# tests: disk i is spanned by (v_{i-1}, v_i, v_{i+1}) and is tested
-# against the two hexagon edges disjoint from those vertices, disks
-# 2, 4, 6 in order. Edge j runs from vertex j to vertex j+1 mod 6. Only
-# these two edges can pierce the open disk away from a measure-zero
-# set, which the degenerate channel already discards.
-_X_P = (3, 4, 5, 0, 1, 2)
-_X_Q = (4, 5, 0, 1, 2, 3)
-_X_A = (0, 0, 2, 2, 4, 4)
-_X_B = (1, 1, 3, 3, 5, 5)
-_X_C = (2, 2, 4, 4, 0, 0)
-
-
 def disk_counts(vertices):
     """Signed crossing counts through disks 2, 4 and 6 of an (..., 6, 3)
     vertex array, flattened to n hexagons.
+
+    For k = 0, 2, 4 (0-based), the disk spanned by (v_k, v_k+1, v_k+2)
+    is tested against edges k+3 -> k+4 and k+4 -> k+5 (mod 6): away from
+    a measure-zero set, which the degenerate channel already discards,
+    only these two edges, disjoint from its vertices, can pierce it.
 
     Returns the (n, 3) int16 counts, each the sum of the two transversal
     crossing signs of the disk's disjoint edges, and the (n, 3) flags of
@@ -97,12 +89,13 @@ def disk_counts(vertices):
     hexagon's three counts is its chirality.
     """
     v = np.asarray(vertices, dtype=float).reshape(-1, 6, 3)
-    signs, bad = crossing_signs(
-        v[:, _X_P, :], v[:, _X_Q, :],
-        v[:, _X_A, :], v[:, _X_B, :], v[:, _X_C, :],
-    )
-    signs = signs.astype(np.int16).reshape(-1, 3, 2)
-    return signs[..., 0] + signs[..., 1], bad.reshape(-1, 3, 2).any(axis=-1)
+    signs, bad = zip(*(
+        crossing_signs(v[:, e % 6, :], v[:, (e + 1) % 6, :],
+                       v[:, k, :], v[:, k + 1, :], v[:, (k + 2) % 6, :])
+        for k in (0, 2, 4) for e in (k + 3, k + 4)))
+    signs = np.stack(signs, axis=-1).astype(np.int16).reshape(-1, 3, 2)
+    bad = np.stack(bad, axis=-1).reshape(-1, 3, 2)
+    return signs[..., 0] + signs[..., 1], bad.any(axis=-1)
 
 
 def classify(vertices):

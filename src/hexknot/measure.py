@@ -51,9 +51,9 @@ class NoSamplesError(ValueError):
 
 
 def check_seed(seed):
-    """Return seed; ValueError unless it is one Philox key word, [0, 2**64)."""
-    if not 0 <= seed < 1 << 64:
-        raise ValueError(f"seed must be in [0, 2**64), got {seed}")
+    """Return seed; ValueError unless it is an integer Philox key word in [0, 2**64)."""
+    if not isinstance(seed, (int, np.integer)) or not 0 <= seed < 1 << 64:
+        raise ValueError(f"seed must be in [0, 2**64) as an integer, got {seed!r}")
     return seed
 
 
@@ -188,7 +188,7 @@ def mc_region_volume(region, n, seed, workers=1):
     frac = hits / n
     frac_se = np.sqrt(frac * (1.0 - frac) / n)
     return VolumeEstimate(
-        region=region, samples=n, seed=seed, hits=hits,
+        region=region, samples=n, seed=int(seed), hits=hits,
         fraction=frac, fraction_std_error=float(frac_se),
         value=frac * ref, value_std_error=float(frac_se * ref),
         reference_volume=ref, analytic=analytic,
@@ -320,7 +320,7 @@ def estimate_knotting_probability(n, seed, mode="predicate", workers=1):
 
     return EstimationReport(
         samples=n,
-        seed=seed,
+        seed=int(seed),
         mode=mode,
         hits=hits,
         degenerate_count=degenerate,

@@ -191,3 +191,8 @@ class TestEmbedded:
         th = sample_angles_batch(rng, 1_000_000)
         failures = int((~is_embedded(build_hexagon(d, th))).sum())
         assert failures == 0
+
+    def test_leading_axes_broadcast(self, rng):
+        v = build_hexagon(sample_action_batch(rng, 300), sample_angles_batch(rng, 300))
+        grid = v.reshape(2, 150, 6, 3)
+        assert np.array_equal(is_embedded(grid), is_embedded(v).reshape(2, 150))

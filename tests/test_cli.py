@@ -196,6 +196,14 @@ class TestClassify:
         assert run(["classify", "--input", str(src), "--output", str(out)]) == 0
         assert len(out.read_text().splitlines()) == 2
 
+    def test_malformed_first_row_is_not_a_header(self, tmp_path, capsys):
+        # a field of the first line parses as a float, so it is data
+        src = tmp_path / "first.csv"
+        src.write_text("1.5,0.8,0.9,2.0,0.4,0.3x\n"
+                       "1.5,0.8,0.9,2.0,0.4,0.3\n")
+        assert run(["classify", "--input", str(src)]) == 1
+        assert "line 1: cannot parse" in capsys.readouterr().err
+
     def test_malformed_row_names_line(self, tmp_path, capsys):
         src = tmp_path / "bad.csv"
         src.write_text("d1,d2,d3,theta1,theta2,theta3\n"

@@ -82,6 +82,11 @@ class TestDiskCounts:
                 if not bad[k, col]:
                     assert counts[k, col] == brute_force_disk_count(v[k], i)
 
+    def test_leading_axes_flatten(self, rng):
+        v = build_hexagon(sample_action_batch(rng, 300), sample_angles_batch(rng, 300))
+        for got, want in zip(disk_counts(v.reshape(2, 150, 6, 3)), disk_counts(v)):
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+
 
 def chirality_curl(vertices):
     """(product of the disk counts, curl) of one hexagon with no flag set."""

@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -128,6 +129,24 @@ class TestChunkStream:
         assert np.array_equal(chunk_rng(2 ** 64 - 1, 0).uniform(size=2),
                               chunk_rng(2 ** 64 - 1, 0).uniform(size=2))
 
+    def test_non_integer_seed_is_rejected(self):
+        # a float seed used to run the stream of its truncation
+        for seed in (1.5, 2.9, 3.0):
+            with pytest.raises(ValueError, match="integer"):
+                estimate_knotting_probability(1000, seed)
+            with pytest.raises(ValueError, match="integer"):
+                mc_region_volume("P6", 1000, seed)
+            with pytest.raises(ValueError, match="integer"):
+                repeat_estimates(1000, seed, repeats=2)
+
+    def test_numpy_integer_seed_matches_int(self):
+        def report(seed):
+            out = estimate_knotting_probability(20_000, seed, mode="oracle").to_dict()
+            del out["wall_time_seconds"]
+            return json.dumps(out)
+        assert report(np.uint64(3)) == report(3)
+        assert json.dumps(mc_region_volume("P6", 1000, np.int64(3)).to_dict())
+
     def test_stream_concatenation_is_stable(self):
         long_d = np.concatenate([d for d, _ in sample_coordinate_stream(3, 200_000)])
         again = np.concatenate([d for d, _ in sample_coordinate_stream(3, 200_000)])
@@ -166,6 +185,15 @@ class TestEstimate:
         assert 0.0 <= agree["agreement_rate"] <= 1.0
         for stats in agree["per_class"].values():
             assert stats["both"] + stats["predicate_only"] == stats["predicate_hits"]
+
+    def test_oracle_chunk_memory_is_bounded(self):
+        tracemalloc.start()
+        try:
+            measure._oracle_chunk(1, 0, CHUNK_SIZE)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 64 * 2 ** 20, f"traced peak {peak / 2 ** 20:.0f} MB"
 
     def test_same_stream_across_modes(self):
         pred = estimate_knotting_probability(200_000, seed=6, mode="predicate")
