@@ -169,25 +169,34 @@ def extract_action_angle(vertices):
     Raises DegenerateFrameError when (v1, v3, v5) is collinear within
     EPS_AREA.
     """
-    v = np.asarray(vertices, dtype=float)
-    centre, ahead = v[..., 0::2, :], v[..., (2, 4, 0), :]
-    n = _cross(v[..., 2, :] - v[..., 0, :], v[..., 4, :] - v[..., 0, :])
+    w = np.moveaxis(np.asarray(vertices, dtype=float), -1, 0)  # (3, ..., 6)
+    centre, ahead = w[..., 0::2], w[..., (2, 4, 0)]
+    n = _cross(w[..., 2] - w[..., 0], w[..., 4] - w[..., 0])
     nn = _norm(n)
     if np.any(nn <= 2.0 * EPS_AREA):
         raise DegenerateFrameError("v1, v3, v5 are collinear")
-    normal = (n / nn[..., None])[..., None, :]
+    normal = (n / nn)[..., None]
 
     diagonals = _norm(ahead - centre)
-    inward = _cross(normal, (ahead - centre) / diagonals[..., None])
-    w = v[..., 1::2, :] - 0.5 * (centre + ahead)
-    theta = np.arctan2(_dot(w, normal), _dot(w, inward))
+    inward = _cross(normal, (ahead - centre) / diagonals)
+    apex = w[..., 1::2] - 0.5 * (centre + ahead)
+    theta = np.arctan2(_dot(apex, normal), _dot(apex, inward))
     return diagonals, wrap_angles(theta)
 
 
 def is_embedded(vertices):
-    """True where none of the 9 non-adjacent edge pairs come within
-    EPS_CONTACT of each other."""
+    """True where none of the 9 non-adjacent edge pairs of an (..., 6, 3)
+    vertex array come within EPS_CONTACT of each other."""
     v = np.asarray(vertices, dtype=float)
-    edges = [(v[..., i, :], v[..., (i + 1) % 6, :]) for i in range(6)]
-    return np.all([segment_distances(*edges[i], *edges[j]) > EPS_CONTACT
-                   for i, j in NON_ADJACENT_EDGE_PAIRS], axis=0)
+    w = vertex_components(v)
+    embedded = np.ones(w.shape[-1], dtype=bool)
+    for i, j in NON_ADJACENT_EDGE_PAIRS:
+        embedded &= segment_distances(w[i], w[(i + 1) % 6], w[j], w[(j + 1) % 6]) > EPS_CONTACT
+    return embedded.reshape(v.shape[:-2])
+
+
+def vertex_components(vertices):
+    """One contiguous (6, 3, n) copy of an (..., 6, 3) vertex array, so
+    w[k] is vertex k's component-first (3, n) block for the geom kernels."""
+    v = np.asarray(vertices, dtype=float).reshape(-1, 6, 3)
+    return np.ascontiguousarray(v.transpose(1, 2, 0))

@@ -1,10 +1,13 @@
 """Low-level 3D predicates for segment and triangle geometry.
 
-All lengths are in unit-edge scale and every function broadcasts over
-leading axes, so the same code serves single queries and large Monte
-Carlo batches. Sign decisions that fall within a tolerance of a
-decision boundary are reported as degenerate instead of guessed;
-callers discard such configurations (they form a measure-zero set).
+All lengths are in unit-edge scale. Points and vectors are
+component-first: x[0], x[1] and x[2] are the coordinate arrays, and
+every function broadcasts over the axes after that first one, so the
+same code serves single queries (shape (3,)) and large Monte Carlo
+batches (shape (3, n), each coordinate contiguous). Sign decisions that
+fall within a tolerance of a decision boundary are reported as
+degenerate instead of guessed; callers discard such configurations
+(they form a measure-zero set).
 """
 
 from __future__ import annotations
@@ -22,7 +25,11 @@ _TINY = 1e-300  # guard for divisions on masked-out lanes
 
 
 def _dot(u, v):
-    return (u * v).sum(axis=-1)
+    # (u0 v0 + u1 v1) + u2 v2, accumulated in place: one temporary.
+    out = u[0] * v[0]
+    out += u[1] * v[1]
+    out += u[2] * v[2]
+    return out
 
 
 def _norm(u):
@@ -31,23 +38,24 @@ def _norm(u):
 
 def _cross(u, v):
     out = np.empty(np.broadcast_shapes(u.shape, v.shape))
-    out[..., 0] = u[..., 1] * v[..., 2] - u[..., 2] * v[..., 1]
-    out[..., 1] = u[..., 2] * v[..., 0] - u[..., 0] * v[..., 2]
-    out[..., 2] = u[..., 0] * v[..., 1] - u[..., 1] * v[..., 0]
+    out[0] = u[1] * v[2] - u[2] * v[1]
+    out[1] = u[2] * v[0] - u[0] * v[2]
+    out[2] = u[0] * v[1] - u[1] * v[0]
     return out
 
 
 def triple_product(a, b, c):
     """Scalar triple product (a x b) . c.
 
-    Inputs are array-likes with trailing shape (3,); leading axes
-    broadcast. Antisymmetric under swapping any two arguments.
+    Inputs are component-first array-likes, shape (3, ...); the axes
+    after the first broadcast. Antisymmetric under swapping any two
+    arguments.
     """
     a, b, c = (np.asarray(x, dtype=float) for x in (a, b, c))
     return (
-        c[..., 0] * (a[..., 1] * b[..., 2] - a[..., 2] * b[..., 1])
-        + c[..., 1] * (a[..., 2] * b[..., 0] - a[..., 0] * b[..., 2])
-        + c[..., 2] * (a[..., 0] * b[..., 1] - a[..., 1] * b[..., 0])
+        c[0] * (a[1] * b[2] - a[2] * b[1])
+        + c[1] * (a[2] * b[0] - a[0] * b[2])
+        + c[2] * (a[0] * b[1] - a[1] * b[0])
     )
 
 
@@ -57,15 +65,16 @@ def crossing_signs(p, q, a, b, c):
 
     Parameters
     ----------
-    p, q : array-like, trailing shape (3,)
-        Segment endpoints, directed p -> q.
-    a, b, c : array-like, trailing shape (3,)
+    p, q : array-like, shape (3, ...)
+        Segment endpoints, directed p -> q, component-first.
+    a, b, c : array-like, shape (3, ...)
         Triangle vertices; their order defines the right-hand-rule normal.
 
     Returns
     -------
     sign : int8 ndarray
-        +1 transversal crossing with the normal, -1 against it, else 0.
+        +1 transversal crossing with the normal, -1 against it, else 0;
+        shape of the broadcast axes after the component axis.
     degenerate : bool ndarray
         True where the decision is within tolerance of a boundary: an
         endpoint within EPS_PLANE of the supporting plane while the
@@ -76,8 +85,8 @@ def crossing_signs(p, q, a, b, c):
     p, q, a, b, c = np.broadcast_arrays(
         *(np.asarray(x, dtype=float) for x in (p, q, a, b, c))
     )
-    lead = p.shape[:-1]
-    p, q, a, b, c = (np.ascontiguousarray(x.reshape(-1, 3)) for x in (p, q, a, b, c))
+    lead = p.shape[1:]
+    p, q, a, b, c = (x.reshape(3, -1) for x in (p, q, a, b, c))
 
     n = _cross(b - a, c - a)
     nn = _norm(n)  # twice the triangle area
@@ -89,26 +98,25 @@ def crossing_signs(p, q, a, b, c):
     near = (np.abs(sp) < EPS_PLANE) | (np.abs(sq) < EPS_PLANE)
     opposite = (sp > 0.0) != (sq > 0.0)
 
-    sign = np.zeros(p.shape[0], dtype=np.int8)
+    sign = np.zeros(p.shape[1], dtype=np.int8)
     degenerate = flat.copy()
 
     main = ~near & ~flat & opposite
     if main.any():
         idx = np.nonzero(main)[0]
-        pm, qm, am, bm, cm = p[idx], q[idx], a[idx], b[idx], c[idx]
-        nm = n[idx]
-        d = qm - pm
-        tsum = _dot(d, nm)
+        pm = p[:, idx]
+        d = q[:, idx] - pm
+        tsum = _dot(d, n[:, idx])
         # Barycentric coordinates of the plane-crossing point are
         # (t_bc, t_ca, t_ab) / tsum; scaling each by the opposite
         # vertex height turns them into signed distances to the
         # boundary edges. |tsum| > 0 here: the plane signs differ.
-        ap = am - pm
-        bp = bm - pm
-        cp = cm - pm
-        h_a = nn[idx] / np.maximum(_norm(cm - bm), _TINY)
-        h_b = nn[idx] / np.maximum(_norm(am - cm), _TINY)
-        h_c = nn[idx] / np.maximum(_norm(bm - am), _TINY)
+        ap, bp, cp = a[:, idx], b[:, idx], c[:, idx]
+        h_a = nn[idx] / np.maximum(_norm(cp - bp), _TINY)
+        h_b = nn[idx] / np.maximum(_norm(ap - cp), _TINY)
+        h_c = nn[idx] / np.maximum(_norm(bp - ap), _TINY)
+        for x in (ap, bp, cp):
+            x -= pm  # the vertices relative to p, in place once the heights are known
         margin = np.minimum(
             np.minimum(triple_product(d, bp, cp) / tsum * h_a,
                        triple_product(d, cp, ap) / tsum * h_b),
@@ -119,8 +127,8 @@ def crossing_signs(p, q, a, b, c):
 
     check = near & ~flat
     if check.any():
-        gap = _segment_triangle_gap(p[check], q[check], a[check], b[check], c[check],
-                                    n[check], nn_safe[check])
+        gap = _segment_triangle_gap(p[:, check], q[:, check], a[:, check], b[:, check],
+                                    c[:, check], n[:, check], nn_safe[check])
         degenerate[check] = degenerate[check] | (gap <= EPS_EDGE)
 
     return sign.reshape(lead), degenerate.reshape(lead)
@@ -129,30 +137,38 @@ def crossing_signs(p, q, a, b, c):
 def segment_distances(p1, q1, p2, q2):
     """Minimum distance between closed segments [p1,q1] and [p2,q2].
 
-    Broadcasts over leading axes; trailing shape (3,). Uses the usual
-    clamped closest-point parametrisation, robust for parallel and
-    near-degenerate segments.
+    Endpoints are component-first, shape (3, ...); the axes after the
+    first broadcast. Uses the usual clamped closest-point
+    parametrisation, robust for parallel and near-degenerate segments.
     """
     p1, q1, p2, q2 = (np.asarray(x, dtype=float) for x in (p1, q1, p2, q2))
+    # Each lane-sized temporary is dropped once used: in the oracle path
+    # this function sets the chunk's memory peak.
     d1 = q1 - p1
     d2 = q2 - p2
     r = p1 - p2
-    a = _dot(d1, d1)
-    e = _dot(d2, d2)
     f = _dot(d2, r)
     c = _dot(d1, r)
+    del r
+    a = _dot(d1, d1)
+    e = _dot(d2, d2)
     b = _dot(d1, d2)
     denom = a * e - b * b
     s = np.where(denom > _TINY, (b * f - c * e) / np.where(denom > _TINY, denom, 1.0), 0.0)
+    del denom
     s = np.clip(s, 0.0, 1.0)
-    e_safe = np.where(e > _TINY, e, 1.0)
-    t = (b * s + f) / e_safe
+    t = (b * s + f) / np.where(e > _TINY, e, 1.0)
+    del e, f
     t_cl = np.clip(t, 0.0, 1.0)
-    a_safe = np.where(a > _TINY, a, 1.0)
-    s = np.where(t != t_cl, np.clip((b * t_cl - c) / a_safe, 0.0, 1.0), s)
-    c1 = p1 + s[..., None] * d1
-    c2 = p2 + t_cl[..., None] * d2
-    return _norm(c1 - c2)
+    s = np.where(t != t_cl, np.clip((b * t_cl - c) / np.where(a > _TINY, a, 1.0), 0.0, 1.0), s)
+    del t, a, b, c
+    # The closest points p1 + s d1 and p2 + t d2, formed in place.
+    d1 = s * d1
+    d1 += p1
+    d2 = t_cl * d2
+    d2 += p2
+    d1 -= d2
+    return _norm(d1)
 
 
 def _point_face_distance(x, a, b, c, n, nn_safe):
@@ -160,7 +176,7 @@ def _point_face_distance(x, a, b, c, n, nn_safe):
     the perpendicular lands outside the closed triangle (edge and vertex
     proximity is the caller's job)."""
     s = _dot(x - a, n) / nn_safe
-    foot = x - s[..., None] * (n / nn_safe[..., None])
+    foot = x - s * (n / nn_safe)
     w_a = _dot(_cross(b - foot, c - foot), n)
     w_b = _dot(_cross(c - foot, a - foot), n)
     w_c = _dot(_cross(a - foot, b - foot), n)

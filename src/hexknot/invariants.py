@@ -16,7 +16,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .geom import EPS_PLANE, crossing_signs, triple_product
-from .action_angle import is_embedded
+from .action_angle import is_embedded, vertex_components
 
 
 class KnotClass(IntEnum):
@@ -65,37 +65,38 @@ def curl(vertices):
     0 where the unnormalised triple product is below EPS_PLANE in
     magnitude; that product is |(v3-v1) x (v5-v1)| times v2's distance
     from the central plane."""
-    v = np.asarray(vertices, dtype=float)
-    t = triple_product(
-        v[..., 2, :] - v[..., 0, :],
-        v[..., 4, :] - v[..., 0, :],
-        v[..., 1, :] - v[..., 0, :],
-    )
+    w = np.moveaxis(np.asarray(vertices, dtype=float), -1, 0)  # (3, ..., 6)
+    t = triple_product(w[..., 2] - w[..., 0], w[..., 4] - w[..., 0], w[..., 1] - w[..., 0])
     return (np.where(np.abs(t) < EPS_PLANE, 0, np.sign(t))).astype(np.int8)
+
+
+def _disk_count(w, k):
+    """Signed crossing count through disk (v_k, v_k+1, v_k+2) (0-based,
+    k in 0, 2, 4) of the (6, 3, n) component blocks w, and its flag.
+
+    Away from a measure-zero set, which the flag already discards, only
+    edges k+3 -> k+4 and k+4 -> k+5 (mod 6), disjoint from the disk's
+    vertices, can pierce it; the count is the sum of their two
+    transversal crossing signs.
+    """
+    disk = (w[k], w[k + 1], w[(k + 2) % 6])
+    first, first_bad = crossing_signs(w[(k + 3) % 6], w[(k + 4) % 6], *disk)
+    second, second_bad = crossing_signs(w[(k + 4) % 6], w[(k + 5) % 6], *disk)
+    return first.astype(np.int16) + second, first_bad | second_bad
 
 
 def disk_counts(vertices):
     """Signed crossing counts through disks 2, 4 and 6 of an (..., 6, 3)
-    vertex array, flattened to n hexagons.
+    vertex array, flattened to n hexagons: disk i is spanned by
+    (v_i-1, v_i, v_i+1).
 
-    For k = 0, 2, 4 (0-based), the disk spanned by (v_k, v_k+1, v_k+2)
-    is tested against edges k+3 -> k+4 and k+4 -> k+5 (mod 6): away from
-    a measure-zero set, which the degenerate channel already discards,
-    only these two edges, disjoint from its vertices, can pierce it.
-
-    Returns the (n, 3) int16 counts, each the sum of the two transversal
-    crossing signs of the disk's disjoint edges, and the (n, 3) flags of
-    a crossing test within tolerance of a boundary. The product of a
-    hexagon's three counts is its chirality.
+    Returns the (n, 3) int16 counts and the (n, 3) flags of a crossing
+    test within tolerance of a boundary. The product of a hexagon's
+    three counts is its chirality.
     """
-    v = np.asarray(vertices, dtype=float).reshape(-1, 6, 3)
-    signs, bad = zip(*(
-        crossing_signs(v[:, e % 6, :], v[:, (e + 1) % 6, :],
-                       v[:, k, :], v[:, k + 1, :], v[:, (k + 2) % 6, :])
-        for k in (0, 2, 4) for e in (k + 3, k + 4)))
-    signs = np.stack(signs, axis=-1).astype(np.int16).reshape(-1, 3, 2)
-    bad = np.stack(bad, axis=-1).reshape(-1, 3, 2)
-    return signs[..., 0] + signs[..., 1], bad.any(axis=-1)
+    w = vertex_components(vertices)
+    counts, bad = zip(*(_disk_count(w, k) for k in (0, 2, 4)))
+    return np.stack(counts, axis=-1), np.stack(bad, axis=-1)
 
 
 def classify(vertices):
@@ -109,16 +110,30 @@ def classify_batch(vertices):
     Non-embedded hexagons, degenerate crossing tests, a crossing-count
     product outside {-1, 0, 1}, and a zero curl paired with nonzero
     chirality all map to KnotClass.DEGENERATE.
+
+    The disks are tested in cascade: disk 2 on every hexagon, disk 4
+    only where disk 2's count is nonzero and unflagged, and disk 6 only
+    where disk 4's is too, since a zero count already makes the
+    chirality 0. So "degenerate crossing test" means a test the
+    decision needs was within tolerance: a hexagon whose disk 2 count is
+    a clean 0 is an unknot even if disk 4 or 6 would have been flagged.
     """
     v = np.asarray(vertices, dtype=float)
     lead = v.shape[:-2]
     v = v.reshape((-1, 6, 3))
 
-    counts, bad = disk_counts(v)
-    degen = bad.any(axis=-1)
-    degen |= ~is_embedded(v)
+    # is_embedded's component copy is freed before this one is made.
+    degen = ~is_embedded(v)
+    w = vertex_components(v)
+    chi, bad = _disk_count(w, 0)
+    live = np.nonzero((chi != 0) & ~bad)[0]
+    for k in (2, 4):
+        count, flag = _disk_count(w[..., live], k)
+        chi[live] *= count
+        bad[live] |= flag
+        live = live[(count != 0) & ~flag]
+    degen |= bad
 
-    chi = counts[:, 0] * counts[:, 1] * counts[:, 2]
     cc = curl(v).astype(np.int16)
     knotted = (np.abs(chi) == 1)
     degen |= np.abs(chi) > 1

@@ -96,15 +96,26 @@ def class_masks(diagonals, angles):
     hot path of the predicate-mode estimator. Angles must lie in
     [0, 2*pi), the samplers' range; reduce others mod 2*pi first.
 
-    Returns a dict KnotClass -> bool array.
+    No class holds unless all three angles are on one side of pi, and
+    the nine functions are elementwise, so they are evaluated only on
+    those lanes (about a quarter); every other lane is False in every
+    class.
+
+    Returns a dict KnotClass -> bool array. Raises NotInteriorError
+    unless every diagonal triple is interior.
     """
-    nf = nine_functions(diagonals, angles)
-    th = np.asarray(angles, dtype=float)
+    d, th = interior_coordinates(diagonals, angles)
     window = {1: _angles_in(th, 0.0, np.pi), -1: _angles_in(th, np.pi, TWO_PI)}
+    one_side = window[1] | window[-1]
+    nf = nine_functions(d[one_side], th[one_side])
     f_sign = {sign: _all_of_sign(nf[0::3], sign) for sign in (1, -1)}
-    gh_sign = {sign: _all_of_sign(nf[1::3] + nf[2::3], sign) for sign in (1, -1)}
-    return {cls: window[curl_sign] & f_sign[chirality] & gh_sign[curl_sign]
-            for cls, (chirality, curl_sign) in TARGET_PAIRS.items()}
+    curl_side = {sign: window[sign][one_side] & _all_of_sign(nf[1::3] + nf[2::3], sign)
+                 for sign in (1, -1)}
+    masks = {}
+    for cls, (chirality, curl_sign) in TARGET_PAIRS.items():
+        masks[cls] = np.zeros(one_side.shape, dtype=bool)
+        masks[cls][one_side] = f_sign[chirality] & curl_side[curl_sign]
+    return masks
 
 
 @dataclass

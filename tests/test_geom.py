@@ -28,8 +28,8 @@ def test_triple_product_antisymmetry(rng):
     a = rng.normal(size=(500, 3))
     b = rng.normal(size=(500, 3))
     c = rng.normal(size=(500, 3))
-    lhs = triple_product(a, b, c)
-    rhs = -triple_product(b, a, c)
+    lhs = triple_product(a.T, b.T, c.T)
+    rhs = -triple_product(b.T, a.T, c.T)
     scale = np.maximum(np.abs(lhs), 1.0)
     assert np.all(np.abs(lhs - rhs) <= 1e-12 * scale)
 
@@ -132,8 +132,8 @@ def test_crossing_matches_linear_solve_oracle(rng):
 def test_crossing_signs_batch_matches_scalar(rng):
     tri = rng.normal(size=(64, 3, 3))
     seg = rng.normal(size=(64, 2, 3))
-    signs, degen = crossing_signs(seg[:, 0], seg[:, 1],
-                                  tri[:, 0], tri[:, 1], tri[:, 2])
+    signs, degen = crossing_signs(seg[:, 0].T, seg[:, 1].T,
+                                  tri[:, 0].T, tri[:, 1].T, tri[:, 2].T)
     for k in range(64):
         s, d = crossing_signs(seg[k, 0], seg[k, 1], tri[k, 0], tri[k, 1], tri[k, 2])
         assert s == signs[k] and d == degen[k]
@@ -198,3 +198,22 @@ def test_segment_distance_matches_dense_sampling(rng):
         lip = np.linalg.norm(s1[1] - s1[0]) + np.linalg.norm(s2[1] - s2[0])
         assert ours <= grid + 1e-12
         assert grid - ours <= lip / 400.0 + 1e-12
+
+
+def test_kernels_broadcast_after_the_component_axis(rng):
+    # segments along one batch axis, second segments or triangles along
+    # another: every lane matches the single-query call
+    p = 2.0 * rng.normal(size=(3, 4, 1))
+    q = -p  # long segments through the triangles' region
+    p2, q2 = rng.normal(size=(2, 3, 1, 5))
+    tri = rng.normal(size=(3, 3, 1, 5))
+    dist = segment_distances(p, q, p2, q2)
+    signs, degen = crossing_signs(p, q, *tri)
+    assert dist.shape == signs.shape == degen.shape == (4, 5)
+    for i in range(4):
+        for j in range(5):
+            assert dist[i, j] == segment_distances(p[:, i, 0], q[:, i, 0],
+                                                   p2[:, 0, j], q2[:, 0, j])
+            s, dg = crossing_signs(p[:, i, 0], q[:, i, 0], *tri[:, :, 0, j])
+            assert (signs[i, j], degen[i, j]) == (s, dg)
+    assert np.any(signs != 0)

@@ -3,6 +3,8 @@ import pytest
 
 from hexknot.action_angle import (
     build_hexagon,
+    is_embedded,
+    is_interior,
     sample_action_batch,
     sample_angles_batch,
 )
@@ -145,6 +147,54 @@ class TestClassify:
     def test_labels_round_trip(self):
         for cls, label in KNOT_CLASS_LABELS.items():
             assert KNOT_CLASS_FROM_LABEL[label] == cls
+
+
+def degenerate_rich_vertices(rng, n):
+    """Hexagons with every angle a multiple of pi/2 and about half the
+    diagonals multiples of 0.25: flat folds and coincident vertices make
+    many crossing tests fall within tolerance."""
+    d = sample_action_batch(rng, n)
+    d = np.where(rng.random(d.shape) < 0.5, np.round(d / 0.25) * 0.25, d)
+    th = np.round(sample_angles_batch(rng, n) / (np.pi / 2)) * (np.pi / 2) % TWO_PI
+    keep = is_interior(d)
+    return build_hexagon(d[keep], th[keep])
+
+
+def full_rule_codes(v):
+    """The class rule on all three disks' counts and flags: any flagged
+    disk makes the hexagon degenerate."""
+    counts, bad = disk_counts(v)
+    chi = counts.prod(axis=-1)
+    cc = curl(v)
+    codes = np.full(len(v), int(KnotClass.UNKNOT), dtype=np.int8)
+    for cls, (chirality, curl_sign) in TREFOIL_PAIRS.items():
+        codes[(chi == chirality) & (cc == curl_sign)] = int(cls)
+    degen = (bad.any(axis=-1) | ~is_embedded(v) | (np.abs(chi) > 1)
+             | ((np.abs(chi) == 1) & (cc == 0)))
+    codes[degen] = int(KnotClass.DEGENERATE)
+    return codes, counts, bad
+
+
+class TestCascade:
+    def test_codes_differ_from_full_rule_only_after_a_clean_zero(self, rng):
+        v = degenerate_rich_vertices(rng, 20_000)
+        full, counts, bad = full_rule_codes(v)
+        codes = classify_batch(v)
+        clean_zero = (counts == 0) & ~bad
+        settled = clean_zero[:, 0] | (~bad[:, 0] & clean_zero[:, 1])
+        differ = codes != full
+        assert np.all(settled[differ])
+        # only a flag the decision did not need is dropped
+        assert np.all(full[differ] == int(KnotClass.DEGENERATE))
+        assert np.all(codes[differ] == int(KnotClass.UNKNOT))
+        # the set exercises both outcomes: flags dropped and flags kept
+        assert differ.sum() > 1000
+        assert (codes == int(KnotClass.DEGENERATE)).sum() > 1000
+
+    def test_sampled_codes_match_full_rule(self, rng):
+        v = build_hexagon(sample_action_batch(rng, 50_000), sample_angles_batch(rng, 50_000))
+        full, _, _ = full_rule_codes(v)
+        assert np.array_equal(classify_batch(v), full)
 
 
 class TestAutomorphisms:

@@ -193,7 +193,7 @@ class TestEstimate:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 64 * 2 ** 20, f"traced peak {peak / 2 ** 20:.0f} MB"
+        assert peak <= 40 * 2 ** 20, f"traced peak {peak / 2 ** 20:.0f} MiB"
 
     def test_same_stream_across_modes(self):
         pred = estimate_knotting_probability(200_000, seed=6, mode="predicate")

@@ -139,6 +139,34 @@ class TestClassPredicates:
         assert np.array_equal(masks[R_MINUS], mirrored[L_PLUS])
         assert np.array_equal(masks[L_MINUS], mirrored[R_PLUS])
 
+    def test_one_side_prefix_matches_unprefixed_rule(self, rng):
+        # class_masks evaluates the nine functions only where all three
+        # angles are on one side of pi; the rule without that prefix
+        # evaluates them everywhere and ANDs in the curl's window
+        n = 100_000
+        d = sample_action_batch(rng, n)
+        th = sample_angles_batch(rng, n)
+        edges = np.array([0.0, np.pi, np.nextafter(np.pi, 0.0), np.nextafter(np.pi, 4.0),
+                          np.nextafter(TWO_PI, 0.0)])
+        pick = rng.random(th.shape) < 0.2
+        th[pick] = rng.choice(edges, int(pick.sum()))
+        d, th = d.reshape(2, n // 2, 3), th.reshape(2, n // 2, 3)
+        nf = nine_functions(d, th)
+        window = {1: np.all((th > 0.0) & (th < np.pi), axis=-1),
+                  -1: np.all((th > np.pi) & (th < TWO_PI), axis=-1)}
+        masks = class_masks(d, th)
+        hits = 0
+        for cls, (chirality, curl_sign) in TARGET_PAIRS.items():
+            want = (window[curl_sign]
+                    & np.all([chirality * f > 0.0 for f in nf[0::3]], axis=0)
+                    & np.all([curl_sign * g > 0.0 for g in nf[1::3] + nf[2::3]], axis=0))
+            assert masks[cls].shape == (2, n // 2)
+            assert np.array_equal(masks[cls], want)
+            hits += int(want.sum())
+        assert hits > 0
+        # the edge angles reach lanes inside a window
+        assert np.any(pick.reshape(2, n // 2, 3).any(axis=-1) & (window[1] | window[-1]))
+
     def test_necessity_on_sampled_trefoils(self, rng):
         d = sample_action_batch(rng, 300_000)
         th = sample_angles_batch(rng, 300_000)
