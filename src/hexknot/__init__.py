@@ -24,11 +24,9 @@ from .action_angle import (
     is_interior,
     sample_action_batch,
     sample_angles_batch,
-    triangle_area_scale,
 )
 from .invariants import (
     KNOT_CLASS_LABELS,
-    JointChiralityCurl,
     KnotClass,
     classify,
     classify_batch,
@@ -39,7 +37,6 @@ from .invariants import (
 )
 from .trefoil_predicates import (
     FilterReport,
-    NineFunctions,
     class_masks,
     window_filters,
     nine_functions,

@@ -133,22 +133,26 @@ def build_hexagon(diagonals, angles):
     n x u points into the central triangle (pi = coplanar, pointing
     away from the centre).
 
+    The vertices are written into one contiguous component-first
+    (6, 3, ...) buffer, and the (..., 6, 3) result is its np.moveaxis
+    view, so vertex_components reads them without a copy.
+
     Raises NotInteriorError unless every diagonal triple is interior.
     """
     d, dd, r, c, s = fold_terms(diagonals, angles)
     d1, d2, d3 = d[..., 0], d[..., 1], d[..., 2]
-    v = np.zeros(d.shape[:-1] + (6, 3))
-    v[..., 2, 0] = d1
-    v[..., 4, 0] = (d1 * d1 - d2 * d2 + d3 * d3) / (2.0 * d1)
-    v[..., 4, 1] = dd / (2.0 * d1)
+    w = np.zeros((6, 3) + d.shape[:-1])
+    w[2, 0] = d1
+    w[4, 0] = (d1 * d1 - d2 * d2 + d3 * d3) / (2.0 * d1)
+    w[4, 1] = dd / (2.0 * d1)
     for i in range(3):
         # In standard position n = z, so n x u = (-u_y, u_x, 0).
-        p, q = v[..., 2 * i, :], v[..., (2 * i + 2) % 6, :]
+        p, q = w[2 * i], w[(2 * i + 2) % 6]
         h = r[i] * c[i] / (2.0 * d[..., i])
-        v[..., 2 * i + 1, 0] = 0.5 * (p[..., 0] + q[..., 0]) - h * (q[..., 1] - p[..., 1])
-        v[..., 2 * i + 1, 1] = 0.5 * (p[..., 1] + q[..., 1]) + h * (q[..., 0] - p[..., 0])
-        v[..., 2 * i + 1, 2] = 0.5 * r[i] * s[i]
-    return v
+        w[2 * i + 1, 0] = 0.5 * (p[0] + q[0]) - h * (q[1] - p[1])
+        w[2 * i + 1, 1] = 0.5 * (p[1] + q[1]) + h * (q[0] - p[0])
+        w[2 * i + 1, 2] = 0.5 * r[i] * s[i]
+    return np.moveaxis(w, (0, 1), (-2, -1))
 
 
 def wrap_angles(theta):
@@ -196,7 +200,8 @@ def is_embedded(vertices):
 
 
 def vertex_components(vertices):
-    """One contiguous (6, 3, n) copy of an (..., 6, 3) vertex array, so
-    w[k] is vertex k's component-first (3, n) block for the geom kernels."""
+    """The contiguous (6, 3, n) blocks of an (..., 6, 3) vertex array, so
+    w[k] is vertex k's component-first (3, n) block for the geom kernels:
+    a view of build_hexagon's buffer, a copy of any other layout."""
     v = np.asarray(vertices, dtype=float).reshape(-1, 6, 3)
     return np.ascontiguousarray(v.transpose(1, 2, 0))

@@ -26,8 +26,8 @@ from .invariants import (
     classify_batch,
 )
 from .measure import (
-    CHUNK_SIZE,
     CLOSED_FORMS,
+    GEOMETRY_BLOCK,
     ONE_OVER_42,
     POSITIVE_CURL_BOUND,
     REGIONS,
@@ -176,9 +176,9 @@ def _classify_rows(data):
 def cmd_classify(args):
     rows, width = _read_rows(args.input)
     data = np.array([v for _, v in rows])
-    # one CHUNK_SIZE slice at a time bounds the classifier's temporaries
-    codes = np.concatenate([_classify_rows(data[k:k + CHUNK_SIZE])
-                            for k in range(0, len(data), CHUNK_SIZE)])
+    # one GEOMETRY_BLOCK slice at a time bounds the classifier's temporaries
+    codes = np.concatenate([_classify_rows(data[k:k + GEOMETRY_BLOCK])
+                            for k in range(0, len(data), GEOMETRY_BLOCK)])
 
     header = ACTION_HEADER if width == 6 else VERTEX_HEADER
     with _output(args.output) as out:

@@ -122,7 +122,6 @@ def classify_batch(vertices):
     lead = v.shape[:-2]
     v = v.reshape((-1, 6, 3))
 
-    # is_embedded's component copy is freed before this one is made.
     degen = ~is_embedded(v)
     w = vertex_components(v)
     chi, bad = _disk_count(w, 0)
@@ -134,10 +133,13 @@ def classify_batch(vertices):
         live = live[(count != 0) & ~flag]
     degen |= bad
 
-    cc = curl(v).astype(np.int16)
-    knotted = (np.abs(chi) == 1)
+    # The curl decides only where |chirality| = 1 (about 1.4 lanes in
+    # 10^4); it stays 0 elsewhere, which matches no trefoil pair.
+    knotted = np.nonzero(np.abs(chi) == 1)[0]
+    cc = np.zeros(v.shape[0], dtype=np.int16)
+    cc[knotted] = curl(v[knotted])
     degen |= np.abs(chi) > 1
-    degen |= knotted & (cc == 0)
+    degen[knotted] |= cc[knotted] == 0
 
     codes = np.full(v.shape[0], int(KnotClass.UNKNOT), dtype=np.int8)
     for cls, (chirality, curl_sign) in TREFOIL_PAIRS.items():

@@ -33,6 +33,9 @@ from .invariants import (
 from .trefoil_predicates import class_masks, passes_window_filters
 
 CHUNK_SIZE = 1 << 16
+# Lanes per build_hexagon + classify_batch call: a lane-sized float
+# temporary of a block is 128 KiB, so the geometry works in cache.
+GEOMETRY_BLOCK = 1 << 14
 
 UPPER_BOUND = (14.0 - 3.0 * np.pi) / 192.0
 ONE_OVER_42 = 1.0 / 42.0
@@ -238,21 +241,25 @@ def _predicate_chunk(seed, k, m):
 
 def _oracle_chunk(seed, k, m):
     d, th = _chunk_coordinates(seed, k, m)
-    codes = classify_batch(build_hexagon(d, th))
+    codes = np.concatenate([
+        classify_batch(build_hexagon(d[b:b + GEOMETRY_BLOCK], th[b:b + GEOMETRY_BLOCK]))
+        for b in range(0, m, GEOMETRY_BLOCK)])
     class_counts = np.bincount(codes, minlength=6)
 
     masks = class_masks(d, th)
-    windows = passes_window_filters(d, th)
+    # The filters are read only where a trefoil code is set.
+    trefoil = np.nonzero(np.isin(codes, TREFOIL_CLASSES))[0]
+    windows = passes_window_filters(d[trefoil], th[trefoil])
     agree = np.zeros((len(TREFOIL_CLASSES), 4), dtype=np.int64)
     for row, cls in enumerate(TREFOIL_CLASSES):
         pred = masks[cls]
-        accepted = pred & windows[TREFOIL_PAIRS[cls].curl_part]
         oracle = codes == int(cls)
+        accepted = pred[trefoil] & windows[TREFOIL_PAIRS[cls].curl_part]
         agree[row] = (
             int(pred.sum()),
             int((oracle & pred).sum()),
-            int((oracle & ~accepted).sum()),  # fails predicate or a filter
-            int((pred & ~oracle).sum()),      # sufficiency gap
+            int((oracle[trefoil] & ~accepted).sum()),  # fails predicate or a filter
+            int((pred & ~oracle).sum()),               # sufficiency gap
         )
     return class_counts, agree
 

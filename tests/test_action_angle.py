@@ -6,11 +6,13 @@ from hexknot.action_angle import (
     NotInteriorError,
     build_hexagon,
     extract_action_angle,
+    fold_terms,
     is_embedded,
     is_interior,
     sample_action_batch,
     sample_angles_batch,
     triangle_area_scale,
+    vertex_components,
 )
 from conftest import REGULAR_ANGLES, REGULAR_DIAGONALS, random_rotation
 
@@ -80,7 +82,40 @@ class TestSamplers:
         assert abs(inside - expected) < 3 * sigma
 
 
+def element_layout_hexagon(diagonals, angles):
+    """build_hexagon's formulas written vertex by vertex into a
+    (..., 6, 3) zero array: the reference for its component-first buffer."""
+    d, dd, r, c, s = fold_terms(diagonals, angles)
+    d1, d2, d3 = d[..., 0], d[..., 1], d[..., 2]
+    v = np.zeros(d.shape[:-1] + (6, 3))
+    v[..., 2, 0] = d1
+    v[..., 4, 0] = (d1 * d1 - d2 * d2 + d3 * d3) / (2.0 * d1)
+    v[..., 4, 1] = dd / (2.0 * d1)
+    for i in range(3):
+        p, q = v[..., 2 * i, :], v[..., (2 * i + 2) % 6, :]
+        h = r[i] * c[i] / (2.0 * d[..., i])
+        v[..., 2 * i + 1, 0] = 0.5 * (p[..., 0] + q[..., 0]) - h * (q[..., 1] - p[..., 1])
+        v[..., 2 * i + 1, 1] = 0.5 * (p[..., 1] + q[..., 1]) + h * (q[..., 0] - p[..., 0])
+        v[..., 2 * i + 1, 2] = 0.5 * r[i] * s[i]
+    return v
+
+
 class TestBuildHexagon:
+    @pytest.mark.parametrize("lead", [(), (7,), (2, 5)])
+    def test_matches_element_layout(self, rng, lead):
+        n = int(np.prod(lead, dtype=int))
+        d = sample_action_batch(rng, n).reshape(lead + (3,))
+        th = sample_angles_batch(rng, n).reshape(lead + (3,))
+        v = build_hexagon(d, th)
+        assert v.shape == lead + (6, 3)
+        assert np.array_equal(v, element_layout_hexagon(d, th))
+
+    def test_vertex_components_reads_without_a_copy(self, rng):
+        v = build_hexagon(sample_action_batch(rng, 50), sample_angles_batch(rng, 50))
+        w = vertex_components(v)
+        assert np.shares_memory(w, v) and w.flags.c_contiguous
+        assert np.array_equal(w, np.ascontiguousarray(v.transpose(1, 2, 0)))
+
     def test_regular_planar_hexagon_vertices(self):
         v = build_hexagon(REGULAR_DIAGONALS, REGULAR_ANGLES)
         assert np.allclose(v[1], [SQ3 / 2, -0.5, 0.0], atol=1e-12)

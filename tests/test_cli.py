@@ -230,7 +230,7 @@ class TestClassify:
         np.savetxt(src, rows, fmt="%.17g", delimiter=",")
         assert run(["classify", "--input", str(src)]) == 0
         whole = capsys.readouterr().out
-        monkeypatch.setattr(cli, "CHUNK_SIZE", 7)
+        monkeypatch.setattr(cli, "GEOMETRY_BLOCK", 7)
         assert run(["classify", "--input", str(src)]) == 0
         assert capsys.readouterr().out == whole
         labels = [ln.rsplit(",", 1)[1] for ln in whole.splitlines()[1:]]

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from hexknot import invariants
 from hexknot.action_angle import (
     build_hexagon,
     is_embedded,
@@ -190,6 +191,27 @@ class TestCascade:
         # the set exercises both outcomes: flags dropped and flags kept
         assert differ.sum() > 1000
         assert (codes == int(KnotClass.DEGENERATE)).sum() > 1000
+
+    def test_curl_is_read_only_where_it_decides(self, rng, monkeypatch):
+        # the degenerate-rich set has no disk-2 count of +-1, so the four
+        # witnesses and their mirrors supply the lanes the curl decides
+        witnesses = np.stack([witness_vertices(label) for label in WITNESSES])
+        v = np.concatenate([degenerate_rich_vertices(rng, 20_000), witnesses,
+                            mirror_z(witnesses[::-1])])
+        full, counts, bad = full_rule_codes(v)
+        lanes = []
+
+        def spy(vertices):
+            lanes.append(len(vertices))
+            return curl(vertices)
+
+        monkeypatch.setattr(invariants, "curl", spy)
+        codes = classify_batch(v)
+        clean_zero = (counts == 0) & ~bad
+        settled = clean_zero[:, 0] | (~bad[:, 0] & clean_zero[:, 1])
+        assert np.array_equal(codes[~settled], full[~settled])
+        assert set(np.bincount(codes[-8:], minlength=5)[1:5]) == {2}
+        assert len(lanes) == 1 and 8 <= lanes[0] <= (np.abs(counts[:, 0]) == 1).sum()
 
     def test_sampled_codes_match_full_rule(self, rng):
         v = build_hexagon(sample_action_batch(rng, 50_000), sample_angles_batch(rng, 50_000))

@@ -193,7 +193,30 @@ class TestEstimate:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 40 * 2 ** 20, f"traced peak {peak / 2 ** 20:.0f} MiB"
+        assert peak <= 16 * 2 ** 20, f"traced peak {peak / 2 ** 20:.0f} MiB"
+
+    @pytest.mark.parametrize("block, m", [(7, 2105), (1000, CHUNK_SIZE)])
+    @pytest.mark.parametrize("seed", [1, 5])
+    def test_geometry_blocks_give_the_same_tallies(self, monkeypatch, seed, block, m):
+        monkeypatch.setattr(measure, "GEOMETRY_BLOCK", m)
+        counts, agree = measure._oracle_chunk(seed, 0, m)
+        monkeypatch.setattr(measure, "GEOMETRY_BLOCK", block)
+        blocked_counts, blocked_agree = measure._oracle_chunk(seed, 0, m)
+        assert np.array_equal(blocked_counts, counts)
+        assert np.array_equal(blocked_agree, agree)
+
+    def test_window_filters_run_on_trefoil_lanes_only(self, monkeypatch):
+        lanes = []
+
+        def spy(d, th):
+            lanes.append(len(d))
+            return passes_window_filters(d, th)
+
+        monkeypatch.setattr(measure, "passes_window_filters", spy)
+        counts, agree = measure._oracle_chunk(1, 0, CHUNK_SIZE)
+        assert lanes == [counts[1:5].sum()] and lanes[0] > 0
+        # the filters agree with the oracle on every trefoil of this chunk
+        assert agree[:, 2].sum() == 0 and agree[:, 1].sum() == lanes[0]
 
     def test_same_stream_across_modes(self):
         pred = estimate_knotting_probability(200_000, seed=6, mode="predicate")
