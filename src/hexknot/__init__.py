@@ -32,8 +32,6 @@ from .invariants import (
     classify_batch,
     curl,
     disk_counts,
-    reverse,
-    shift,
 )
 from .trefoil_predicates import (
     FilterReport,

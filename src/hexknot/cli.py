@@ -244,8 +244,17 @@ def cmd_bound(args):
                 payload = json.load(fh)
         except (OSError, json.JSONDecodeError) as exc:
             raise CliError(f"cannot read estimate report: {exc}") from exc
-        report = _report_from_dict(payload)
-        bound = compare_bound(report)
+        repeats = isinstance(payload, dict) and "across_runs" in payload
+        runs = payload.get("runs") if repeats else [payload]
+        if not runs or not isinstance(runs, list):
+            raise CliError("estimate report has no runs")
+        bounds = []
+        for i, run in enumerate(runs):
+            try:
+                bounds.append(compare_bound(_report_from_dict(run)))
+            except (ValueError, RuntimeError) as exc:
+                raise CliError(f"runs[{i}]: {exc}" if repeats else str(exc)) from exc
+        bound = bounds[0]
         print(f"estimate fraction_total = {bound.estimate:.6e}, "
               f"ci95 = [{bound.ci95[0]:.6e}, {bound.ci95[1]:.6e}]")
         print(f"estimate < upper bound: {bound.orderings['estimate_lt_upper_bound']}")
@@ -254,10 +263,6 @@ def cmd_bound(args):
 
 
 def _report_from_dict(payload):
-    if isinstance(payload, dict) and "across_runs" in payload:
-        if not payload.get("runs"):
-            raise CliError("estimate report has no runs")
-        payload = payload["runs"][0]
     if not isinstance(payload, dict):
         raise CliError("estimate report is not a JSON object")
     kwargs = {}

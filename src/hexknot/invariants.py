@@ -122,8 +122,8 @@ def classify_batch(vertices):
     lead = v.shape[:-2]
     v = v.reshape((-1, 6, 3))
 
-    degen = ~is_embedded(v)
     w = vertex_components(v)
+    degen = ~is_embedded(np.moveaxis(w, (0, 1), (-2, -1)))  # a view: no second copy
     chi, bad = _disk_count(w, 0)
     live = np.nonzero((chi != 0) & ~bad)[0]
     for k in (2, 4):
@@ -146,19 +146,3 @@ def classify_batch(vertices):
         codes[(chi == chirality) & (cc == curl_sign)] = int(cls)
     codes[degen] = int(KnotClass.DEGENERATE)
     return codes.reshape(lead)
-
-
-_SHIFT = (1, 2, 3, 4, 5, 0)
-_REVERSE = (0, 5, 4, 3, 2, 1)
-
-
-def shift(vertices):
-    """Root shift: (v1,...,v6) -> (v2,...,v6,v1)."""
-    v = np.asarray(vertices, dtype=float)
-    return v[..., _SHIFT, :]
-
-
-def reverse(vertices):
-    """Orientation reversal: (v1,...,v6) -> (v1,v6,v5,v4,v3,v2)."""
-    v = np.asarray(vertices, dtype=float)
-    return v[..., _REVERSE, :]

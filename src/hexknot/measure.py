@@ -25,7 +25,6 @@ from .action_angle import (
 )
 from .invariants import (
     KNOT_CLASS_LABELS,
-    KnotClass,
     TREFOIL_CLASSES,
     TREFOIL_PAIRS,
     classify_batch,
@@ -36,6 +35,8 @@ CHUNK_SIZE = 1 << 16
 # Lanes per build_hexagon + classify_batch call: a lane-sized float
 # temporary of a block is 128 KiB, so the geometry works in cache.
 GEOMETRY_BLOCK = 1 << 14
+# Columns of the oracle agreement block, one row per trefoil class.
+AGREEMENT_COLUMNS = ("predicate_hits", "both", "necessity_violations", "predicate_only")
 
 UPPER_BOUND = (14.0 - 3.0 * np.pi) / 192.0
 ONE_OVER_42 = 1.0 / 42.0
@@ -211,10 +212,10 @@ class EstimationReport:
     """Result of one knotting-probability run.
 
     fraction_* entries exclude degenerate samples from numerator and
-    denominator. In predicate mode fraction_total is 4 * fraction_R_plus
-    (the four trefoil classes have equal measure); in oracle mode it is
-    the sum of the four classified trefoil fractions. std_error (binomial)
-    and ci95 (Wilson score) describe fraction_total.
+    denominator. fraction_total = scale * knotted / valid: in predicate
+    mode scale 4 and the trefoil_R+ count (the four classes have equal
+    measure), in oracle mode scale 1 and the four trefoil counts.
+    std_error (binomial) and ci95 (Wilson score) carry the same scale.
     """
 
     samples: int
@@ -250,17 +251,17 @@ def _oracle_chunk(seed, k, m):
     # The filters are read only where a trefoil code is set.
     trefoil = np.nonzero(np.isin(codes, TREFOIL_CLASSES))[0]
     windows = passes_window_filters(d[trefoil], th[trefoil])
-    agree = np.zeros((len(TREFOIL_CLASSES), 4), dtype=np.int64)
+    agree = np.zeros((len(TREFOIL_CLASSES), len(AGREEMENT_COLUMNS)), dtype=np.int64)
     for row, cls in enumerate(TREFOIL_CLASSES):
         pred = masks[cls]
         oracle = codes == int(cls)
         accepted = pred[trefoil] & windows[TREFOIL_PAIRS[cls].curl_part]
-        agree[row] = (
-            int(pred.sum()),
-            int((oracle & pred).sum()),
-            int((oracle[trefoil] & ~accepted).sum()),  # fails predicate or a filter
-            int((pred & ~oracle).sum()),               # sufficiency gap
+        agree[row, :3] = (
+            pred.sum(),
+            (oracle & pred).sum(),
+            (oracle[trefoil] & ~accepted).sum(),  # fails predicate or a filter
         )
+    agree[:, 3] = agree[:, 0] - agree[:, 1]  # sufficiency gap
     return class_counts, agree
 
 
@@ -280,61 +281,39 @@ def estimate_knotting_probability(n, seed, mode="predicate", workers=1):
     t0 = time.perf_counter()
 
     if mode == "predicate":
-        tallies = _run_chunks(lambda k, m: _predicate_chunk(seed, k, m),
-                              n, workers)
-        counts = np.sum(tallies, axis=0)
-        hits = {KNOT_CLASS_LABELS[cls]: int(counts[i])
-                for i, cls in enumerate(TREFOIL_CLASSES)}
-        degenerate = 0
-        frac_rp = counts[0] / n
-        frac_total = 4.0 * frac_rp
-        # variance of 4*p_hat for the single counted class
-        se = 4.0 * np.sqrt(frac_rp * (1.0 - frac_rp) / n)
-        ci = tuple(4.0 * edge for edge in wilson_interval(counts[0], n))
-        agreement = None
+        counts = np.sum(_run_chunks(lambda k, m: _predicate_chunk(seed, k, m),
+                                    n, workers), axis=0)
+        hits = {KNOT_CLASS_LABELS[cls]: int(c) for cls, c in zip(TREFOIL_CLASSES, counts)}
+        degenerate, knotted, scale, agreement = 0, hits["trefoil_R+"], 4.0, None
     else:
-        tallies = _run_chunks(lambda k, m: _oracle_chunk(seed, k, m),
-                              n, workers)
-        class_counts = np.sum([t[0] for t in tallies], axis=0)
-        agree = np.sum([t[1] for t in tallies], axis=0)
-        hits = {KNOT_CLASS_LABELS[KnotClass(i)]: int(class_counts[i])
-                for i in range(6)}
-        degenerate = int(class_counts[int(KnotClass.DEGENERATE)])
-        valid = n - degenerate
-        if valid <= 0:
-            raise NoSamplesError("all samples degenerate")
-        frac_rp = class_counts[int(KnotClass.TREFOIL_R_PLUS)] / valid
-        trefoils = sum(class_counts[int(cls)] for cls in TREFOIL_CLASSES)
-        frac_total = trefoils / valid
-        se = float(np.sqrt(frac_total * (1.0 - frac_total) / valid))
-        ci = wilson_interval(trefoils, valid)
+        class_counts, agree = (np.sum(t, axis=0) for t in zip(*_run_chunks(
+            lambda k, m: _oracle_chunk(seed, k, m), n, workers)))
+        hits = {KNOT_CLASS_LABELS[i]: int(c) for i, c in enumerate(class_counts)}
+        degenerate, scale = hits["degenerate"], 1.0
+        knotted = sum(hits[KNOT_CLASS_LABELS[cls]] for cls in TREFOIL_CLASSES)
         pred_total = int(agree[:, 0].sum())
-        both = int(agree[:, 1].sum())
         agreement = {
-            "per_class": {
-                KNOT_CLASS_LABELS[cls]: {
-                    "predicate_hits": int(agree[i, 0]),
-                    "both": int(agree[i, 1]),
-                    "necessity_violations": int(agree[i, 2]),
-                    "predicate_only": int(agree[i, 3]),
-                }
-                for i, cls in enumerate(TREFOIL_CLASSES)
-            },
+            "per_class": {KNOT_CLASS_LABELS[cls]: dict(zip(AGREEMENT_COLUMNS, map(int, row)))
+                          for cls, row in zip(TREFOIL_CLASSES, agree)},
             "necessity_violations": int(agree[:, 2].sum()),
             "predicate_hits": pred_total,
-            "agreement_rate": (both / pred_total) if pred_total else 1.0,
+            "agreement_rate": (int(agree[:, 1].sum()) / pred_total) if pred_total else 1.0,
         }
 
+    valid = n - degenerate
+    if valid <= 0:
+        raise NoSamplesError("all samples degenerate")
+    p = knotted / valid
     return EstimationReport(
         samples=n,
         seed=int(seed),
         mode=mode,
         hits=hits,
         degenerate_count=degenerate,
-        fraction_R_plus=float(frac_rp),
-        fraction_total=float(frac_total),
-        std_error=float(se),
-        ci95=ci,
+        fraction_R_plus=hits["trefoil_R+"] / valid,
+        fraction_total=scale * p,
+        std_error=float(scale * np.sqrt(p * (1.0 - p) / valid)),
+        ci95=tuple(scale * edge for edge in wilson_interval(knotted, valid)),
         wall_time_seconds=time.perf_counter() - t0,
         workers=workers,
         agreement=agreement,

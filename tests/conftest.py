@@ -74,6 +74,24 @@ def brute_force_disk_count(vertices, i):
     return total
 
 
+# Vertex relabellings of a hexagon for the automorphism tests
+# (criterion 6 and TestAutomorphisms).
+_SHIFT = (1, 2, 3, 4, 5, 0)
+_REVERSE = (0, 5, 4, 3, 2, 1)
+
+
+def shift(vertices):
+    """Root shift: (v1,...,v6) -> (v2,...,v6,v1)."""
+    v = np.asarray(vertices, dtype=float)
+    return v[..., _SHIFT, :]
+
+
+def reverse(vertices):
+    """Orientation reversal: (v1,...,v6) -> (v1,v6,v5,v4,v3,v2)."""
+    v = np.asarray(vertices, dtype=float)
+    return v[..., _REVERSE, :]
+
+
 def random_rotation(rng):
     """Haar-ish random rotation matrix from a QR decomposition."""
     m, _ = np.linalg.qr(rng.normal(size=(3, 3)))

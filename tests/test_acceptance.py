@@ -16,7 +16,7 @@ from hexknot.action_angle import (
     sample_action_batch,
     sample_angles_batch,
 )
-from hexknot.invariants import KnotClass, classify_batch, reverse, shift
+from hexknot.invariants import KnotClass, classify_batch
 from hexknot.measure import (
     REGIONS,
     UPPER_BOUND,
@@ -25,6 +25,7 @@ from hexknot.measure import (
     mc_region_volume,
     repeat_estimates,
 )
+from conftest import reverse, shift
 
 WORKERS = 2
 TWO_PI = 2.0 * np.pi

@@ -342,12 +342,35 @@ class TestVolumesAndBound:
         text = capsys.readouterr().out
         assert "estimate < upper bound: True" in text
 
+    def test_bound_repeats_file_prints_first_run(self, tmp_path, capsys):
+        single, repeats = tmp_path / "single.json", tmp_path / "repeats.json"
+        single.write_text(json.dumps(REPORT))
+        second = {**REPORT, "fraction_total": 0.002, "ci95": [0.001, 0.003]}
+        repeats.write_text(json.dumps({"runs": [REPORT, second], "across_runs": {}}))
+        assert run(["bound", "--with-estimate", str(single)]) == 0
+        expected = capsys.readouterr().out
+        assert run(["bound", "--with-estimate", str(repeats)]) == 0
+        assert capsys.readouterr().out == expected
+
+    @pytest.mark.parametrize("second, message", [
+        ({**REPORT, "fraction_total": 0.1, "ci95": [0.0, 0.5]},
+         "runs[1]: CI upper edge 5.000000e-01 exceeds the bound"),
+        ({**REPORT, "ci95": [0.0, float("nan")]},
+         "runs[1]: estimate report field 'ci95' must be two numbers"),
+    ], ids=["over-bound", "ci95-nan"])
+    def test_bound_checks_every_run(self, tmp_path, capsys, second, message):
+        report = tmp_path / "report.json"
+        report.write_text(json.dumps({"runs": [REPORT, second], "across_runs": {}}))
+        assert run(["bound", "--with-estimate", str(report)]) == 1
+        assert f"hexknot: error: {message}" in capsys.readouterr().err
+
     def test_bound_with_missing_file(self, capsys):
         assert run(["bound", "--with-estimate", "/nonexistent.json"]) == 1
 
     @pytest.mark.parametrize("text, message", [
         ("5", "is not a JSON object"),
         ('{"runs": [], "across_runs": {}}', "has no runs"),
+        ('{"runs": 5, "across_runs": {}}', "has no runs"),
         (json.dumps({**REPORT, "ci95": 5}), "field 'ci95' must be two numbers"),
         (json.dumps({**REPORT, "ci95": [0.1]}), "field 'ci95' must be two numbers"),
         (json.dumps({**REPORT, "ci95": [0, "1"]}), "field 'ci95' must be two numbers"),
@@ -365,7 +388,7 @@ class TestVolumesAndBound:
         (json.dumps({**REPORT, "fraction_total": 0.5, "ci95": [0.4, 0.0]}),
          "ci95 [4.000000e-01, 0.000000e+00] does not contain fraction_total "
          "5.000000e-01"),
-    ], ids=["number", "no-runs", "ci95-number", "ci95-one-edge", "ci95-string-edge",
+    ], ids=["number", "no-runs", "runs-number", "ci95-number", "ci95-one-edge", "ci95-string-edge",
             "samples-string", "degenerate-float", "ci95-nan", "fraction-null",
             "fraction-inf", "fraction-huge-int", "inverted-ci95"])
     def test_bound_with_malformed_report(self, tmp_path, capsys, text, message):

@@ -3,8 +3,10 @@
 Each value was computed once and pinned, so a change that moves the
 stream keyed by (seed, chunk), a class rule or a geometry kernel's
 decision fails here even when every property test still passes. Only
-integers and the bytes of uniform draws are pinned: no float computed
-through sin, cos or sqrt, whose last bits may differ between libms.
+integers, the bytes of uniform draws and report floats built from
+counts by division, max, min and sqrt are pinned: IEEE 754 rounds each
+of those correctly, while the last bits of sin and cos may differ
+between libms, so no float computed through them is pinned.
 """
 
 import hashlib
@@ -30,6 +32,17 @@ PREDICATE_HITS_2_20 = {"trefoil_R+": 42, "trefoil_R-": 38, "trefoil_L+": 38, "tr
 
 ORACLE_HITS_2_17 = {"unknot": 131056, "trefoil_R+": 4, "trefoil_R-": 3, "trefoil_L+": 3,
                     "trefoil_L-": 6, "degenerate": 0}
+# Whole to_dict() reports without wall_time_seconds and workers.
+PREDICATE_REPORT_2_20 = {
+    "samples": 1 << 20, "seed": 1, "mode": "predicate", "hits": PREDICATE_HITS_2_20,
+    "degenerate_count": 0,
+    "fraction_R_plus": 4.00543212890625e-05,
+    "fraction_total": 0.00016021728515625,
+    "std_error": 2.472156870373955e-05,
+    "ci95": (0.00011853896220463033, 0.00021654892148371084),
+    "agreement": None,
+}
+
 ORACLE_AGREEMENT_2_17 = {
     "per_class": {
         label: {"predicate_hits": n, "both": n, "necessity_violations": 0, "predicate_only": 0}
@@ -39,6 +52,16 @@ ORACLE_AGREEMENT_2_17 = {
     "necessity_violations": 0,
     "predicate_hits": 16,
     "agreement_rate": 1.0,
+}
+
+ORACLE_REPORT_2_17 = {
+    "samples": 1 << 17, "seed": 1, "mode": "oracle", "hits": ORACLE_HITS_2_17,
+    "degenerate_count": 0,
+    "fraction_R_plus": 3.0517578125e-05,
+    "fraction_total": 0.0001220703125,
+    "std_error": 3.051571542300388e-05,
+    "ci95": (7.514272231363576e-05, 0.00019829897039261193),
+    "agreement": ORACLE_AGREEMENT_2_17,
 }
 
 
@@ -61,8 +84,16 @@ def test_classify_batch_codes_digest():
     assert hashlib.sha256(codes.tobytes()).hexdigest() == CODES_CHUNK0_SHA256
 
 
+def _report_without_timing(report):
+    d = report.to_dict()
+    del d["wall_time_seconds"], d["workers"]
+    return d
+
+
 def test_predicate_hits():
-    assert estimate_knotting_probability(1 << 20, 1, "predicate").hits == PREDICATE_HITS_2_20
+    report = estimate_knotting_probability(1 << 20, 1, "predicate")
+    assert report.hits == PREDICATE_HITS_2_20
+    assert _report_without_timing(report) == PREDICATE_REPORT_2_20
 
 
 def test_oracle_hits_and_agreement():
@@ -70,3 +101,4 @@ def test_oracle_hits_and_agreement():
     assert report.hits == ORACLE_HITS_2_17
     assert report.degenerate_count == 0
     assert report.agreement == ORACLE_AGREEMENT_2_17
+    assert _report_without_timing(report) == ORACLE_REPORT_2_17

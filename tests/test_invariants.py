@@ -1,13 +1,14 @@
 import numpy as np
 import pytest
 
-from hexknot import invariants
+from hexknot import action_angle, invariants
 from hexknot.action_angle import (
     build_hexagon,
     is_embedded,
     is_interior,
     sample_action_batch,
     sample_angles_batch,
+    vertex_components,
 )
 from hexknot.invariants import (
     KNOT_CLASS_FROM_LABEL,
@@ -18,8 +19,6 @@ from hexknot.invariants import (
     classify_batch,
     curl,
     disk_counts,
-    reverse,
-    shift,
 )
 from conftest import (
     REGULAR_ANGLES,
@@ -27,6 +26,8 @@ from conftest import (
     WITNESSES,
     brute_force_disk_count,
     random_rotation,
+    reverse,
+    shift,
 )
 
 TWO_PI = 2.0 * np.pi
@@ -212,6 +213,23 @@ class TestCascade:
         assert np.array_equal(codes[~settled], full[~settled])
         assert set(np.bincount(codes[-8:], minlength=5)[1:5]) == {2}
         assert len(lanes) == 1 and 8 <= lanes[0] <= (np.abs(counts[:, 0]) == 1).sum()
+
+    def test_one_vertex_copy_per_call(self, rng, monkeypatch):
+        # a layout build_hexagon did not produce is copied into component
+        # blocks once, and is_embedded reads those blocks without a copy
+        v = build_hexagon(sample_action_batch(rng, 500), sample_angles_batch(rng, 500))
+        copies = []
+
+        def spy(vertices):
+            w = vertex_components(vertices)
+            copies.append(not np.shares_memory(w, vertices))
+            return w
+
+        monkeypatch.setattr(action_angle, "vertex_components", spy)
+        monkeypatch.setattr(invariants, "vertex_components", spy)
+        codes = classify_batch(v.copy())
+        assert sum(copies) == 1
+        assert np.array_equal(codes, classify_batch(v))
 
     def test_sampled_codes_match_full_rule(self, rng):
         v = build_hexagon(sample_action_batch(rng, 50_000), sample_angles_batch(rng, 50_000))
