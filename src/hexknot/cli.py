@@ -13,7 +13,8 @@ import json
 import math
 import os
 import sys
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
+from itertools import chain, islice, repeat
 
 import numpy as np
 
@@ -110,55 +111,75 @@ def _sample_blocks(seed, n, vertices):
 
 def cmd_sample(args):
     header = VERTEX_HEADER if args.vertices else ACTION_HEADER
-    blocks = _sample_blocks(args.seed, args.n, args.vertices)
+    names = header.split(",")
+    if args.format == "csv":
+        head, record, sep, tail = header + "\n", ",".join(["%.17g"] * len(names)) + "\n", "", ""
+    else:  # the bytes of json.dump(records, indent=2): %r of a float is its JSON
+        head, sep, tail = "[\n", ",\n", "\n]\n"
+        record = "  {\n" + ",\n".join(f'    "{k}": %r' for k in names) + "\n  }"
     with _output(args.output) as out:
-        if args.format == "csv":
-            out.write(header + "\n")
-            for block in blocks:
-                np.savetxt(out, block, fmt="%.17g", delimiter=",")
-        else:
-            names = header.split(",")
-            json.dump([dict(zip(names, row)) for block in blocks for row in block],
-                      out, indent=2)
-            out.write("\n")
+        out.write(head)
+        lead = ""
+        for block in _sample_blocks(args.seed, args.n, args.vertices):
+            for k in range(0, len(block), GEOMETRY_BLOCK):
+                rows = map(tuple, block[k:k + GEOMETRY_BLOCK].tolist())
+                out.write(lead + sep.join(map(record.__mod__, rows)))
+                lead = sep
+        out.write(tail)
     return 0
 
 
-def _read_rows(path):
+def _input(path):
     if path is None or path == "-":
-        lines = sys.stdin.read().splitlines()
-    else:
+        return nullcontext(sys.stdin)
+    try:
+        return open(path, "r", encoding="utf-8")
+    except OSError as exc:
+        raise CliError(f"cannot read {path}: {exc}") from exc
+
+
+def _parse_block(block):
+    """(texts, float rows) of (line number, line, text) entries; raises the
+    first bad line's error."""
+    texts = [text for _, _, text in block]
+    commas = set(map(str.count, texts, repeat(",")))
+    width = commas.pop() + 1
+    fields = ",".join(texts).split(",")
+    try:
+        values = np.fromiter(map(float, fields), float, len(fields))
+        if not commas and width in (6, 18) and np.isfinite(values).all():
+            return texts, values.reshape(-1, width)
+    except ValueError:
+        pass
+    for lineno, line, text in block:
         try:
-            with open(path, "r", encoding="utf-8") as fh:
-                lines = fh.read().splitlines()
-        except OSError as exc:
-            raise CliError(f"cannot read {path}: {exc}") from exc
-    rows = []
-    first = True
-    for lineno, line in enumerate(lines, start=1):
-        text = line.strip()
-        if not text:
-            continue
-        header, first = first, False
-        fields = text.split(",")
-        try:
-            values = [float(f) for f in fields]
+            values = [float(f) for f in text.split(",")]
         except ValueError:
-            if header and all(_float_or_none(f) is None for f in fields):
-                continue
             raise CliError(f"line {lineno}: cannot parse {line!r}")
         if not all(map(math.isfinite, values)):
             raise CliError(f"line {lineno}: non-finite value in {line!r}")
         if len(values) not in (6, 18):
             raise CliError(
                 f"line {lineno}: expected 6 or 18 columns, got {len(values)}")
-        rows.append((text, values))
-    if not rows:
-        raise CliError("no data rows in input")
-    widths = {len(v) for _, v in rows}
-    if len(widths) != 1:
-        raise CliError("mixed 6- and 18-column rows in input")
-    return rows, widths.pop()
+    raise CliError("mixed 6- and 18-column rows in input")
+
+
+def _read_blocks(fh):
+    """(texts, float rows) of the non-blank lines of a 6- or 18-column CSV,
+    GEOMETRY_BLOCK lines at a time. The first non-blank line is skipped
+    when no field of it parses (a header); one leading byte-order mark
+    is dropped."""
+    first = fh.readline().removeprefix("\ufeff")
+    lines = enumerate(chain.from_iterable(map(str.splitlines, chain([first], fh))), 1)
+    header = True
+    while chunk := list(islice(lines, GEOMETRY_BLOCK)):
+        block = [(n, line, text) for n, line in chunk if (text := line.strip())]
+        if header and block:
+            header = False
+            if all(_float_or_none(f) is None for f in block[0][2].split(",")):
+                del block[0]
+        if block:
+            yield _parse_block(block)
 
 
 def _classify_rows(data):
@@ -174,20 +195,25 @@ def _classify_rows(data):
 
 
 def cmd_classify(args):
-    rows, width = _read_rows(args.input)
-    data = np.array([v for _, v in rows])
-    # one GEOMETRY_BLOCK slice at a time bounds the classifier's temporaries
-    codes = np.concatenate([_classify_rows(data[k:k + GEOMETRY_BLOCK])
-                            for k in range(0, len(data), GEOMETRY_BLOCK)])
-
-    header = ACTION_HEADER if width == 6 else VERTEX_HEADER
-    with _output(args.output) as out:
-        out.write(header + ",class\n")
-        for (text, _), code in zip(rows, codes):
-            out.write(f"{text},{KNOT_CLASS_LABELS[KnotClass(int(code))]}\n")
-    counts = {KNOT_CLASS_LABELS[KnotClass(i)]: int(c)
-              for i, c in enumerate(np.bincount(codes, minlength=6)) if c}
-    print(f"classified {len(rows)} rows: {counts}", file=sys.stderr)
+    labels = [KNOT_CLASS_LABELS[cls] for cls in KnotClass]
+    counts = np.zeros(len(labels), dtype=np.int64)
+    with _input(args.input) as fh:
+        blocks = _read_blocks(fh)
+        first = next(blocks, None)
+        if first is None:
+            raise CliError("no data rows in input")
+        width = first[1].shape[1]
+        with _output(args.output) as out:
+            out.write((ACTION_HEADER if width == 6 else VERTEX_HEADER) + ",class\n")
+            for texts, data in chain([first], blocks):
+                if data.shape[1] != width:
+                    raise CliError("mixed 6- and 18-column rows in input")
+                codes = _classify_rows(data)
+                out.write("".join(map("{},{}\n".format, texts,
+                                      map(labels.__getitem__, codes.tolist()))))
+                counts += np.bincount(codes, minlength=len(labels))
+    summary = {label: int(c) for label, c in zip(labels, counts) if c}
+    print(f"classified {counts.sum()} rows: {summary}", file=sys.stderr)
     return 0
 
 

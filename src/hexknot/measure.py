@@ -215,7 +215,8 @@ class EstimationReport:
     denominator. fraction_total = scale * knotted / valid: in predicate
     mode scale 4 and the trefoil_R+ count (the four classes have equal
     measure), in oracle mode scale 1 and the four trefoil counts.
-    std_error (binomial) and ci95 (Wilson score) carry the same scale.
+    std_error (binomial) and ci95 (Wilson score) carry the same scale;
+    the scaled ci95 edges are clamped to at most 1.
     """
 
     samples: int
@@ -313,7 +314,8 @@ def estimate_knotting_probability(n, seed, mode="predicate", workers=1):
         fraction_R_plus=hits["trefoil_R+"] / valid,
         fraction_total=scale * p,
         std_error=float(scale * np.sqrt(p * (1.0 - p) / valid)),
-        ci95=tuple(scale * edge for edge in wilson_interval(knotted, valid)),
+        # fraction_total is at most 1, so the scaled edges are clamped there
+        ci95=tuple(min(scale * edge, 1.0) for edge in wilson_interval(knotted, valid)),
         wall_time_seconds=time.perf_counter() - t0,
         workers=workers,
         agreement=agreement,

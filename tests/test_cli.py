@@ -1,14 +1,16 @@
+import io
 import json
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from hexknot import cli
+from hexknot import cli, measure
 from hexknot.action_angle import build_hexagon
 from hexknot.cli import main
 from hexknot.invariants import KnotClass, classify_batch
@@ -25,6 +27,79 @@ REPORT = {"samples": 1000, "seed": 1, "mode": "predicate", "hits": {},
 
 def run(args):
     return main(args)
+
+
+# `classify` input rules, pinned with cli.GEOMETRY_BLOCK = 7 so that the
+# longer inputs span several blocks.
+HEADER = "d1,d2,d3,theta1,theta2,theta3"
+UNKNOT = "1.5,0.8,0.9,2.0,0.4,0.3"
+OUTSIDE = "1.0,1.0,2.0,1.0,1.0,1.0"  # outside the open polytope
+TREFOIL = ",".join(f"{x:.17g}" for part in WITNESSES["trefoil_R+"] for x in part)
+ROWS = [UNKNOT, OUTSIDE, TREFOIL] * 7
+LABELS = {UNKNOT: "unknot", OUTSIDE: "degenerate", TREFOIL: "trefoil_R+"}
+
+
+def classified(rows, labels=None):
+    """`classify` stdout for 6-column rows (texts as written)."""
+    labels = labels or [LABELS[r] for r in rows]
+    return "".join(f"{r},{c}\n" for r, c in zip([HEADER, *rows], ["class", *labels]))
+
+
+def lines(*rows, end="\n"):
+    return "".join(r + end for r in rows)
+
+
+CLASSIFY_INPUTS = {
+    # id: (input, exit code, stderr, stdout when the exit code is 0)
+    "bad-field-line-22": (
+        lines(HEADER, *ROWS[:20], "1.5,oops,0.9,2.0,0.4,0.3", *ROWS[:3]), 1,
+        "hexknot: error: line 22: cannot parse '1.5,oops,0.9,2.0,0.4,0.3'\n", None),
+    "nan-line-13": (
+        lines(*ROWS[:12], "1.5,0.8,0.9,nan,0.4,0.3", *ROWS[:2]), 1,
+        "hexknot: error: line 13: non-finite value in '1.5,0.8,0.9,nan,0.4,0.3'\n", None),
+    "seven-columns-line-10": (
+        lines(*ROWS[:9], UNKNOT + ",1.0", *ROWS[:2]), 1,
+        "hexknot: error: line 10: expected 6 or 18 columns, got 7\n", None),
+    "mixed-6-then-18": (
+        lines(*ROWS[:10], ",".join(["0.5"] * 18), *ROWS[:2]), 1,
+        "hexknot: error: mixed 6- and 18-column rows in input\n", None),
+    "header-only": (lines(HEADER), 1, "hexknot: error: no data rows in input\n", None),
+    "empty": ("", 1, "hexknot: error: no data rows in input\n", None),
+    "blank-lines-padded-header": (
+        "\n \n\t d1, d2 ,d3,theta1,theta2,theta3  \n" + lines(*ROWS[:4], "", *ROWS[4:12]), 0,
+        "classified 12 rows: {'unknot': 4, 'trefoil_R+': 4, 'degenerate': 4}\n",
+        classified(ROWS[:12])),
+    "form-feed": (
+        lines(UNKNOT + "\x0c" + OUTSIDE, TREFOIL), 0,
+        "classified 3 rows: {'unknot': 1, 'trefoil_R+': 1, 'degenerate': 1}\n",
+        classified([UNKNOT, OUTSIDE, TREFOIL])),
+    "crlf": (
+        lines(HEADER, *ROWS[:9], end="\r\n"), 0,
+        "classified 9 rows: {'unknot': 3, 'trefoil_R+': 3, 'degenerate': 3}\n",
+        classified(ROWS[:9])),
+    "padded-fields": (
+        lines(*ROWS[:8], "  1.5 , 0.8,0.9\t,2.0,0.4, 0.3 "), 0,
+        "classified 9 rows: {'unknot': 4, 'trefoil_R+': 2, 'degenerate': 3}\n",
+        classified([*ROWS[:8], "1.5 , 0.8,0.9\t,2.0,0.4, 0.3"],
+                   [LABELS[r] for r in ROWS[:8]] + ["unknot"])),
+    "underscore-digits": (
+        lines(*ROWS[:7], "1_5e-1,0.8,0.9,2.0,0.4,0.3"), 0,
+        "classified 8 rows: {'unknot': 4, 'trefoil_R+': 2, 'degenerate': 2}\n",
+        classified([*ROWS[:7], "1_5e-1,0.8,0.9,2.0,0.4,0.3"],
+                   [LABELS[r] for r in ROWS[:7]] + ["unknot"])),
+}
+
+
+def classify_text(text, source, tmp_path, monkeypatch):
+    """Run `classify` on text from a file or from stdin; exit code."""
+    if source == "stdin":
+        # a Linux sys.stdin: UTF-8, lines split at "\n" only
+        monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(
+            io.BytesIO(text.encode()), encoding="utf-8", newline="\n"))
+        return run(["classify"])
+    src = tmp_path / "input.csv"
+    src.write_bytes(text.encode())
+    return run(["classify", "--input", str(src)])
 
 
 class TestSample:
@@ -84,6 +159,28 @@ class TestSample:
             names = lines[0].split(",")
             payload = json.loads(js.read_text())
             assert np.array_equal([[r[k] for k in names] for r in payload], expected)
+
+    @pytest.mark.parametrize("vertices", [False, True], ids=["coords", "vertices"])
+    def test_bytes_across_slices_and_chunks(self, tmp_path, monkeypatch, vertices):
+        # 40 rows in chunks of 16 and slices of 7: the writers' joins at
+        # both boundaries give the bytes of np.savetxt and json.dumps.
+        monkeypatch.setattr(measure, "CHUNK_SIZE", 16)
+        monkeypatch.setattr(cli, "GEOMETRY_BLOCK", 7)
+        n, seed = 40, 6
+        rows = np.concatenate([build_hexagon(d, th).reshape(-1, 18) if vertices
+                               else np.concatenate([d, th], axis=1)
+                               for d, th in sample_coordinate_stream(seed, n)])
+        header = cli.VERTEX_HEADER if vertices else cli.ACTION_HEADER
+        text = io.StringIO()
+        np.savetxt(text, rows, fmt="%.17g", delimiter=",")
+        records = [dict(zip(header.split(","), row)) for row in rows]
+        flag = ["--vertices"] if vertices else []
+        for fmt, expected in (("csv", header + "\n" + text.getvalue()),
+                              ("json", json.dumps(records, indent=2) + "\n")):
+            out = tmp_path / f"rows.{fmt}"
+            assert run(["sample", "--n", str(n), "--seed", str(seed), *flag,
+                        "--format", fmt, "--output", str(out)]) == 0
+            assert out.read_text() == expected
 
     def test_zero_samples_is_usage_error(self):
         with pytest.raises(SystemExit) as err:
@@ -236,6 +333,69 @@ class TestClassify:
         labels = [ln.rsplit(",", 1)[1] for ln in whole.splitlines()[1:]]
         assert len(labels) == 48 and labels.count("degenerate") == 4
         assert set(WITNESSES) <= set(labels)
+
+    @pytest.mark.parametrize("source", ["file", "stdin"])
+    @pytest.mark.parametrize("case", CLASSIFY_INPUTS)
+    def test_input_rules(self, tmp_path, capsys, monkeypatch, case, source):
+        text, code, err, out = CLASSIFY_INPUTS[case]
+        monkeypatch.setattr(cli, "GEOMETRY_BLOCK", 7)
+        assert classify_text(text, source, tmp_path, monkeypatch) == code
+        got = capsys.readouterr()
+        assert got.err == err
+        if code == 0:
+            assert got.out == out
+
+    @pytest.mark.parametrize("case, written", [
+        ("bad-field-line-22", 21), ("nan-line-13", 7), ("mixed-6-then-18", 7)])
+    @pytest.mark.parametrize("block", [7, 1 << 14])
+    def test_error_keeps_rows_of_earlier_blocks(self, tmp_path, capsys, monkeypatch,
+                                                case, written, block):
+        # Rows of the blocks before the failing line are already written;
+        # an input of one block writes nothing.
+        text, code, err, _ = CLASSIFY_INPUTS[case]
+        monkeypatch.setattr(cli, "GEOMETRY_BLOCK", block)
+        assert classify_text(text, "file", tmp_path, monkeypatch) == code
+        got = capsys.readouterr()
+        assert got.err == err
+        if block > written:
+            assert got.out == ""
+        else:
+            assert classify_text(lines(*text.splitlines()[:written]), "file",
+                                 tmp_path, monkeypatch) == 0
+            assert got.out == capsys.readouterr().out != ""
+
+    @pytest.mark.parametrize("source", ["file", "stdin"])
+    @pytest.mark.parametrize("first", [HEADER, UNKNOT])
+    def test_byte_order_mark_on_first_line(self, tmp_path, capsys, monkeypatch,
+                                           source, first):
+        text = lines(first, *ROWS[:4])
+        assert classify_text(text, source, tmp_path, monkeypatch) == 0
+        plain = capsys.readouterr()
+        assert classify_text("\ufeff" + text, source, tmp_path, monkeypatch) == 0
+        assert capsys.readouterr() == plain
+
+    def test_memory_does_not_grow_with_rows(self, tmp_path, monkeypatch):
+        # Chunks and blocks of 512 rows: at 16x the rows the peak of
+        # Python allocations must stay below 2x.
+        monkeypatch.setattr(measure, "CHUNK_SIZE", 512)
+        monkeypatch.setattr(cli, "GEOMETRY_BLOCK", 512)
+        rows, out = tmp_path / "rows.csv", tmp_path / "out"
+
+        def peak(argv):
+            tracemalloc.start()
+            try:
+                assert run([*argv, "--output", str(out)]) == 0
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peaks = {}
+        for n in (2048, 16 * 2048):
+            run(["sample", "--n", str(n), "--seed", "3", "--output", str(rows)])
+            peaks[n] = (peak(["classify", "--input", str(rows)]),
+                        peak(["sample", "--n", str(n), "--seed", "3", "--format", "json"]))
+        for small, large in zip(peaks[2048], peaks[16 * 2048]):
+            assert large < 2 * small, peaks
 
     def test_non_finite_row_names_line(self, tmp_path, capsys):
         src = tmp_path / "nan.csv"

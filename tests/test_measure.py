@@ -167,6 +167,12 @@ class TestEstimate:
         payload = json.loads(json.dumps(r.to_dict()))
         assert payload["fraction_R_plus"] == r.fraction_R_plus
 
+    @pytest.mark.parametrize("n", [10, 11])
+    def test_scaled_ci95_stays_in_unit_interval(self, n):
+        # the Wilson edge of the R+ count times 4 would pass 1 at few samples
+        r = estimate_knotting_probability(n, seed=1, mode="predicate")
+        assert 0.0 <= r.ci95[0] <= r.fraction_total <= r.ci95[1] == 1.0
+
     def test_oracle_report_counts_sum(self):
         r = estimate_knotting_probability(100_000, seed=2, mode="oracle")
         assert sum(r.hits.values()) == 100_000
