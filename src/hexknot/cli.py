@@ -130,10 +130,12 @@ def cmd_sample(args):
 
 
 def _input(path):
+    """Input text with universal newlines and a leading byte-order mark dropped."""
     if path is None or path == "-":
+        sys.stdin.reconfigure(encoding="utf-8-sig", newline=None)
         return nullcontext(sys.stdin)
     try:
-        return open(path, "r", encoding="utf-8")
+        return open(path, "r", encoding="utf-8-sig")
     except OSError as exc:
         raise CliError(f"cannot read {path}: {exc}") from exc
 
@@ -167,10 +169,8 @@ def _parse_block(block):
 def _read_blocks(fh):
     """(texts, float rows) of the non-blank lines of a 6- or 18-column CSV,
     GEOMETRY_BLOCK lines at a time. The first non-blank line is skipped
-    when no field of it parses (a header); one leading byte-order mark
-    is dropped."""
-    first = fh.readline().removeprefix("\ufeff")
-    lines = enumerate(chain.from_iterable(map(str.splitlines, chain([first], fh))), 1)
+    when no field of it parses (a header)."""
+    lines = enumerate(chain.from_iterable(map(str.splitlines, fh)), 1)
     header = True
     while chunk := list(islice(lines, GEOMETRY_BLOCK)):
         block = [(n, line, text) for n, line in chunk if (text := line.strip())]

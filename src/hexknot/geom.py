@@ -25,11 +25,7 @@ _TINY = 1e-300  # guard for divisions on masked-out lanes
 
 
 def _dot(u, v):
-    # (u0 v0 + u1 v1) + u2 v2, accumulated in place: one temporary.
-    out = u[0] * v[0]
-    out += u[1] * v[1]
-    out += u[2] * v[2]
-    return out
+    return u[0] * v[0] + u[1] * v[1] + u[2] * v[2]
 
 
 def _norm(u):
@@ -52,11 +48,7 @@ def triple_product(a, b, c):
     arguments.
     """
     a, b, c = (np.asarray(x, dtype=float) for x in (a, b, c))
-    return (
-        c[0] * (a[1] * b[2] - a[2] * b[1])
-        + c[1] * (a[2] * b[0] - a[0] * b[2])
-        + c[2] * (a[0] * b[1] - a[1] * b[0])
-    )
+    return _dot(_cross(a, b), c)
 
 
 def crossing_signs(p, q, a, b, c):
@@ -115,8 +107,8 @@ def crossing_signs(p, q, a, b, c):
         h_a = nn[idx] / np.maximum(_norm(cp - bp), _TINY)
         h_b = nn[idx] / np.maximum(_norm(ap - cp), _TINY)
         h_c = nn[idx] / np.maximum(_norm(bp - ap), _TINY)
-        for x in (ap, bp, cp):
-            x -= pm  # the vertices relative to p, in place once the heights are known
+        # Relative to p only now: (c - p) - (b - p) rounds unlike c - b.
+        ap, bp, cp = ap - pm, bp - pm, cp - pm
         margin = np.minimum(
             np.minimum(triple_product(d, bp, cp) / tsum * h_a,
                        triple_product(d, cp, ap) / tsum * h_b),
@@ -142,33 +134,21 @@ def segment_distances(p1, q1, p2, q2):
     parametrisation, robust for parallel and near-degenerate segments.
     """
     p1, q1, p2, q2 = (np.asarray(x, dtype=float) for x in (p1, q1, p2, q2))
-    # Each lane-sized temporary is dropped once used: in the oracle path
-    # this function sets the chunk's memory peak.
     d1 = q1 - p1
     d2 = q2 - p2
     r = p1 - p2
     f = _dot(d2, r)
     c = _dot(d1, r)
-    del r
     a = _dot(d1, d1)
     e = _dot(d2, d2)
     b = _dot(d1, d2)
     denom = a * e - b * b
     s = np.where(denom > _TINY, (b * f - c * e) / np.where(denom > _TINY, denom, 1.0), 0.0)
-    del denom
     s = np.clip(s, 0.0, 1.0)
     t = (b * s + f) / np.where(e > _TINY, e, 1.0)
-    del e, f
     t_cl = np.clip(t, 0.0, 1.0)
     s = np.where(t != t_cl, np.clip((b * t_cl - c) / np.where(a > _TINY, a, 1.0), 0.0, 1.0), s)
-    del t, a, b, c
-    # The closest points p1 + s d1 and p2 + t d2, formed in place.
-    d1 = s * d1
-    d1 += p1
-    d2 = t_cl * d2
-    d2 += p2
-    d1 -= d2
-    return _norm(d1)
+    return _norm(p1 + s * d1 - (p2 + t_cl * d2))
 
 
 def _point_face_distance(x, a, b, c, n, nn_safe):
@@ -177,9 +157,9 @@ def _point_face_distance(x, a, b, c, n, nn_safe):
     proximity is the caller's job)."""
     s = _dot(x - a, n) / nn_safe
     foot = x - s * (n / nn_safe)
-    w_a = _dot(_cross(b - foot, c - foot), n)
-    w_b = _dot(_cross(c - foot, a - foot), n)
-    w_c = _dot(_cross(a - foot, b - foot), n)
+    w_a = triple_product(b - foot, c - foot, n)
+    w_b = triple_product(c - foot, a - foot, n)
+    w_c = triple_product(a - foot, b - foot, n)
     inside = (w_a >= 0.0) & (w_b >= 0.0) & (w_c >= 0.0)
     return np.where(inside, np.abs(s), np.inf)
 

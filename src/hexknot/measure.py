@@ -12,7 +12,6 @@ from __future__ import annotations
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, asdict
-from functools import partial
 
 import numpy as np
 
@@ -132,23 +131,18 @@ def _region_acute(d):
     return _region_third(d) & (d[:, 0] ** 2 < d[:, 1] ** 2 + d[:, 2] ** 2)
 
 
-def _angle_window(t, t0_low):
-    return ((t[:, 0] > t0_low) & (t[:, 0] < np.pi)
-            & (t[:, 1] > 0) & (t[:, 1] < np.pi / 2)
-            & (t[:, 2] > 0) & (t[:, 2] < np.pi / 2)
-            & (t[:, 0] + t[:, 1] < np.pi) & (t[:, 0] + t[:, 2] < np.pi))
-
-
-# name -> (side of the uniform draw cube [0, hi]^3, membership test, analytic value)
+# name -> (side of the uniform draw cube [0, hi]^3, membership test, analytic value).
+# Each torus window is the positive-curl window filter at fixed distinct
+# diagonals with d1 the largest, d1^2 above or below d2^2 + d3^2.
 REGIONS = {
     "P6": (2.0, is_interior, CLOSED_FORMS["vol_P6"]),
     "third_d1_max": (2.0, _region_third, CLOSED_FORMS["vol_third"]),
     "obtuse_d1": (2.0, _region_obtuse, CLOSED_FORMS["vol_obtuse"]),
     "acute_d1": (2.0, _region_acute,
                  CLOSED_FORMS["vol_third"] * (1.0 - CLOSED_FORMS["ratio_obtuse"])),
-    "torus_obtuse_window": (TWO_PI, partial(_angle_window, t0_low=np.pi / 2),
+    "torus_obtuse_window": (TWO_PI, lambda t: passes_window_filters((1.5, 1.0, 0.8), t)[1],
                             TWO_PI ** 3 * CLOSED_FORMS["torus_frac_obtuse"]),
-    "torus_acute_window": (TWO_PI, partial(_angle_window, t0_low=0),
+    "torus_acute_window": (TWO_PI, lambda t: passes_window_filters((1.0, 0.9, 0.8), t)[1],
                            TWO_PI ** 3 * CLOSED_FORMS["torus_frac_acute"]),
 }
 
@@ -216,7 +210,7 @@ class EstimationReport:
     mode scale 4 and the trefoil_R+ count (the four classes have equal
     measure), in oracle mode scale 1 and the four trefoil counts.
     std_error (binomial) and ci95 (Wilson score) carry the same scale;
-    the scaled ci95 edges are clamped to at most 1.
+    fraction_total and the scaled ci95 edges are clamped to at most 1.
     """
 
     samples: int
@@ -312,9 +306,9 @@ def estimate_knotting_probability(n, seed, mode="predicate", workers=1):
         hits=hits,
         degenerate_count=degenerate,
         fraction_R_plus=hits["trefoil_R+"] / valid,
-        fraction_total=scale * p,
+        # a fraction is at most 1, so the scaled estimate and edges are clamped there
+        fraction_total=min(scale * p, 1.0),
         std_error=float(scale * np.sqrt(p * (1.0 - p) / valid)),
-        # fraction_total is at most 1, so the scaled edges are clamped there
         ci95=tuple(min(scale * edge, 1.0) for edge in wilson_interval(knotted, valid)),
         wall_time_seconds=time.perf_counter() - t0,
         workers=workers,

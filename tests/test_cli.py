@@ -77,6 +77,10 @@ CLASSIFY_INPUTS = {
         lines(HEADER, *ROWS[:9], end="\r\n"), 0,
         "classified 9 rows: {'unknot': 3, 'trefoil_R+': 3, 'degenerate': 3}\n",
         classified(ROWS[:9])),
+    "bare-cr": (
+        lines(HEADER, *ROWS[:9], end="\r"), 0,
+        "classified 9 rows: {'unknot': 3, 'trefoil_R+': 3, 'degenerate': 3}\n",
+        classified(ROWS[:9])),
     "padded-fields": (
         lines(*ROWS[:8], "  1.5 , 0.8,0.9\t,2.0,0.4, 0.3 "), 0,
         "classified 9 rows: {'unknot': 4, 'trefoil_R+': 2, 'degenerate': 3}\n",
@@ -396,6 +400,26 @@ class TestClassify:
                         peak(["sample", "--n", str(n), "--seed", "3", "--format", "json"]))
         for small, large in zip(peaks[2048], peaks[16 * 2048]):
             assert large < 2 * small, peaks
+
+    def test_memory_does_not_grow_with_bare_cr_rows_on_stdin(self, tmp_path, monkeypatch):
+        # Lines that end in a bare "\r" are read a block at a time from
+        # stdin too, not as one physical line.
+        monkeypatch.setattr(measure, "CHUNK_SIZE", 512)
+        monkeypatch.setattr(cli, "GEOMETRY_BLOCK", 512)
+        rows, out = tmp_path / "rows.csv", tmp_path / "out"
+        peaks = []
+        for n in (2048, 16 * 2048):
+            run(["sample", "--n", str(n), "--seed", "3", "--output", str(rows)])
+            monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(
+                io.BytesIO(rows.read_bytes().replace(b"\n", b"\r")),
+                encoding="utf-8", newline="\n"))
+            tracemalloc.start()
+            try:
+                assert run(["classify", "--output", str(out)]) == 0
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] < 2 * peaks[0], peaks
 
     def test_non_finite_row_names_line(self, tmp_path, capsys):
         src = tmp_path / "nan.csv"

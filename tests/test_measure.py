@@ -167,10 +167,12 @@ class TestEstimate:
         payload = json.loads(json.dumps(r.to_dict()))
         assert payload["fraction_R_plus"] == r.fraction_R_plus
 
-    @pytest.mark.parametrize("n", [10, 11])
-    def test_scaled_ci95_stays_in_unit_interval(self, n):
-        # the Wilson edge of the R+ count times 4 would pass 1 at few samples
-        r = estimate_knotting_probability(n, seed=1, mode="predicate")
+    @pytest.mark.parametrize("n, seed", [
+        pytest.param(10, 1, id="10"), pytest.param(11, 1, id="11"),
+        pytest.param(2, 48047, id="2-48047"), pytest.param(3, 172, id="3-172")])
+    def test_scaled_ci95_stays_in_unit_interval(self, n, seed):
+        # the R+ count and its Wilson edge times 4 would pass 1 at few samples
+        r = estimate_knotting_probability(n, seed=seed, mode="predicate")
         assert 0.0 <= r.ci95[0] <= r.fraction_total <= r.ci95[1] == 1.0
 
     def test_oracle_report_counts_sum(self):
