@@ -34,9 +34,8 @@ from .invariants import (
     disk_counts,
 )
 from .trefoil_predicates import (
-    FilterReport,
     class_masks,
-    window_filters,
+    filter_clauses,
     nine_functions,
 )
 from .measure import (

@@ -20,9 +20,7 @@ import numpy as np
 
 from .action_angle import build_hexagon, is_interior, wrap_angles
 from .invariants import (
-    KNOT_CLASS_FROM_LABEL,
     KNOT_CLASS_LABELS,
-    TREFOIL_CLASSES,
     KnotClass,
     classify_batch,
 )
@@ -40,7 +38,7 @@ from .measure import (
     repeat_estimates,
     sample_coordinate_stream,
 )
-from .trefoil_predicates import window_filters
+from .trefoil_predicates import filter_clauses
 
 ACTION_HEADER = "d1,d2,d3,theta1,theta2,theta3"
 VERTEX_HEADER = ",".join(f"v{i}{c}" for i in range(1, 7) for c in "xyz")
@@ -322,9 +320,10 @@ def cmd_check(args):
     else:
         code = classify_batch(build_hexagon(d, th))
         payload["class"] = KNOT_CLASS_LABELS[KnotClass(int(code))]
-        report = window_filters(d, th, KNOT_CLASS_FROM_LABEL[args.target])
-        payload["filters"] = report.to_dict()
-        payload["filters"]["passes_all"] = report.passes()
+        payload["filters"] = {  # JSON keys "1" and "-1"
+            curl_sign: {**{name: bool(m) for name, m in clauses.items()},
+                        "passes_all": all(clauses.values())}
+            for curl_sign, clauses in filter_clauses(d, th).items()}
     print(json.dumps(payload, indent=2))
     return 0
 
@@ -375,11 +374,7 @@ def build_parser():
     p = sub.add_parser("check", help="filters and class for one coordinate tuple")
     p.add_argument("coords", type=_finite_float, nargs=6, metavar="X",
                    help="d1 d2 d3 theta1 theta2 theta3 (give -- first if any starts "
-                        "with -; --target must come before --)")
-    p.add_argument("--target",
-                   choices=[KNOT_CLASS_LABELS[cls] for cls in TREFOIL_CLASSES],
-                   default="trefoil_R+",
-                   help="trefoil class for the filter report")
+                        "with -)")
     p.set_defaults(func=cmd_check)
     return parser
 
@@ -387,6 +382,8 @@ def build_parser():
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.command == "estimate" and args.seed + args.repeats > 1 << 64:
+        parser.error("estimate: --seed + --repeats - 1 must be below 2**64")
     try:
         return args.func(args)
     except BrokenPipeError:

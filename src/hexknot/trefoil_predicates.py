@@ -7,7 +7,7 @@ plane-separation condition). The sign conditions are necessary and are
 not assumed sufficient; estimators report the gap between predicate
 hits and geometric classifications instead of assuming either way.
 Coarser window filters on the angles and diagonals accompany them; see
-FilterReport for how far each can be trusted.
+filter_clauses for how far each can be trusted.
 
 All predicates evaluate strict inequalities with zero tolerance: the
 boundary sets have measure zero under the sampling distribution.
@@ -15,16 +15,16 @@ boundary sets have measure zero under the sampling distribution.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, asdict
 from typing import NamedTuple
 
 import numpy as np
 
 from .action_angle import TWO_PI, fold_terms, interior_coordinates
-from .invariants import KNOT_CLASS_LABELS, KnotClass
 from .invariants import TREFOIL_PAIRS as TARGET_PAIRS
 
 _DISTINCT_TOL = 1e-9
+FILTER_CLAUSES = ("curl_window", "angle_sums", "distinct_diagonals",
+                  "dominant_diagonal_window")
 
 
 class NineFunctions(NamedTuple):
@@ -118,39 +118,29 @@ def class_masks(diagonals, angles):
     return masks
 
 
-@dataclass
-class FilterReport:
-    """Outcome of each window-constraint filter for a target class.
+def filter_clauses(diagonals, angles):
+    """The four window-filter clauses for both curl signs.
 
-    curl_window, angle_sums and distinct_diagonals are necessary
-    conditions for the target class. dominant_diagonal_window is the
-    tighter window keyed to the largest diagonal; a rare fraction of
+    Returns {+1: clauses, -1: clauses}, each a dict from the names in
+    FILTER_CLAUSES to bool arrays; no clause depends on chirality:
+
+    - curl_window: all angles on the curl side of pi;
+    - angle_sums: pairwise angle sums on the curl side;
+    - distinct_diagonals: no two diagonals within 1e-9;
+    - dominant_diagonal_window: windows keyed to the largest diagonal.
+
+    The first three are necessary conditions for a trefoil of that curl.
+    dominant_diagonal_window is the tighter window; a rare fraction of
     genuine trefoils (measured: 27 of 1,386 in 10^7 oracle samples at
     seed 9, about 2.7 per 10^6 samples) falls outside it, so treat a
     False there as a strong but not airtight veto.
+
+    Angles are mirrored for the negative-curl case so every window is
+    stated for positive curl; the diagonal-only work is done once for
+    both signs. Angles must lie in [0, 2*pi). Raises NotInteriorError
+    unless every diagonal triple is interior.
     """
-
-    target: str
-    curl_window: bool            # all angles on the curl side of pi
-    angle_sums: bool             # pairwise angle sums on the curl side
-    distinct_diagonals: bool     # no two diagonals within 1e-9
-    dominant_diagonal_window: bool  # windows keyed to the largest diagonal
-
-    def passes(self) -> bool:
-        return (self.curl_window and self.angle_sums
-                and self.distinct_diagonals and self.dominant_diagonal_window)
-
-    to_dict = asdict
-
-
-def _filter_masks(d, th):
-    """Vectorised filter clauses for both curl signs.
-
-    Returns {+1: clauses, -1: clauses}, each the four clauses in
-    FilterReport field order. Angles are mirrored for the negative-curl
-    case so every window is stated for positive curl; the diagonal-only
-    work is done once for both signs.
-    """
+    d, th = interior_coordinates(diagonals, angles)
     distinct = np.all(np.abs(d - d[..., (1, 2, 0)]) > _DISTINCT_TOL, axis=-1)
     big = np.argmax(d, axis=-1)[..., None]
     is_big = np.arange(3) == big
@@ -166,24 +156,13 @@ def _filter_masks(d, th):
         others_small = np.all(is_big | ((t > 0.0) & (t < 0.5 * np.pi)), axis=-1)
         t_big = np.take_along_axis(t, big, axis=-1)[..., 0]
         window = others_small & (t_big > big_lo) & (t_big < np.pi)
-        clauses[curl_sign] = (_angles_in(t, 0.0, np.pi), angle_sums, distinct, window)
+        clauses[curl_sign] = dict(zip(FILTER_CLAUSES, (
+            _angles_in(t, 0.0, np.pi), angle_sums, distinct, window)))
     return clauses
 
 
 def passes_window_filters(diagonals, angles):
-    """Vectorised conjunction of all four filter clauses, as a dict
-    curl sign (+1, -1) -> bool array; no clause depends on chirality.
-    Angles must lie in [0, 2*pi)."""
-    d, th = interior_coordinates(diagonals, angles)
-    return {curl_sign: np.logical_and.reduce(clauses)
-            for curl_sign, clauses in _filter_masks(d, th).items()}
-
-
-def window_filters(diagonals, angles, target):
-    """FilterReport for one coordinate tuple against `target`, one of
-    the four trefoil KnotClass values. Angles must lie in [0, 2*pi)."""
-    if not isinstance(target, KnotClass) or target not in TARGET_PAIRS:
-        raise ValueError("target must be one of the four trefoil KnotClass values")
-    d, th = interior_coordinates(diagonals, angles)
-    clauses = _filter_masks(d, th)[TARGET_PAIRS[target].curl_part]
-    return FilterReport(KNOT_CLASS_LABELS[target], *(bool(m) for m in clauses))
+    """Conjunction of the filter_clauses, as a dict curl sign (+1, -1)
+    -> bool array. Angles must lie in [0, 2*pi)."""
+    return {curl_sign: np.logical_and.reduce(list(clauses.values()))
+            for curl_sign, clauses in filter_clauses(diagonals, angles).items()}

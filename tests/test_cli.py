@@ -15,6 +15,7 @@ from hexknot.action_angle import build_hexagon
 from hexknot.cli import main
 from hexknot.invariants import KnotClass, classify_batch
 from hexknot.measure import CHUNK_SIZE, sample_coordinate_stream
+from hexknot.trefoil_predicates import FILTER_CLAUSES
 from conftest import REGULAR_ANGLES, REGULAR_DIAGONALS, WITNESSES
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -460,6 +461,26 @@ class TestEstimate:
         assert len(payload["runs"]) == 3
         assert "std_fraction_R_plus" in payload["across_runs"]
 
+    def test_repeats_past_last_seed_is_usage_error(self, tmp_path, monkeypatch, capsys):
+        out = tmp_path / "report.json"
+        last = 2 ** 64 - 1
+        assert run(["estimate", "--samples", "10", "--seed", str(last - 1),
+                    "--repeats", "2", "--output", str(out)]) == 0
+        assert [r["seed"] for r in json.loads(out.read_text())["runs"]] == [last - 1, last]
+
+        def no_run(*args, **kwargs):
+            raise AssertionError("estimator ran")
+        monkeypatch.setattr(cli, "repeat_estimates", no_run)
+        monkeypatch.setattr(cli, "estimate_knotting_probability", no_run)
+        for seed, repeats in ((last, 2), (last - 2, 4)):
+            with pytest.raises(SystemExit) as err:
+                run(["estimate", "--samples", "10", "--seed", str(seed),
+                     "--repeats", str(repeats)])
+            assert err.value.code == 2
+            message = capsys.readouterr().err
+            assert "--seed" in message and "--repeats" in message
+            assert str(last + 1) not in message
+
     def test_worker_invariance(self, tmp_path):
         reports = []
         for workers, name in ((1, "a"), (4, "b")):
@@ -589,7 +610,11 @@ class TestCheck:
         assert run(args) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["class"] == "trefoil_R+"
-        assert payload["filters"]["passes_all"]
+        assert set(payload["filters"]) == {"1", "-1"}
+        for filters in payload["filters"].values():
+            assert list(filters) == [*FILTER_CLAUSES, "passes_all"]
+        assert payload["filters"]["1"]["passes_all"]
+        assert not payload["filters"]["-1"]["passes_all"]
 
     @pytest.mark.parametrize("turn", [2 * np.pi, -2 * np.pi])
     def test_angle_outside_one_turn_is_reduced(self, capsys, turn):
@@ -601,7 +626,7 @@ class TestCheck:
         payload = json.loads(capsys.readouterr().out)
         assert payload["class"] == witness["class"] == "trefoil_R+"
         assert payload["filters"] == witness["filters"]
-        assert payload["filters"]["passes_all"]
+        assert payload["filters"]["1"]["passes_all"]
         assert 0.0 <= payload["coords"]["theta"][0] < 2 * np.pi
 
     def test_tiny_negative_angle_is_reduced_to_zero(self, capsys):
@@ -626,18 +651,27 @@ class TestCheck:
             assert err.value.code == 2
             assert "non-finite" in capsys.readouterr().err
 
+    def test_negative_curl_witness_filters(self, capsys):
+        d, th = WITNESSES["trefoil_L-"]
+        assert run(["check"] + [f"{x:.17g}" for x in (*d, *th)]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["class"] == "trefoil_L-"
+        assert all(payload["filters"]["-1"].values())
+        assert not payload["filters"]["1"]["curl_window"]
+        assert not payload["filters"]["1"]["passes_all"]
+
     def test_target_flag(self, capsys):
         d, th = WITNESSES["trefoil_L-"]
         args = ["check"] + [f"{x:.17g}" for x in (*d, *th)] + ["--target", "trefoil_L-"]
-        assert run(args) == 0
-        payload = json.loads(capsys.readouterr().out)
-        assert payload["class"] == "trefoil_L-"
-        assert payload["filters"]["target"] == "trefoil_L-"
-        assert payload["filters"]["passes_all"]
+        with pytest.raises(SystemExit) as err:
+            run(args)
+        assert err.value.code == 2
+        assert "unrecognized arguments: --target" in capsys.readouterr().err
 
     def test_target_before_double_dash(self, capsys):
         d, th = WITNESSES["trefoil_L-"]
         args = ["check", "--target", "trefoil_L-", "--"] + [f"{x:.17g}" for x in (*d, *th)]
-        assert run(args) == 0
-        payload = json.loads(capsys.readouterr().out)
-        assert payload["filters"]["target"] == "trefoil_L-"
+        with pytest.raises(SystemExit) as err:
+            run(args)
+        assert err.value.code == 2
+        assert "hexknot check: error" in capsys.readouterr().err

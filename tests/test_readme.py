@@ -1,15 +1,17 @@
 """README's library text matches the package.
 
-The quickstart block runs as written, and every kernel the README names
-as public imports from hexknot.
+The quickstart block runs as written, every kernel the README names as
+public imports from hexknot, and every command-line example parses.
 """
 
 import contextlib
 import io
 import re
+import shlex
 from pathlib import Path
 
 import hexknot
+from hexknot import cli
 
 README = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
 
@@ -28,3 +30,13 @@ def test_public_kernels_import():
     names = re.findall(r"`(\w+)`", sentence)
     assert "disk_counts" in names and "classify_batch" in names
     assert [n for n in names if not hasattr(hexknot, n)] == []
+
+
+def test_command_line_examples_parse():
+    block = re.search(r"## Command line\s+```bash\n(.*?)```", README, re.S).group(1)
+    lines = [line for line in block.splitlines() if line.startswith("hexknot ")]
+    assert len(lines) >= 6
+    parser = cli.build_parser()
+    for line in lines:
+        args = parser.parse_args(shlex.split(line, comments=True)[1:])
+        assert args.command == line.split()[1]

@@ -1,5 +1,3 @@
-import json
-
 import numpy as np
 import pytest
 
@@ -9,11 +7,12 @@ from hexknot.action_angle import (
     sample_action_batch,
     sample_angles_batch,
 )
-from hexknot.invariants import KnotClass, classify_batch
+from hexknot.invariants import KNOT_CLASS_FROM_LABEL, KnotClass, classify_batch
 from hexknot.trefoil_predicates import (
+    FILTER_CLAUSES,
     TARGET_PAIRS,
     class_masks,
-    window_filters,
+    filter_clauses,
     nine_functions,
     passes_window_filters,
 )
@@ -182,76 +181,67 @@ class TestLemmaFilters:
         # every clause passes: angles in range, pairwise sums below pi,
         # distinct diagonals, and 1.5^2 > 0.8^2 + 0.9^2 forces the
         # dominant angle into (pi/2, pi), where 2.0 sits
-        report = window_filters((1.5, 0.8, 0.9), (2.0, 0.4, 0.3), R_PLUS)
-        assert report.curl_window
-        assert report.angle_sums
-        assert report.distinct_diagonals
-        assert report.dominant_diagonal_window
-        assert report.passes()
+        clauses = filter_clauses((1.5, 0.8, 0.9), (2.0, 0.4, 0.3))[1]
+        assert clauses["curl_window"]
+        assert clauses["angle_sums"]
+        assert clauses["distinct_diagonals"]
+        assert clauses["dominant_diagonal_window"]
+        assert passes_window_filters((1.5, 0.8, 0.9), (2.0, 0.4, 0.3))[1]
+
+    def test_clause_names(self):
+        clauses = filter_clauses((1.5, 0.8, 0.9), (2.0, 0.4, 0.3))
+        assert set(clauses) == {1, -1}
+        for names in clauses.values():
+            assert tuple(names) == FILTER_CLAUSES == (
+                "curl_window", "angle_sums", "distinct_diagonals",
+                "dominant_diagonal_window")
+
+    def test_rejects_non_interior(self):
+        with pytest.raises(NotInteriorError):
+            filter_clauses((1.0, 1.0, 2.0), (1.0, 0.5, 0.3))
 
     def test_equal_diagonals_fail_distinctness(self):
-        report = window_filters((1.0, 1.0, 1.0), (1.0, 0.5, 0.3), R_PLUS)
-        assert not report.distinct_diagonals
-        assert not report.passes()
+        clauses = filter_clauses((1.0, 1.0, 1.0), (1.0, 0.5, 0.3))[1]
+        assert not clauses["distinct_diagonals"]
+        assert not passes_window_filters((1.0, 1.0, 1.0), (1.0, 0.5, 0.3))[1]
 
     def test_obtuse_dominant_requires_large_angle(self):
         # d1^2 > d2^2 + d3^2 so theta1 must be in (pi/2, pi); 0.4 is not
-        report = window_filters((1.5, 0.8, 0.9), (0.4, 0.3, 0.2), R_PLUS)
-        assert not report.dominant_diagonal_window
-        assert report.curl_window and report.angle_sums
+        clauses = filter_clauses((1.5, 0.8, 0.9), (0.4, 0.3, 0.2))[1]
+        assert not clauses["dominant_diagonal_window"]
+        assert clauses["curl_window"] and clauses["angle_sums"]
 
     def test_angle_sum_violation(self):
-        report = window_filters((1.5, 0.8, 0.9), (2.0, 1.5, 0.3), R_PLUS)
-        assert not report.angle_sums
+        clauses = filter_clauses((1.5, 0.8, 0.9), (2.0, 1.5, 0.3))[1]
+        assert not clauses["angle_sums"]
 
     def test_negative_curl_windows_are_mirrored(self):
         d = (1.5, 0.8, 0.9)
         up = (2.0, 0.4, 0.3)
         down = tuple(TWO_PI - t for t in up)
-        assert window_filters(d, up, R_PLUS).passes()
-        assert window_filters(d, down, R_MINUS).passes()
-        assert not window_filters(d, up, R_MINUS).curl_window
-
-    def test_accepts_knot_class_target(self):
-        report = window_filters((1.5, 0.8, 0.9), (2.0, 0.4, 0.3),
-                               KnotClass.TREFOIL_R_PLUS)
-        assert report.target == "trefoil_R+"
-        assert report.passes()
-
-    def test_rejects_non_trefoil_target(self):
-        with pytest.raises(ValueError):
-            window_filters((1.5, 0.8, 0.9), (2.0, 0.4, 0.3), (0, 0))
-        with pytest.raises(ValueError):
-            window_filters((1.5, 0.8, 0.9), (2.0, 0.4, 0.3), KnotClass.UNKNOT)
-        with pytest.raises(ValueError):
-            window_filters((1.5, 0.8, 0.9), (2.0, 0.4, 0.3), (1, 1))
-        with pytest.raises(ValueError):
-            window_filters((1.5, 0.8, 0.9), (2.0, 0.4, 0.3), [1, 1])
-
-    def test_json_serialisable(self):
-        report = window_filters((1.5, 0.8, 0.9), (2.0, 0.4, 0.3), R_PLUS)
-        payload = json.loads(json.dumps(report.to_dict()))
-        assert payload["target"] == "trefoil_R+"
-        assert set(payload) == {"target", "curl_window", "angle_sums",
-                                "distinct_diagonals", "dominant_diagonal_window"}
+        assert passes_window_filters(d, up)[1]
+        assert passes_window_filters(d, down)[-1]
+        assert not filter_clauses(d, up)[-1]["curl_window"]
+        for name in FILTER_CLAUSES:
+            assert filter_clauses(d, up)[1][name] == filter_clauses(d, down)[-1][name]
 
     def test_witnesses_pass_all_filters(self):
         for label, (d, th) in WITNESSES.items():
-            target = {
-                "trefoil_R+": KnotClass.TREFOIL_R_PLUS,
-                "trefoil_R-": KnotClass.TREFOIL_R_MINUS,
-                "trefoil_L+": KnotClass.TREFOIL_L_PLUS,
-                "trefoil_L-": KnotClass.TREFOIL_L_MINUS,
-            }[label]
-            report = window_filters(np.array(d), np.array(th), target)
-            assert report.passes(), (label, report)
+            curl_sign = TARGET_PAIRS[KNOT_CLASS_FROM_LABEL[label]].curl_part
+            clauses = filter_clauses(np.array(d), np.array(th))[curl_sign]
+            assert all(clauses.values()), (label, clauses)
 
     def test_vectorised_matches_scalar(self, rng):
         d = sample_action_batch(rng, 300)
         th = sample_angles_batch(rng, 300)
+        batch = filter_clauses(d, th)
         masks = passes_window_filters(d, th)
-        for cls, (_, curl_sign) in TARGET_PAIRS.items():
-            mask = masks[curl_sign]
-            for k in range(300):
-                report = window_filters(d[k], th[k], cls)
-                assert report.passes() == bool(mask[k])
+        for curl_sign, clauses in batch.items():
+            assert np.array_equal(masks[curl_sign],
+                                  np.logical_and.reduce(list(clauses.values())))
+        for k in range(300):
+            lane = filter_clauses(d[k], th[k])
+            for curl_sign, clauses in lane.items():
+                for name, value in clauses.items():
+                    assert value.shape == ()
+                    assert bool(value) == bool(batch[curl_sign][name][k])
