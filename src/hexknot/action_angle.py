@@ -18,7 +18,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .geom import EPS_AREA, EPS_CONTACT, _cross, _dot, _norm, segment_distances
+from .geom import (
+    EPS_AREA, EPS_CONTACT, EPS_CROSS2, EPS_LINE, _cross, _dot, _norm, segment_distances,
+)
 
 TWO_PI = 2.0 * np.pi
 
@@ -189,13 +191,37 @@ def extract_action_angle(vertices):
 
 
 def is_embedded(vertices):
-    """True where none of the 9 non-adjacent edge pairs of an (..., 6, 3)
-    vertex array come within EPS_CONTACT of each other."""
+    """True where the vertices of an (..., 6, 3) array are finite and
+    none of its 9 non-adjacent edge pairs come within EPS_CONTACT.
+
+    Most pairs are certified apart by line distance. With e_i, e_j the
+    edge vectors and x = e_i x e_j, the lines through the two edges lie
+    |(w_j - w_i) . x| / |x| apart, a lower bound on the segment distance.
+    Where |x|^2 > EPS_CROSS2 and that bound exceeds EPS_LINE, rounding
+    cannot bring the segments within EPS_CONTACT (see geom), and
+    segment_distances, which returns the distance between two points of
+    the segments, reads above EPS_CONTACT too; so certifying changes no
+    answer. The other pairs (near-parallel or near-coplanar edges) go to
+    one segment_distances call. Both comparisons read False on NaN, so
+    a non-finite pair is never certified and its NaN distance clears the
+    lane; an isfinite test rejects non-finite lanes explicitly as well.
+    """
     v = np.asarray(vertices, dtype=float)
     w = vertex_components(v)
-    embedded = np.ones(w.shape[-1], dtype=bool)
-    for i, j in NON_ADJACENT_EDGE_PAIRS:
-        embedded &= segment_distances(w[i], w[(i + 1) % 6], w[j], w[(j + 1) % 6]) > EPS_CONTACT
+    e = np.roll(w, -1, axis=0) - w  # e[k] runs from vertex k to vertex k+1
+    certified = np.empty((len(NON_ADJACENT_EDGE_PAIRS), w.shape[-1]), dtype=bool)
+    for row, (i, j) in zip(certified, NON_ADJACENT_EDGE_PAIRS):
+        x = _cross(e[i], e[j])
+        xx = _dot(x, x)
+        g = _dot(w[j] - w[i], x)
+        row[:] = (xx > EPS_CROSS2) & (g * g > EPS_LINE * EPS_LINE * xx)
+    pair, lane = np.nonzero(~certified)
+    i, j = np.transpose(NON_ADJACENT_EDGE_PAIRS)[:, pair]
+    wt = w.transpose(1, 0, 2)  # (3, 6, n): wt[:, k, lane] gathers (3, m) points
+    dist = segment_distances(wt[:, i, lane], wt[:, (i + 1) % 6, lane],
+                             wt[:, j, lane], wt[:, (j + 1) % 6, lane])
+    embedded = np.isfinite(w).all(axis=(0, 1))
+    embedded[lane[~(dist > EPS_CONTACT)]] = False
     return embedded.reshape(v.shape[:-2])
 
 

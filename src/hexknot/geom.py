@@ -20,6 +20,11 @@ EPS_PLANE = 1e-10    # endpoint-to-plane proximity that voids a crossing test
 EPS_EDGE = 1e-10     # crossing-point-to-boundary proximity that voids it
 EPS_AREA = 1e-12     # minimum triangle area for a usable normal
 EPS_CONTACT = 1e-12  # closed-segment contact threshold
+# Line-distance certificate of is_embedded: in unit-edge scale the rounding
+# error of (w_j - w_i) . (e_i x e_j) is below 1e-14, so where |e_i x e_j|^2
+# exceeds EPS_CROSS2 the line distance is off by under 1e-10 << EPS_LINE.
+EPS_LINE = 1e-9      # line distance that proves two segments apart
+EPS_CROSS2 = 1e-8    # floor on |e_i x e_j|^2 below which no pair is certified
 
 _TINY = 1e-300  # guard for divisions on masked-out lanes
 

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
+from hexknot import action_angle
 from hexknot.action_angle import (
+    NON_ADJACENT_EDGE_PAIRS,
     DegenerateFrameError,
     NotInteriorError,
     build_hexagon,
@@ -14,6 +16,8 @@ from hexknot.action_angle import (
     triangle_area_scale,
     vertex_components,
 )
+from hexknot.geom import EPS_CONTACT, EPS_LINE, segment_distances
+from hexknot.invariants import KnotClass, classify_batch
 from conftest import REGULAR_ANGLES, REGULAR_DIAGONALS, random_rotation
 
 SQ3 = np.sqrt(3.0)
@@ -209,6 +213,52 @@ class TestExtract:
             extract_action_angle(flat)
 
 
+def pair_endpoints(vertices):
+    """Per non-adjacent pair (i, j), the component-first endpoints
+    (v_i, v_i+1, v_j, v_j+1) of its two edges."""
+    w = vertex_components(vertices)
+    return [(w[i], w[(i + 1) % 6], w[j], w[(j + 1) % 6]) for i, j in NON_ADJACENT_EDGE_PAIRS]
+
+
+def reference_distances(vertices):
+    """(9, n) closed-segment distances of every non-adjacent edge pair."""
+    return np.stack([segment_distances(*ends) for ends in pair_endpoints(vertices)])
+
+
+def near_contact_hexagons(rng, repeats=8):
+    """Sampled hexagons with edge j of a non-adjacent pair (i, j) moved
+    next to edge i: collinear and overlapping, parallel at gaps 0, 1e-13
+    and 1e-11, nearly parallel at 1e-13 (tilt 1e-10) and 1e-11 (tilt
+    1e-5), crossing in a plane, and skew crossings at line distances
+    1e-13 and from EPS_LINE/10 to 10*EPS_LINE."""
+    def offsets(h_skew):
+        return [  # per end of edge j: (share of edge i, offset along n1, along n2)
+            ((0.2, 0, 0), (1.3, 0, 0)),
+            ((0.3, 0, 0), (0.8, 0, 0)),
+            ((0.3, 1e-13, 0), (0.8, 1e-13, 0)),
+            ((0.3, 1e-11, 0), (0.8, 1e-11, 0)),
+            ((0.3, 1e-11, 0), (0.8, 1e-11, 1e-5)),
+            ((0.3, 1e-13, 0), (0.8, 1e-13, 1e-10)),
+            ((0.5, 0.5, 0), (0.5, -0.5, 0)),
+            ((0.5, 0.5, 1e-13), (0.5, -0.5, 1e-13)),
+            ((0.5, 0.5, h_skew), (0.5, -0.5, h_skew)),
+        ]
+    hexagons = []
+    for i, j in NON_ADJACENT_EDGE_PAIRS:
+        for _ in range(repeats):
+            h_skew = EPS_LINE * 10.0 ** rng.uniform(-1.0, 1.0)
+            for ends in offsets(h_skew):
+                v = build_hexagon(sample_action_batch(rng, 1)[0], sample_angles_batch(rng, 1)[0])
+                p, u = v[i], v[(i + 1) % 6] - v[i]
+                n1 = np.cross(u, rng.normal(size=3))
+                n1 /= np.linalg.norm(n1)
+                n2 = np.cross(u / np.linalg.norm(u), n1)
+                for k, (s, a, b) in zip((j, (j + 1) % 6), ends):
+                    v[k] = p + s * u + a * n1 + b * n2
+                hexagons.append(v)
+    return np.array(hexagons)
+
+
 class TestEmbedded:
     def test_planar_regular_hexagon_embedded(self):
         assert bool(is_embedded(build_hexagon(REGULAR_DIAGONALS, REGULAR_ANGLES)))
@@ -231,3 +281,40 @@ class TestEmbedded:
         v = build_hexagon(sample_action_batch(rng, 300), sample_angles_batch(rng, 300))
         grid = v.reshape(2, 150, 6, 3)
         assert np.array_equal(is_embedded(grid), is_embedded(v).reshape(2, 150))
+
+    def test_certificate_matches_segment_distances(self, rng, monkeypatch):
+        """is_embedded equals segment_distances > EPS_CONTACT over all 9
+        pairs, and every pair within EPS_CONTACT reaches segment_distances
+        (so the line-distance certificate never clears a contact)."""
+        near = near_contact_hexagons(rng)
+        v = np.concatenate([near, build_hexagon(sample_action_batch(rng, 1 << 16),
+                                                sample_angles_batch(rng, 1 << 16))])
+        dist = reference_distances(v)
+        contact = ~(dist > EPS_CONTACT)
+        assert contact[:, :len(near)].any(axis=0).sum() >= len(near) // 2
+        assert not contact[:, len(near):].any()
+
+        sent = []
+
+        def spy(*ends):
+            sent.append(np.concatenate(ends).T.copy())
+            return segment_distances(*ends)
+
+        monkeypatch.setattr(action_angle, "segment_distances", spy)
+        assert np.array_equal(is_embedded(v), ~contact.any(axis=0))
+        assert len(sent) == 1
+        checked = {row.tobytes() for row in sent[0]}
+        for ends, lanes in zip(pair_endpoints(v), contact):
+            for row in np.concatenate(ends)[:, lanes].T:
+                assert row.tobytes() in checked
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_vertices_rejected(self, value):
+        v = np.repeat(build_hexagon(REGULAR_DIAGONALS, REGULAR_ANGLES)[None], 18, axis=0)
+        v.reshape(18, 18)[np.arange(18), np.arange(18)] = value  # one coordinate per lane
+        with np.errstate(invalid="ignore"):  # the non-finite lanes raise numpy's warning
+            assert not is_embedded(v).any()
+            assert (classify_batch(v) == int(KnotClass.DEGENERATE)).all()
+
+    def test_empty_input(self):
+        assert is_embedded(np.zeros((0, 6, 3))).shape == (0,)
