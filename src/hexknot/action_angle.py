@@ -77,27 +77,18 @@ def sample_angles_batch(rng, n):
     return rng.uniform(0.0, TWO_PI, (n, 3))
 
 
-def triangle_area_scale(diagonals):
-    """Four times the area of the triangle with side lengths (d1, d2, d3).
-
-    This is the shared scale factor in the vertex formulas and in the
-    closed-form trefoil predicates.
-    """
-    d = np.asarray(diagonals, dtype=float)
-    a2, b2, c2 = d[..., 0] ** 2, d[..., 1] ** 2, d[..., 2] ** 2
-    expr = 2.0 * (a2 * b2 + a2 * c2 + b2 * c2) - a2 ** 2 - b2 ** 2 - c2 ** 2
-    return np.sqrt(np.maximum(expr, 0.0))
-
-
 def interior_coordinates(diagonals, angles):
     """(diagonals, angles) as broadcast float arrays.
 
-    Raises NotInteriorError unless every diagonal triple is interior.
+    Raises NotInteriorError unless every diagonal triple is interior,
+    and ValueError unless every angle is finite.
     """
     d = np.asarray(diagonals, dtype=float)
     th = np.asarray(angles, dtype=float)
     if not np.all(is_interior(d)):
         raise NotInteriorError("diagonals must lie in the open moment polytope")
+    if not np.isfinite(th).all():
+        raise ValueError("angles must be finite")
     return np.broadcast_arrays(d, th)
 
 
@@ -111,7 +102,9 @@ def fold_terms(diagonals, angles):
     unless every diagonal triple is interior.
     """
     d, th = interior_coordinates(diagonals, angles)
-    dd = triangle_area_scale(d)
+    a2, b2, c2 = d[..., 0] ** 2, d[..., 1] ** 2, d[..., 2] ** 2
+    expr = 2.0 * (a2 * b2 + a2 * c2 + b2 * c2) - a2 ** 2 - b2 ** 2 - c2 ** 2  # Heron: 16 area^2
+    dd = np.sqrt(np.maximum(expr, 0.0))
     r = tuple(np.sqrt(4.0 - d[..., i] * d[..., i]) for i in range(3))
     c = tuple(np.cos(th[..., i]) for i in range(3))
     s = tuple(np.sin(th[..., i]) for i in range(3))
@@ -139,7 +132,8 @@ def build_hexagon(diagonals, angles):
     (6, 3, ...) buffer, and the (..., 6, 3) result is its np.moveaxis
     view, so vertex_components reads them without a copy.
 
-    Raises NotInteriorError unless every diagonal triple is interior.
+    Raises NotInteriorError unless every diagonal triple is interior,
+    and ValueError unless every angle is finite.
     """
     d, dd, r, c, s = fold_terms(diagonals, angles)
     d1, d2, d3 = d[..., 0], d[..., 1], d[..., 2]
@@ -202,12 +196,14 @@ def is_embedded(vertices):
     segment_distances, which returns the distance between two points of
     the segments, reads above EPS_CONTACT too; so certifying changes no
     answer. The other pairs (near-parallel or near-coplanar edges) go to
-    one segment_distances call. Both comparisons read False on NaN, so
-    a non-finite pair is never certified and its NaN distance clears the
-    lane; an isfinite test rejects non-finite lanes explicitly as well.
+    one segment_distances call. Lanes with a non-finite vertex are
+    rejected first and zeroed in a copy, so no arithmetic sees them.
     """
     v = np.asarray(vertices, dtype=float)
     w = vertex_components(v)
+    embedded = np.isfinite(w).all(axis=(0, 1))
+    if not embedded.all():
+        w = np.where(embedded, w, 0.0)
     e = np.roll(w, -1, axis=0) - w  # e[k] runs from vertex k to vertex k+1
     certified = np.empty((len(NON_ADJACENT_EDGE_PAIRS), w.shape[-1]), dtype=bool)
     for row, (i, j) in zip(certified, NON_ADJACENT_EDGE_PAIRS):
@@ -220,7 +216,6 @@ def is_embedded(vertices):
     wt = w.transpose(1, 0, 2)  # (3, 6, n): wt[:, k, lane] gathers (3, m) points
     dist = segment_distances(wt[:, i, lane], wt[:, (i + 1) % 6, lane],
                              wt[:, j, lane], wt[:, (j + 1) % 6, lane])
-    embedded = np.isfinite(w).all(axis=(0, 1))
     embedded[lane[~(dist > EPS_CONTACT)]] = False
     return embedded.reshape(v.shape[:-2])
 

@@ -101,12 +101,6 @@ def _output(path):
             yield out
 
 
-def _sample_blocks(seed, n, vertices):
-    for d, th in sample_coordinate_stream(seed, n):
-        yield (build_hexagon(d, th).reshape(-1, 18)
-               if vertices else np.concatenate([d, th], axis=1))
-
-
 def cmd_sample(args):
     header = VERTEX_HEADER if args.vertices else ACTION_HEADER
     names = header.split(",")
@@ -118,7 +112,9 @@ def cmd_sample(args):
     with _output(args.output) as out:
         out.write(head)
         lead = ""
-        for block in _sample_blocks(args.seed, args.n, args.vertices):
+        for d, th in sample_coordinate_stream(args.seed, args.n):
+            block = (build_hexagon(d, th).reshape(-1, 18)
+                     if args.vertices else np.concatenate([d, th], axis=1))
             for k in range(0, len(block), GEOMETRY_BLOCK):
                 rows = map(tuple, block[k:k + GEOMETRY_BLOCK].tolist())
                 out.write(lead + sep.join(map(record.__mod__, rows)))
@@ -313,13 +309,12 @@ def _report_from_dict(payload):
 def cmd_check(args):
     d = np.array(args.coords[:3])
     th = wrap_angles(args.coords[3:])
-    payload = {"coords": {"d": list(d), "theta": list(th)}}
-    if not bool(is_interior(d)):
-        payload["class"] = KNOT_CLASS_LABELS[KnotClass.DEGENERATE]
+    code = _classify_rows(np.concatenate([d, th])[None])[0]
+    payload = {"coords": {"d": list(d), "theta": list(th)},
+               "class": KNOT_CLASS_LABELS[KnotClass(code)]}
+    if not is_interior(d):
         payload["note"] = "diagonals outside the open moment polytope"
     else:
-        code = classify_batch(build_hexagon(d, th))
-        payload["class"] = KNOT_CLASS_LABELS[KnotClass(int(code))]
         payload["filters"] = {  # JSON keys "1" and "-1"
             curl_sign: {**{name: bool(m) for name, m in clauses.items()},
                         "passes_all": all(clauses.values())}

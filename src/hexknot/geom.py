@@ -156,19 +156,6 @@ def segment_distances(p1, q1, p2, q2):
     return _norm(p1 + s * d1 - (p2 + t_cl * d2))
 
 
-def _point_face_distance(x, a, b, c, n, nn_safe):
-    """Distance from points to a triangle's face, +inf where the foot of
-    the perpendicular lands outside the closed triangle (edge and vertex
-    proximity is the caller's job)."""
-    s = _dot(x - a, n) / nn_safe
-    foot = x - s * (n / nn_safe)
-    w_a = triple_product(b - foot, c - foot, n)
-    w_b = triple_product(c - foot, a - foot, n)
-    w_c = triple_product(a - foot, b - foot, n)
-    inside = (w_a >= 0.0) & (w_b >= 0.0) & (w_c >= 0.0)
-    return np.where(inside, np.abs(s), np.inf)
-
-
 def _segment_triangle_gap(p, q, a, b, c, n, nn_safe):
     """Distance from segment [p,q] to the closed triangle (a,b,c), valid
     for near-coplanar configurations; n is the triangle's (b-a) x (c-a)
@@ -178,10 +165,18 @@ def _segment_triangle_gap(p, q, a, b, c, n, nn_safe):
     cannot occur beyond EPS_PLANE of the plane; only the near-plane
     branch of crossing_signs may call this.
     """
-    gap = np.minimum(
-        _point_face_distance(p, a, b, c, n, nn_safe),
-        _point_face_distance(q, a, b, c, n, nn_safe),
-    )
+    gap = np.inf
+    for x in (p, q):
+        # Endpoint-to-face distance, +inf where the foot of the
+        # perpendicular lands outside the closed triangle; the edge
+        # distances below cover edge and vertex proximity.
+        s = _dot(x - a, n) / nn_safe
+        foot = x - s * (n / nn_safe)
+        w_a = triple_product(b - foot, c - foot, n)
+        w_b = triple_product(c - foot, a - foot, n)
+        w_c = triple_product(a - foot, b - foot, n)
+        inside = (w_a >= 0.0) & (w_b >= 0.0) & (w_c >= 0.0)
+        gap = np.minimum(gap, np.where(inside, np.abs(s), np.inf))
     for ea, eb in ((a, b), (b, c), (c, a)):
         gap = np.minimum(gap, segment_distances(p, q, ea, eb))
     return gap

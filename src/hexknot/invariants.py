@@ -11,7 +11,6 @@ safe to call concurrently.
 from __future__ import annotations
 
 from enum import IntEnum
-from typing import NamedTuple
 
 import numpy as np
 
@@ -37,23 +36,13 @@ KNOT_CLASS_LABELS = {
     KnotClass.DEGENERATE: "degenerate",
 }
 
-KNOT_CLASS_FROM_LABEL = {label: cls for cls, label in KNOT_CLASS_LABELS.items()}
-
-
-class JointChiralityCurl(NamedTuple):
-    """Pair (chirality, curl part) classifying a hexagon's component."""
-
-    chirality: int
-    curl_part: int
-
-
 # The one table of the four trefoil components: each class is the
 # component with this (chirality, curl) pair.
 TREFOIL_PAIRS = {
-    KnotClass.TREFOIL_R_PLUS: JointChiralityCurl(1, 1),
-    KnotClass.TREFOIL_R_MINUS: JointChiralityCurl(1, -1),
-    KnotClass.TREFOIL_L_PLUS: JointChiralityCurl(-1, 1),
-    KnotClass.TREFOIL_L_MINUS: JointChiralityCurl(-1, -1),
+    KnotClass.TREFOIL_R_PLUS: (1, 1),
+    KnotClass.TREFOIL_R_MINUS: (1, -1),
+    KnotClass.TREFOIL_L_PLUS: (-1, 1),
+    KnotClass.TREFOIL_L_MINUS: (-1, -1),
 }
 
 TREFOIL_CLASSES = tuple(TREFOIL_PAIRS)
@@ -124,6 +113,8 @@ def classify_batch(vertices):
 
     w = vertex_components(v)
     degen = ~is_embedded(np.moveaxis(w, (0, 1), (-2, -1)))  # a view: no second copy
+    if not np.isfinite(w[..., degen]).all():  # degenerate anyway; keep NaN and inf out
+        w = np.where(degen, 0.0, w)
     chi, bad = _disk_count(w, 0)
     live = np.nonzero((chi != 0) & ~bad)[0]
     for k in (2, 4):

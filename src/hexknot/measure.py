@@ -247,10 +247,10 @@ def _oracle_chunk(seed, k, m):
     trefoil = np.nonzero(np.isin(codes, TREFOIL_CLASSES))[0]
     windows = passes_window_filters(d[trefoil], th[trefoil])
     agree = np.zeros((len(TREFOIL_CLASSES), len(AGREEMENT_COLUMNS)), dtype=np.int64)
-    for row, cls in enumerate(TREFOIL_CLASSES):
+    for row, (cls, (_, curl_sign)) in enumerate(TREFOIL_PAIRS.items()):
         pred = masks[cls]
         oracle = codes == int(cls)
-        accepted = pred[trefoil] & windows[TREFOIL_PAIRS[cls].curl_part]
+        accepted = pred[trefoil] & windows[curl_sign]
         agree[row, :3] = (
             pred.sum(),
             (oracle & pred).sum(),

@@ -20,7 +20,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .action_angle import TWO_PI, fold_terms, interior_coordinates
-from .invariants import TREFOIL_PAIRS as TARGET_PAIRS
+from .invariants import TREFOIL_PAIRS
 
 _DISTINCT_TOL = 1e-9
 FILTER_CLAUSES = ("curl_window", "angle_sums", "distinct_diagonals",
@@ -112,7 +112,7 @@ def class_masks(diagonals, angles):
     curl_side = {sign: window[sign][one_side] & _all_of_sign(nf[1::3] + nf[2::3], sign)
                  for sign in (1, -1)}
     masks = {}
-    for cls, (chirality, curl_sign) in TARGET_PAIRS.items():
+    for cls, (chirality, curl_sign) in TREFOIL_PAIRS.items():
         masks[cls] = np.zeros(one_side.shape, dtype=bool)
         masks[cls][one_side] = f_sign[chirality] & curl_side[curl_sign]
     return masks

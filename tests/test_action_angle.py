@@ -13,7 +13,6 @@ from hexknot.action_angle import (
     is_interior,
     sample_action_batch,
     sample_angles_batch,
-    triangle_area_scale,
     vertex_components,
 )
 from hexknot.geom import EPS_CONTACT, EPS_LINE, segment_distances
@@ -162,7 +161,7 @@ class TestBuildHexagon:
         d = np.array([1.2, 0.9, 1.4])
         s = d.sum() / 2
         heron = np.sqrt(s * (s - d[0]) * (s - d[1]) * (s - d[2]))
-        assert triangle_area_scale(d) == pytest.approx(4.0 * heron, rel=1e-12)
+        assert fold_terms(d, (1.0, 2.0, 3.0))[1] == pytest.approx(4.0 * heron, rel=1e-12)
 
 
 class TestExtract:
@@ -312,9 +311,8 @@ class TestEmbedded:
     def test_non_finite_vertices_rejected(self, value):
         v = np.repeat(build_hexagon(REGULAR_DIAGONALS, REGULAR_ANGLES)[None], 18, axis=0)
         v.reshape(18, 18)[np.arange(18), np.arange(18)] = value  # one coordinate per lane
-        with np.errstate(invalid="ignore"):  # the non-finite lanes raise numpy's warning
-            assert not is_embedded(v).any()
-            assert (classify_batch(v) == int(KnotClass.DEGENERATE)).all()
+        assert not is_embedded(v).any()  # and no RuntimeWarning, an error under pytest
+        assert (classify_batch(v) == int(KnotClass.DEGENERATE)).all()
 
     def test_empty_input(self):
         assert is_embedded(np.zeros((0, 6, 3))).shape == (0,)

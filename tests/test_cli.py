@@ -64,6 +64,11 @@ CLASSIFY_INPUTS = {
     "mixed-6-then-18": (
         lines(*ROWS[:10], ",".join(["0.5"] * 18), *ROWS[:2]), 1,
         "hexknot: error: mixed 6- and 18-column rows in input\n", None),
+    # block 1 (7 rows) is all 6-column and block 2 all 18-column, so the
+    # width check between blocks rejects it, not the one inside a block
+    "6-then-18-across-blocks": (
+        lines(*ROWS[:7], *[",".join(["0.5"] * 18)] * 3), 1,
+        "hexknot: error: mixed 6- and 18-column rows in input\n", None),
     "header-only": (lines(HEADER), 1, "hexknot: error: no data rows in input\n", None),
     "empty": ("", 1, "hexknot: error: no data rows in input\n", None),
     "blank-lines-padded-header": (
@@ -351,7 +356,8 @@ class TestClassify:
             assert got.out == out
 
     @pytest.mark.parametrize("case, written", [
-        ("bad-field-line-22", 21), ("nan-line-13", 7), ("mixed-6-then-18", 7)])
+        ("bad-field-line-22", 21), ("nan-line-13", 7), ("mixed-6-then-18", 7),
+        ("6-then-18-across-blocks", 7)])
     @pytest.mark.parametrize("block", [7, 1 << 14])
     def test_error_keeps_rows_of_earlier_blocks(self, tmp_path, capsys, monkeypatch,
                                                 case, written, block):
@@ -590,12 +596,14 @@ class TestVolumesAndBound:
          "field 'fraction_total' must be a number"),
         (json.dumps({**REPORT, "fraction_total": 10 ** 400}),
          "field 'fraction_total' must be a number"),
+        (json.dumps({k: v for k, v in REPORT.items() if k != "seed"}),
+         "is missing field 'seed'"),
         (json.dumps({**REPORT, "fraction_total": 0.5, "ci95": [0.4, 0.0]}),
          "ci95 [4.000000e-01, 0.000000e+00] does not contain fraction_total "
          "5.000000e-01"),
     ], ids=["number", "no-runs", "runs-number", "ci95-number", "ci95-one-edge", "ci95-string-edge",
             "samples-string", "degenerate-float", "ci95-nan", "fraction-null",
-            "fraction-inf", "fraction-huge-int", "inverted-ci95"])
+            "fraction-inf", "fraction-huge-int", "missing-seed", "inverted-ci95"])
     def test_bound_with_malformed_report(self, tmp_path, capsys, text, message):
         report = tmp_path / "report.json"
         report.write_text(text)

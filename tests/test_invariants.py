@@ -11,7 +11,6 @@ from hexknot.action_angle import (
     vertex_components,
 )
 from hexknot.invariants import (
-    KNOT_CLASS_FROM_LABEL,
     KNOT_CLASS_LABELS,
     TREFOIL_PAIRS,
     KnotClass,
@@ -31,6 +30,7 @@ from conftest import (
 )
 
 TWO_PI = 2.0 * np.pi
+CLASS_OF_LABEL = {label: cls for cls, label in KNOT_CLASS_LABELS.items()}
 
 
 def witness_vertices(label):
@@ -107,7 +107,7 @@ class TestJointChiralityCurl:
     def test_witness_pairs(self):
         for label in WITNESSES:
             pair = chirality_curl(witness_vertices(label))
-            assert pair == TREFOIL_PAIRS[KNOT_CLASS_FROM_LABEL[label]]
+            assert pair == TREFOIL_PAIRS[CLASS_OF_LABEL[label]]
 
     def test_mirror_flips_both_components(self):
         v = witness_vertices("trefoil_R+")
@@ -122,7 +122,7 @@ class TestClassify:
     def test_witnesses(self):
         for label in WITNESSES:
             v = witness_vertices(label)
-            assert classify(v) == KNOT_CLASS_FROM_LABEL[label]
+            assert classify(v) == CLASS_OF_LABEL[label]
 
     def test_non_embedded_is_degenerate(self):
         shared = np.array([0.5, 0.5, 0.0])
@@ -148,7 +148,7 @@ class TestClassify:
 
     def test_labels_round_trip(self):
         for cls, label in KNOT_CLASS_LABELS.items():
-            assert KNOT_CLASS_FROM_LABEL[label] == cls
+            assert CLASS_OF_LABEL[label] == cls
 
 
 def degenerate_rich_vertices(rng, n):

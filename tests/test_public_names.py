@@ -1,0 +1,53 @@
+"""Every public name of the package is used outside the tests.
+
+A module-level name without a leading underscore that only its own
+tests read is dead weight: delete it, or make it private. A name counts
+as used when code in src/, demos/ or benchmarks/ loads it, imports it
+or spells it as a string, or when README.md or pyproject.toml mention
+it. Its own definition does not count.
+"""
+
+import ast
+import re
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+MODULES = sorted((ROOT / "src" / "hexknot").glob("*.py"))
+CODE = MODULES + sorted((ROOT / "demos").glob("*.py")) + sorted((ROOT / "benchmarks").glob("*.py"))
+TEXTS = [ROOT / "README.md", ROOT / "pyproject.toml"]
+
+
+def public_definitions(path):
+    """Module-level function, class and variable names of a module."""
+    names = set()
+    for node in ast.parse(path.read_text(encoding="utf-8")).body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names.update(t.id for t in targets if isinstance(t, ast.Name))
+    return {name for name in names if not name.startswith("_")}
+
+
+def references(path):
+    """Names a Python file loads, imports or spells as a string."""
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            found.add(node.attr)
+        elif isinstance(node, ast.alias):
+            found.add(node.name)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            found.add(node.value)
+    return found
+
+
+def test_every_public_name_is_used_outside_tests():
+    used = set().union(*map(references, CODE))
+    text = "\n".join(path.read_text(encoding="utf-8") for path in TEXTS)
+    unused = [f"{path.stem}.{name}" for path in MODULES
+              for name in sorted(public_definitions(path))
+              if name not in used and not re.search(rf"\b{name}\b", text)]
+    assert unused == []

@@ -7,10 +7,9 @@ from hexknot.action_angle import (
     sample_action_batch,
     sample_angles_batch,
 )
-from hexknot.invariants import KNOT_CLASS_FROM_LABEL, KnotClass, classify_batch
+from hexknot.invariants import KNOT_CLASS_LABELS, TREFOIL_PAIRS, KnotClass, classify_batch
 from hexknot.trefoil_predicates import (
     FILTER_CLAUSES,
-    TARGET_PAIRS,
     class_masks,
     filter_clauses,
     nine_functions,
@@ -23,6 +22,7 @@ R_PLUS = KnotClass.TREFOIL_R_PLUS
 R_MINUS = KnotClass.TREFOIL_R_MINUS
 L_PLUS = KnotClass.TREFOIL_L_PLUS
 L_MINUS = KnotClass.TREFOIL_L_MINUS
+CLASS_OF_LABEL = {label: cls for cls, label in KNOT_CLASS_LABELS.items()}
 
 
 def tp(a, b, c):
@@ -155,7 +155,7 @@ class TestClassPredicates:
                   -1: np.all((th > np.pi) & (th < TWO_PI), axis=-1)}
         masks = class_masks(d, th)
         hits = 0
-        for cls, (chirality, curl_sign) in TARGET_PAIRS.items():
+        for cls, (chirality, curl_sign) in TREFOIL_PAIRS.items():
             want = (window[curl_sign]
                     & np.all([chirality * f > 0.0 for f in nf[0::3]], axis=0)
                     & np.all([curl_sign * g > 0.0 for g in nf[1::3] + nf[2::3]], axis=0))
@@ -171,7 +171,7 @@ class TestClassPredicates:
         th = sample_angles_batch(rng, 300_000)
         codes = classify_batch(build_hexagon(d, th))
         masks = class_masks(d, th)
-        for cls in TARGET_PAIRS:
+        for cls in TREFOIL_PAIRS:
             oracle = codes == int(cls)
             assert not (oracle & ~masks[cls]).any()
 
@@ -227,7 +227,7 @@ class TestLemmaFilters:
 
     def test_witnesses_pass_all_filters(self):
         for label, (d, th) in WITNESSES.items():
-            curl_sign = TARGET_PAIRS[KNOT_CLASS_FROM_LABEL[label]].curl_part
+            curl_sign = TREFOIL_PAIRS[CLASS_OF_LABEL[label]][1]
             clauses = filter_clauses(np.array(d), np.array(th))[curl_sign]
             assert all(clauses.values()), (label, clauses)
 
@@ -245,3 +245,16 @@ class TestLemmaFilters:
                 for name, value in clauses.items():
                     assert value.shape == ()
                     assert bool(value) == bool(batch[curl_sign][name][k])
+
+
+@pytest.mark.parametrize("func", [build_hexagon, nine_functions, class_masks, filter_clauses])
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_non_finite_angles_rejected(func, value):
+    # every coordinate kernel shares one explicit check, raised before
+    # any arithmetic (a numpy RuntimeWarning would be an error here)
+    th = np.full((4, 3), 0.3)
+    th[2, 1] = value
+    with pytest.raises(ValueError, match="^angles must be finite$"):
+        func(np.full((4, 3), 1.0), th)
+    with pytest.raises(ValueError, match="^angles must be finite$"):
+        func((1.5, 0.8, 0.9), (value, 0.3, 0.3))
