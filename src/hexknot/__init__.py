@@ -16,8 +16,6 @@ from .geom import (
     triple_product,
 )
 from .action_angle import (
-    DegenerateFrameError,
-    NotInteriorError,
     build_hexagon,
     extract_action_angle,
     is_embedded,
@@ -42,8 +40,6 @@ from .measure import (
     BoundReport,
     BoundViolatedError,
     EstimationReport,
-    NoSamplesError,
-    UnknownRegionError,
     VolumeEstimate,
     compare_bound,
     estimate_knotting_probability,

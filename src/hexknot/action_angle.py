@@ -35,14 +35,6 @@ NON_ADJACENT_EDGE_PAIRS = (
 _MAX_REJECTIONS = 1000
 
 
-class NotInteriorError(ValueError):
-    """Diagonal triple outside the open moment polytope."""
-
-
-class DegenerateFrameError(ValueError):
-    """v1, v3, v5 are collinear; no frame can be extracted."""
-
-
 def is_interior(diagonals):
     """True where (d1, d2, d3) lies in the open moment polytope: each
     0 < d_i < 2 and each d_i < d_j + d_k, all strict."""
@@ -80,13 +72,13 @@ def sample_angles_batch(rng, n):
 def interior_coordinates(diagonals, angles):
     """(diagonals, angles) as broadcast float arrays.
 
-    Raises NotInteriorError unless every diagonal triple is interior,
-    and ValueError unless every angle is finite.
+    Raises ValueError unless every diagonal triple is interior and
+    every angle is finite.
     """
     d = np.asarray(diagonals, dtype=float)
     th = np.asarray(angles, dtype=float)
     if not np.all(is_interior(d)):
-        raise NotInteriorError("diagonals must lie in the open moment polytope")
+        raise ValueError("diagonals must lie in the open moment polytope")
     if not np.isfinite(th).all():
         raise ValueError("angles must be finite")
     return np.broadcast_arrays(d, th)
@@ -98,7 +90,7 @@ def fold_terms(diagonals, angles):
     Returns (d, dd, r, c, s): the validated, broadcast diagonals, four
     times the central triangle's area, and one triple each of
     r_i = sqrt(4 - d_i^2) (twice the distance of apex i from its
-    diagonal), cos(theta_i) and sin(theta_i). Raises NotInteriorError
+    diagonal), cos(theta_i) and sin(theta_i). Raises ValueError
     unless every diagonal triple is interior.
     """
     d, th = interior_coordinates(diagonals, angles)
@@ -132,8 +124,8 @@ def build_hexagon(diagonals, angles):
     (6, 3, ...) buffer, and the (..., 6, 3) result is its np.moveaxis
     view, so vertex_components reads them without a copy.
 
-    Raises NotInteriorError unless every diagonal triple is interior,
-    and ValueError unless every angle is finite.
+    Raises ValueError unless every diagonal triple is interior and
+    every angle is finite.
     """
     d, dd, r, c, s = fold_terms(diagonals, angles)
     d1, d2, d3 = d[..., 0], d[..., 1], d[..., 2]
@@ -166,15 +158,16 @@ def extract_action_angle(vertices):
     against n x u and n, so the planar configuration reads pi and
     angles land in [0, 2*pi).
 
-    Raises DegenerateFrameError when (v1, v3, v5) is collinear within
-    EPS_AREA.
+    Raises ValueError when (v1, v3, v5) is collinear within EPS_AREA,
+    which a lane holding NaN or inf is (see vertex_components).
     """
-    w = np.moveaxis(np.asarray(vertices, dtype=float), -1, 0)  # (3, ..., 6)
+    v = np.asarray(vertices, dtype=float)
+    w = np.moveaxis(vertex_components(v).reshape((6, 3) + v.shape[:-2]), 0, -1)  # (3, ..., 6)
     centre, ahead = w[..., 0::2], w[..., (2, 4, 0)]
     n = _cross(w[..., 2] - w[..., 0], w[..., 4] - w[..., 0])
     nn = _norm(n)
     if np.any(nn <= 2.0 * EPS_AREA):
-        raise DegenerateFrameError("v1, v3, v5 are collinear")
+        raise ValueError("v1, v3, v5 are collinear or not finite")
     normal = (n / nn)[..., None]
 
     diagonals = _norm(ahead - centre)
@@ -185,8 +178,8 @@ def extract_action_angle(vertices):
 
 
 def is_embedded(vertices):
-    """True where the vertices of an (..., 6, 3) array are finite and
-    none of its 9 non-adjacent edge pairs come within EPS_CONTACT.
+    """True where none of the 9 non-adjacent edge pairs of an
+    (..., 6, 3) vertex array come within EPS_CONTACT.
 
     Most pairs are certified apart by line distance. With e_i, e_j the
     edge vectors and x = e_i x e_j, the lines through the two edges lie
@@ -196,14 +189,12 @@ def is_embedded(vertices):
     segment_distances, which returns the distance between two points of
     the segments, reads above EPS_CONTACT too; so certifying changes no
     answer. The other pairs (near-parallel or near-coplanar edges) go to
-    one segment_distances call. Lanes with a non-finite vertex are
-    rejected first and zeroed in a copy, so no arithmetic sees them.
+    one segment_distances call. A non-finite lane reads as collapsed (see
+    vertex_components): no pair is certified and every pair touches.
     """
     v = np.asarray(vertices, dtype=float)
     w = vertex_components(v)
-    embedded = np.isfinite(w).all(axis=(0, 1))
-    if not embedded.all():
-        w = np.where(embedded, w, 0.0)
+    embedded = np.ones(w.shape[-1], dtype=bool)
     e = np.roll(w, -1, axis=0) - w  # e[k] runs from vertex k to vertex k+1
     certified = np.empty((len(NON_ADJACENT_EDGE_PAIRS), w.shape[-1]), dtype=bool)
     for row, (i, j) in zip(certified, NON_ADJACENT_EDGE_PAIRS):
@@ -223,6 +214,10 @@ def is_embedded(vertices):
 def vertex_components(vertices):
     """The contiguous (6, 3, n) blocks of an (..., 6, 3) vertex array, so
     w[k] is vertex k's component-first (3, n) block for the geom kernels:
-    a view of build_hexagon's buffer, a copy of any other layout."""
+    a view of build_hexagon's buffer, a copy of any other layout. A lane
+    holding NaN or inf reads as six vertices at the origin, a collapsed
+    hexagon that the tolerance checks of every vertex kernel reject."""
     v = np.asarray(vertices, dtype=float).reshape(-1, 6, 3)
-    return np.ascontiguousarray(v.transpose(1, 2, 0))
+    w = np.ascontiguousarray(v.transpose(1, 2, 0))
+    finite = np.isfinite(w).all(axis=(0, 1))
+    return w if finite.all() else np.where(finite, w, 0.0)

@@ -192,6 +192,10 @@ def cmd_classify(args):
     labels = [KNOT_CLASS_LABELS[cls] for cls in KnotClass]
     counts = np.zeros(len(labels), dtype=np.int64)
     with _input(args.input) as fh:
+        # streaming output would truncate the input before it is read
+        if (fh is not sys.stdin and args.output not in (None, "-")
+                and os.path.exists(args.output) and os.path.samefile(args.input, args.output)):
+            raise CliError(f"--output {args.output} is the --input file; nothing written")
         blocks = _read_blocks(fh)
         first = next(blocks, None)
         if first is None:

@@ -54,8 +54,8 @@ def curl(vertices):
     0 where the unnormalised triple product is below EPS_PLANE in
     magnitude; that product is |(v3-v1) x (v5-v1)| times v2's distance
     from the central plane."""
-    w = np.moveaxis(np.asarray(vertices, dtype=float), -1, 0)  # (3, ..., 6)
-    t = triple_product(w[..., 2] - w[..., 0], w[..., 4] - w[..., 0], w[..., 1] - w[..., 0])
+    w = vertex_components(vertices)
+    t = triple_product(w[2] - w[0], w[4] - w[0], w[1] - w[0]).reshape(np.shape(vertices)[:-2])
     return (np.where(np.abs(t) < EPS_PLANE, 0, np.sign(t))).astype(np.int8)
 
 
@@ -107,14 +107,10 @@ def classify_batch(vertices):
     decision needs was within tolerance: a hexagon whose disk 2 count is
     a clean 0 is an unknot even if disk 4 or 6 would have been flagged.
     """
-    v = np.asarray(vertices, dtype=float)
-    lead = v.shape[:-2]
-    v = v.reshape((-1, 6, 3))
-
-    w = vertex_components(v)
-    degen = ~is_embedded(np.moveaxis(w, (0, 1), (-2, -1)))  # a view: no second copy
-    if not np.isfinite(w[..., degen]).all():  # degenerate anyway; keep NaN and inf out
-        w = np.where(degen, 0.0, w)
+    lead = np.shape(vertices)[:-2]
+    w = vertex_components(vertices)
+    v = np.moveaxis(w, (0, 1), (-2, -1))  # an (n, 6, 3) view: no second copy
+    degen = ~is_embedded(v)
     chi, bad = _disk_count(w, 0)
     live = np.nonzero((chi != 0) & ~bad)[0]
     for k in (2, 4):

@@ -41,16 +41,8 @@ UPPER_BOUND = (14.0 - 3.0 * np.pi) / 192.0
 ONE_OVER_42 = 1.0 / 42.0
 
 
-class UnknownRegionError(ValueError):
-    """Region name not in REGIONS."""
-
-
 class BoundViolatedError(RuntimeError):
     """CI does not lie below the proven bound: a bug, or too few samples."""
-
-
-class NoSamplesError(ValueError):
-    """Report carries no usable samples."""
 
 
 def check_seed(seed):
@@ -173,7 +165,7 @@ def mc_region_volume(region, n, seed, workers=1):
     """Monte Carlo volume of a named region: hit fraction times the
     reference volume, with the binomial standard error."""
     if region not in REGIONS:
-        raise UnknownRegionError(
+        raise ValueError(
             f"unknown region {region!r}; choose from {sorted(REGIONS)}")
     hi, member, analytic = REGIONS[region]
     ref = hi ** 3
@@ -297,7 +289,7 @@ def estimate_knotting_probability(n, seed, mode="predicate", workers=1):
 
     valid = n - degenerate
     if valid <= 0:
-        raise NoSamplesError("all samples degenerate")
+        raise ValueError("all samples degenerate")
     p = knotted / valid
     return EstimationReport(
         samples=n,
@@ -353,13 +345,13 @@ class BoundReport:
 def compare_bound(report):
     """BoundReport for an EstimationReport.
 
-    Raises NoSamplesError when the report has no usable samples,
+    Raises ValueError when the report has no usable samples,
     BoundViolatedError when the 95% CI upper edge exceeds the bound
     (the bound is proven, so that signals a bug or too few samples), and
     ValueError when the CI does not contain fraction_total.
     """
     if report.samples <= 0 or report.samples - report.degenerate_count <= 0:
-        raise NoSamplesError("report has no usable samples")
+        raise ValueError("report has no usable samples")
     estimate = report.fraction_total
     ci = tuple(report.ci95)
     if ci[1] > UPPER_BOUND:

@@ -101,7 +101,7 @@ def class_masks(diagonals, angles):
     those lanes (about a quarter); every other lane is False in every
     class.
 
-    Returns a dict KnotClass -> bool array. Raises NotInteriorError
+    Returns a dict KnotClass -> bool array. Raises ValueError
     unless every diagonal triple is interior.
     """
     d, th = interior_coordinates(diagonals, angles)
@@ -137,7 +137,7 @@ def filter_clauses(diagonals, angles):
 
     Angles are mirrored for the negative-curl case so every window is
     stated for positive curl; the diagonal-only work is done once for
-    both signs. Angles must lie in [0, 2*pi). Raises NotInteriorError
+    both signs. Angles must lie in [0, 2*pi). Raises ValueError
     unless every diagonal triple is interior.
     """
     d, th = interior_coordinates(diagonals, angles)

@@ -4,8 +4,6 @@ import pytest
 from hexknot import action_angle
 from hexknot.action_angle import (
     NON_ADJACENT_EDGE_PAIRS,
-    DegenerateFrameError,
-    NotInteriorError,
     build_hexagon,
     extract_action_angle,
     fold_terms,
@@ -16,7 +14,7 @@ from hexknot.action_angle import (
     vertex_components,
 )
 from hexknot.geom import EPS_CONTACT, EPS_LINE, segment_distances
-from hexknot.invariants import KnotClass, classify_batch
+from hexknot.invariants import KnotClass, classify_batch, curl, disk_counts
 from conftest import REGULAR_ANGLES, REGULAR_DIAGONALS, random_rotation
 
 SQ3 = np.sqrt(3.0)
@@ -57,6 +55,14 @@ class TestSamplers:
         d = sample_action_batch(np.random.default_rng(5), 20000)
         assert d.shape == (20000, 3)
         assert is_interior(d).all()
+
+    def test_gives_up_when_no_draw_is_interior(self):
+        class Outside:  # every draw is the cube corner (2, 2, 2), outside the polytope
+            def uniform(self, low, high, size):
+                return np.full(size, high)
+
+        with pytest.raises(RuntimeError, match="rejection sampler failed"):
+            sample_action_batch(Outside(), 5)
 
     def test_acceptance_rate_is_half(self):
         # polytope volume 4 out of cube volume 8
@@ -154,7 +160,7 @@ class TestBuildHexagon:
         assert (v[:, 4, 1] > 0).all() and np.abs(v[:, 4, 2]).max() == 0.0
 
     def test_rejects_non_interior(self):
-        with pytest.raises(NotInteriorError):
+        with pytest.raises(ValueError, match="open moment polytope"):
             build_hexagon((1.0, 1.0, 2.0), REGULAR_ANGLES)
 
     def test_area_scale_is_four_times_heron(self):
@@ -208,7 +214,7 @@ class TestExtract:
     def test_degenerate_frame_raises(self):
         flat = np.zeros((6, 3))
         flat[:, 0] = np.arange(6.0)  # v1, v3, v5 collinear
-        with pytest.raises(DegenerateFrameError):
+        with pytest.raises(ValueError, match="v1, v3, v5 are collinear"):
             extract_action_angle(flat)
 
 
@@ -313,6 +319,12 @@ class TestEmbedded:
         v.reshape(18, 18)[np.arange(18), np.arange(18)] = value  # one coordinate per lane
         assert not is_embedded(v).any()  # and no RuntimeWarning, an error under pytest
         assert (classify_batch(v) == int(KnotClass.DEGENERATE)).all()
+        # each lane reads as a collapsed hexagon: no curl, every crossing test flagged
+        assert (curl(v) == 0).all()
+        assert disk_counts(v)[1].all()
+        for lane in v:
+            with pytest.raises(ValueError, match="v1, v3, v5 are collinear or not finite"):
+                extract_action_angle(lane)
 
     def test_empty_input(self):
         assert is_embedded(np.zeros((0, 6, 3))).shape == (0,)

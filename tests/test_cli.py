@@ -322,6 +322,19 @@ class TestClassify:
     def test_missing_file_is_runtime_error(self, capsys):
         assert run(["classify", "--input", "/nonexistent/x.csv"]) == 1
 
+    def test_output_onto_input_is_refused(self, tmp_path, capsys, monkeypatch):
+        # classify streams: opening the output would truncate the input
+        # before its later blocks are read
+        monkeypatch.setattr(cli, "GEOMETRY_BLOCK", 7)
+        src = tmp_path / "rows.csv"
+        src.write_text(lines(HEADER, *ROWS))
+        (tmp_path / "link.csv").symlink_to(src)
+        for out in (src, tmp_path / "link.csv"):
+            assert run(["classify", "--input", str(src), "--output", str(out)]) == 1
+            assert capsys.readouterr().err == (
+                f"hexknot: error: --output {out} is the --input file; nothing written\n")
+            assert src.read_text() == lines(HEADER, *ROWS)
+
     @pytest.mark.parametrize("width", [6, 18])
     def test_slices_give_the_same_bytes(self, tmp_path, capsys, monkeypatch, width):
         d, th = (np.array([w[i] for w in WITNESSES.values()]) for i in (0, 1))

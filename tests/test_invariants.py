@@ -216,13 +216,14 @@ class TestCascade:
 
     def test_one_vertex_copy_per_call(self, rng, monkeypatch):
         # a layout build_hexagon did not produce is copied into component
-        # blocks once, and is_embedded reads those blocks without a copy
+        # blocks once, and is_embedded reads those blocks without a copy;
+        # curl's gathered knotted lanes are a separate, far smaller read
         v = build_hexagon(sample_action_batch(rng, 500), sample_angles_batch(rng, 500))
         copies = []
 
         def spy(vertices):
             w = vertex_components(vertices)
-            copies.append(not np.shares_memory(w, vertices))
+            copies.append(w.shape[-1] == len(v) and not np.shares_memory(w, vertices))
             return w
 
         monkeypatch.setattr(action_angle, "vertex_components", spy)

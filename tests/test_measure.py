@@ -14,8 +14,6 @@ from hexknot.measure import (
     REGIONS,
     UPPER_BOUND,
     BoundViolatedError,
-    NoSamplesError,
-    UnknownRegionError,
     chunk_rng,
     compare_bound,
     estimate_knotting_probability,
@@ -65,7 +63,7 @@ class TestRegionVolumes:
             assert abs(est.z_score()) < 4.0, (name, est.z_score())
 
     def test_unknown_region(self):
-        with pytest.raises(UnknownRegionError):
+        with pytest.raises(ValueError, match="unknown region"):
             mc_region_volume("nope", 1000, seed=0)
 
     def test_bad_arguments(self):
@@ -261,6 +259,12 @@ class TestEstimate:
             with pytest.raises(ValueError):
                 repeat_estimates(1000, 1, repeats=repeats)
 
+    def test_all_degenerate_oracle_run_is_refused(self, monkeypatch):
+        monkeypatch.setattr(measure, "classify_batch", lambda v: np.full(
+            len(v), int(KnotClass.DEGENERATE), dtype=np.int8))
+        with pytest.raises(ValueError, match="all samples degenerate"):
+            estimate_knotting_probability(100, seed=1, mode="oracle")
+
     def test_repeats_check_last_seed_before_any_run(self, monkeypatch):
         def must_not_run(*args, **kwargs):
             raise AssertionError("estimator ran before the seed range check")
@@ -343,7 +347,7 @@ class TestCompareBound:
     def test_no_samples(self):
         r = estimate_knotting_probability(1000, seed=1, mode="predicate")
         r.degenerate_count = r.samples
-        with pytest.raises(NoSamplesError):
+        with pytest.raises(ValueError, match="no usable samples"):
             compare_bound(r)
 
     def test_zero_hits_on_few_samples_raise(self):
