@@ -161,8 +161,8 @@ def extract_action_angle(vertices):
     Raises ValueError when (v1, v3, v5) is collinear within EPS_AREA,
     which a lane holding NaN or inf is (see vertex_components).
     """
-    v = np.asarray(vertices, dtype=float)
-    w = np.moveaxis(vertex_components(v).reshape((6, 3) + v.shape[:-2]), 0, -1)  # (3, ..., 6)
+    lead = np.shape(vertices)[:-2]
+    w = np.moveaxis(vertex_components(vertices).reshape((6, 3) + lead), 0, -1)  # (3, ..., 6)
     centre, ahead = w[..., 0::2], w[..., (2, 4, 0)]
     n = _cross(w[..., 2] - w[..., 0], w[..., 4] - w[..., 0])
     nn = _norm(n)
@@ -192,8 +192,7 @@ def is_embedded(vertices):
     one segment_distances call. A non-finite lane reads as collapsed (see
     vertex_components): no pair is certified and every pair touches.
     """
-    v = np.asarray(vertices, dtype=float)
-    w = vertex_components(v)
+    w = vertex_components(vertices)
     embedded = np.ones(w.shape[-1], dtype=bool)
     e = np.roll(w, -1, axis=0) - w  # e[k] runs from vertex k to vertex k+1
     certified = np.empty((len(NON_ADJACENT_EDGE_PAIRS), w.shape[-1]), dtype=bool)
@@ -208,7 +207,7 @@ def is_embedded(vertices):
     dist = segment_distances(wt[:, i, lane], wt[:, (i + 1) % 6, lane],
                              wt[:, j, lane], wt[:, (j + 1) % 6, lane])
     embedded[lane[~(dist > EPS_CONTACT)]] = False
-    return embedded.reshape(v.shape[:-2])
+    return embedded.reshape(np.shape(vertices)[:-2])
 
 
 def vertex_components(vertices):

@@ -193,9 +193,14 @@ def cmd_classify(args):
     counts = np.zeros(len(labels), dtype=np.int64)
     with _input(args.input) as fh:
         # streaming output would truncate the input before it is read
-        if (fh is not sys.stdin and args.output not in (None, "-")
-                and os.path.exists(args.output) and os.path.samefile(args.input, args.output)):
-            raise CliError(f"--output {args.output} is the --input file; nothing written")
+        if args.output not in (None, "-"):
+            try:  # one file identity covers a path, a link and redirected stdin
+                same = os.path.samestat(os.fstat(fh.fileno()), os.stat(args.output))
+            except (OSError, ValueError):  # no output file yet, or stdin has no descriptor
+                same = False
+            if same:
+                raise CliError(
+                    f"--output {args.output} is the file classify reads; nothing written")
         blocks = _read_blocks(fh)
         first = next(blocks, None)
         if first is None:
@@ -264,7 +269,7 @@ def cmd_bound(args):
           f"{POSITIVE_CURL_BOUND:.12f} = 7/192 - pi/128")
     if args.with_estimate:
         try:
-            with open(args.with_estimate, "r", encoding="utf-8") as fh:
+            with open(args.with_estimate, "r", encoding="utf-8-sig") as fh:
                 payload = json.load(fh)
         except (OSError, json.JSONDecodeError) as exc:
             raise CliError(f"cannot read estimate report: {exc}") from exc

@@ -124,8 +124,8 @@ def crossing_signs(p, q, a, b, c):
 
     check = near & ~flat
     if check.any():
-        gap = _segment_triangle_gap(p[:, check], q[:, check], a[:, check], b[:, check],
-                                    c[:, check], n[:, check], nn_safe[check])
+        gap = _segment_triangle_gap(p[:, check], q[:, check], sp[check], sq[check], a[:, check],
+                                    b[:, check], c[:, check], n[:, check], nn_safe[check])
         degenerate[check] = degenerate[check] | (gap <= EPS_EDGE)
 
     return sign.reshape(lead), degenerate.reshape(lead)
@@ -135,8 +135,8 @@ def segment_distances(p1, q1, p2, q2):
     """Minimum distance between closed segments [p1,q1] and [p2,q2].
 
     Endpoints are component-first, shape (3, ...); the axes after the
-    first broadcast. Uses the usual clamped closest-point
-    parametrisation, robust for parallel and near-degenerate segments.
+    first broadcast. Uses the usual clamped closest-point parametrisation,
+    robust for parallel, nearly parallel and point segments.
     """
     p1, q1, p2, q2 = (np.asarray(x, dtype=float) for x in (p1, q1, p2, q2))
     d1 = q1 - p1
@@ -147,30 +147,32 @@ def segment_distances(p1, q1, p2, q2):
     a = _dot(d1, d1)
     e = _dot(d2, d2)
     b = _dot(d1, d2)
-    denom = a * e - b * b
-    s = np.where(denom > _TINY, (b * f - c * e) / np.where(denom > _TINY, denom, 1.0), 0.0)
+    x = _cross(d1, d2)  # Lagrange's identity gives a*e - b*b and b*f - c*e without cancelling
+    denom = _dot(x, x)
+    s = np.where(denom > _TINY, _dot(x, _cross(d2, r)) / np.maximum(denom, _TINY), 0.0)
     s = np.clip(s, 0.0, 1.0)
     t = (b * s + f) / np.where(e > _TINY, e, 1.0)
     t_cl = np.clip(t, 0.0, 1.0)
-    s = np.where(t != t_cl, np.clip((b * t_cl - c) / np.where(a > _TINY, a, 1.0), 0.0, 1.0), s)
+    redo = (t != t_cl) | (e <= _TINY)  # t clamped, or a point second segment
+    s = np.where(redo, np.clip((b * t_cl - c) / np.where(a > _TINY, a, 1.0), 0.0, 1.0), s)
     return _norm(p1 + s * d1 - (p2 + t_cl * d2))
 
 
-def _segment_triangle_gap(p, q, a, b, c, n, nn_safe):
+def _segment_triangle_gap(p, q, sp, sq, a, b, c, n, nn_safe):
     """Distance from segment [p,q] to the closed triangle (a,b,c), valid
-    for near-coplanar configurations; n is the triangle's (b-a) x (c-a)
-    normal and nn_safe its nonzero norm.
+    for near-coplanar configurations; sp and sq are the signed distances
+    of p and q from the plane, n is the triangle's (b-a) x (c-a) normal
+    and nn_safe its nonzero norm.
 
     Ignores strictly transversal piercing (distance would be 0), which
     cannot occur beyond EPS_PLANE of the plane; only the near-plane
     branch of crossing_signs may call this.
     """
     gap = np.inf
-    for x in (p, q):
+    for x, s in ((p, sp), (q, sq)):
         # Endpoint-to-face distance, +inf where the foot of the
         # perpendicular lands outside the closed triangle; the edge
         # distances below cover edge and vertex proximity.
-        s = _dot(x - a, n) / nn_safe
         foot = x - s * (n / nn_safe)
         w_a = triple_product(b - foot, c - foot, n)
         w_b = triple_product(c - foot, a - foot, n)

@@ -45,8 +45,6 @@ TREFOIL_PAIRS = {
     KnotClass.TREFOIL_L_MINUS: (-1, -1),
 }
 
-TREFOIL_CLASSES = tuple(TREFOIL_PAIRS)
-
 
 def curl(vertices):
     """Sign of (v3-v1) x (v5-v1) . (v2-v1): +1 when v2 folds to the side

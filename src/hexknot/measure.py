@@ -24,7 +24,6 @@ from .action_angle import (
 )
 from .invariants import (
     KNOT_CLASS_LABELS,
-    TREFOIL_CLASSES,
     TREFOIL_PAIRS,
     classify_batch,
 )
@@ -145,11 +144,8 @@ class VolumeEstimate:
     samples: int
     seed: int
     hits: int
-    fraction: float
-    fraction_std_error: float
     value: float
     value_std_error: float
-    reference_volume: float
     analytic: float
 
     def z_score(self) -> float:
@@ -179,9 +175,7 @@ def mc_region_volume(region, n, seed, workers=1):
     frac_se = np.sqrt(frac * (1.0 - frac) / n)
     return VolumeEstimate(
         region=region, samples=n, seed=int(seed), hits=hits,
-        fraction=frac, fraction_std_error=float(frac_se),
-        value=frac * ref, value_std_error=float(frac_se * ref),
-        reference_volume=ref, analytic=analytic,
+        value=frac * ref, value_std_error=float(frac_se * ref), analytic=analytic,
     )
 
 
@@ -224,7 +218,7 @@ class EstimationReport:
 def _predicate_chunk(seed, k, m):
     d, th = _chunk_coordinates(seed, k, m)
     masks = class_masks(d, th)
-    return np.array([int(masks[cls].sum()) for cls in TREFOIL_CLASSES])
+    return np.array([int(masks[cls].sum()) for cls in TREFOIL_PAIRS])
 
 
 def _oracle_chunk(seed, k, m):
@@ -236,9 +230,9 @@ def _oracle_chunk(seed, k, m):
 
     masks = class_masks(d, th)
     # The filters are read only where a trefoil code is set.
-    trefoil = np.nonzero(np.isin(codes, TREFOIL_CLASSES))[0]
+    trefoil = np.nonzero(np.isin(codes, list(TREFOIL_PAIRS)))[0]
     windows = passes_window_filters(d[trefoil], th[trefoil])
-    agree = np.zeros((len(TREFOIL_CLASSES), len(AGREEMENT_COLUMNS)), dtype=np.int64)
+    agree = np.zeros((len(TREFOIL_PAIRS), len(AGREEMENT_COLUMNS)), dtype=np.int64)
     for row, (cls, (_, curl_sign)) in enumerate(TREFOIL_PAIRS.items()):
         pred = masks[cls]
         oracle = codes == int(cls)
@@ -270,18 +264,18 @@ def estimate_knotting_probability(n, seed, mode="predicate", workers=1):
     if mode == "predicate":
         counts = np.sum(_run_chunks(lambda k, m: _predicate_chunk(seed, k, m),
                                     n, workers), axis=0)
-        hits = {KNOT_CLASS_LABELS[cls]: int(c) for cls, c in zip(TREFOIL_CLASSES, counts)}
+        hits = {KNOT_CLASS_LABELS[cls]: int(c) for cls, c in zip(TREFOIL_PAIRS, counts)}
         degenerate, knotted, scale, agreement = 0, hits["trefoil_R+"], 4.0, None
     else:
         class_counts, agree = (np.sum(t, axis=0) for t in zip(*_run_chunks(
             lambda k, m: _oracle_chunk(seed, k, m), n, workers)))
         hits = {KNOT_CLASS_LABELS[i]: int(c) for i, c in enumerate(class_counts)}
         degenerate, scale = hits["degenerate"], 1.0
-        knotted = sum(hits[KNOT_CLASS_LABELS[cls]] for cls in TREFOIL_CLASSES)
+        knotted = sum(hits[KNOT_CLASS_LABELS[cls]] for cls in TREFOIL_PAIRS)
         pred_total = int(agree[:, 0].sum())
         agreement = {
             "per_class": {KNOT_CLASS_LABELS[cls]: dict(zip(AGREEMENT_COLUMNS, map(int, row)))
-                          for cls, row in zip(TREFOIL_CLASSES, agree)},
+                          for cls, row in zip(TREFOIL_PAIRS, agree)},
             "necessity_violations": int(agree[:, 2].sum()),
             "predicate_hits": pred_total,
             "agreement_rate": (int(agree[:, 1].sum()) / pred_total) if pred_total else 1.0,

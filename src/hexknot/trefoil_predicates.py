@@ -15,8 +15,6 @@ boundary sets have measure zero under the sampling distribution.
 
 from __future__ import annotations
 
-from typing import NamedTuple
-
 import numpy as np
 
 from .action_angle import TWO_PI, fold_terms, interior_coordinates
@@ -27,20 +25,9 @@ FILTER_CLAUSES = ("curl_window", "angle_sums", "distinct_diagonals",
                   "dominant_diagonal_window")
 
 
-class NineFunctions(NamedTuple):
-    f1: np.ndarray
-    g1: np.ndarray
-    h1: np.ndarray
-    f2: np.ndarray
-    g2: np.ndarray
-    h2: np.ndarray
-    f3: np.ndarray
-    g3: np.ndarray
-    h3: np.ndarray
-
-
 def nine_functions(diagonals, angles):
-    """Evaluate the nine sign functions; broadcasts over leading axes.
+    """The nine sign functions as the tuple (f1, g1, h1, f2, g2, h2, f3,
+    g3, h3); broadcasts over leading axes.
 
     Index i pairs the two angle arguments it depends on: 1 -> (t2, t3),
     2 -> (t3, t1), 3 -> (t1, t2). Within each triple, f is antisymmetric
@@ -68,7 +55,7 @@ def nine_functions(diagonals, angles):
     for i in range(3):
         j, k = (i + 1) % 3, (i + 2) % 3
         values += [f_half(j, k) - f_half(k, j), g(i, j, k), g(i, k, j)]
-    return NineFunctions(*values)
+    return tuple(values)
 
 
 def _angles_in(th, lo, hi):

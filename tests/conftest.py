@@ -1,8 +1,8 @@
 """Shared fixtures: frozen witnesses and brute-force geometric oracles.
 
 The oracles here recompute crossings by solving the intersection
-equations directly (np.linalg.solve), independent of the signed-volume
-predicates in the package.
+equations directly (np.linalg.solve), and segment distances exactly in
+rationals, independent of the kernels in the package.
 """
 
 import numpy as np
@@ -72,6 +72,35 @@ def brute_force_disk_count(vertices, i):
         if margin > 1e-9:
             total += sign
     return total
+
+
+def exact_sq_distance(p1, q1, p2, q2):
+    """Squared distance of the closed segments [p1,q1] and [p2,q2] of
+    Fraction points: the minimum over [0,1]^2 of the convex quadratic
+    g(s, t) = |r + s*d1 - t*d2|^2. That is its interior critical point
+    when the point lies in the square, else the least of the four clamped
+    edge minima, which cover the corners."""
+    def dot(u, v):
+        return sum(x * y for x, y in zip(u, v))
+
+    d1, d2, r = ([x - y for x, y in zip(u, v)] for u, v in ((q1, p1), (q2, p2), (p1, p2)))
+    a, b, e = dot(d1, d1), dot(d1, d2), dot(d2, d2)
+    c, f, rr = dot(d1, r), dot(d2, r), dot(r, r)
+
+    def g(s, t):
+        return rr + 2 * s * c - 2 * t * f + s * s * a - 2 * s * t * b + t * t * e
+
+    denom = a * e - b * b
+    if denom > 0:
+        s, t = (b * f - c * e) / denom, (a * f - b * c) / denom
+        if 0 <= s <= 1 and 0 <= t <= 1:
+            return g(s, t)
+
+    def clamp(x):
+        return min(max(x, 0), 1)
+
+    return min([g(s, clamp((f + s * b) / e) if e else 0) for s in (0, 1)]
+               + [g(clamp((t * b - c) / a) if a else 0, t) for t in (0, 1)])
 
 
 # Vertex relabellings of a hexagon for the automorphism tests

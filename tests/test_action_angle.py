@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -15,7 +17,7 @@ from hexknot.action_angle import (
 )
 from hexknot.geom import EPS_CONTACT, EPS_LINE, segment_distances
 from hexknot.invariants import KnotClass, classify_batch, curl, disk_counts
-from conftest import REGULAR_ANGLES, REGULAR_DIAGONALS, random_rotation
+from conftest import REGULAR_ANGLES, REGULAR_DIAGONALS, exact_sq_distance, random_rotation
 
 SQ3 = np.sqrt(3.0)
 
@@ -312,6 +314,20 @@ class TestEmbedded:
         for ends, lanes in zip(pair_endpoints(v), contact):
             for row in np.concatenate(ends)[:, lanes].T:
                 assert row.tobytes() in checked
+
+    def test_certificate_matches_exact_distances(self, rng):
+        """is_embedded is True exactly where no non-adjacent pair of a
+        near-contact lane lies within EPS_CONTACT, with each squared
+        distance computed exactly in rationals. Exact on the float
+        vertices, not on the real hexagon they round."""
+        near = near_contact_hexagons(rng)
+        limit = Fraction(EPS_CONTACT) ** 2
+        apart = np.array([
+            all(exact_sq_distance(w[i], w[(i + 1) % 6], w[j], w[(j + 1) % 6]) > limit
+                for i, j in NON_ADJACENT_EDGE_PAIRS)
+            for w in ([[Fraction(x) for x in point] for point in v] for v in near.tolist())])
+        assert (~apart).sum() >= len(near) // 2
+        assert np.array_equal(is_embedded(near), apart)
 
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     def test_non_finite_vertices_rejected(self, value):

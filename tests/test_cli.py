@@ -332,7 +332,20 @@ class TestClassify:
         for out in (src, tmp_path / "link.csv"):
             assert run(["classify", "--input", str(src), "--output", str(out)]) == 1
             assert capsys.readouterr().err == (
-                f"hexknot: error: --output {out} is the --input file; nothing written\n")
+                f"hexknot: error: --output {out} is the file classify reads; nothing written\n")
+            assert src.read_text() == lines(HEADER, *ROWS)
+
+    def test_output_onto_redirected_stdin_is_refused(self, tmp_path, capsys, monkeypatch):
+        # `classify --output F < F`: stdin is F itself, so the same rule holds
+        monkeypatch.setattr(cli, "GEOMETRY_BLOCK", 7)
+        src = tmp_path / "rows.csv"
+        src.write_text(lines(HEADER, *ROWS))
+        for extra in ([], ["--input", "-"]):
+            with open(src, encoding="utf-8") as fh:
+                monkeypatch.setattr(sys, "stdin", fh)
+                assert run(["classify", *extra, "--output", str(src)]) == 1
+            assert capsys.readouterr().err == (
+                f"hexknot: error: --output {src} is the file classify reads; nothing written\n")
             assert src.read_text() == lines(HEADER, *ROWS)
 
     @pytest.mark.parametrize("width", [6, 18])
@@ -567,14 +580,17 @@ class TestVolumesAndBound:
         assert "estimate < upper bound: True" in text
 
     def test_bound_repeats_file_prints_first_run(self, tmp_path, capsys):
-        single, repeats = tmp_path / "single.json", tmp_path / "repeats.json"
+        # a leading byte-order mark, as some editors save one, reads the same
+        single, repeats, bom = (tmp_path / f"{n}.json" for n in ("single", "repeats", "bom"))
         single.write_text(json.dumps(REPORT))
         second = {**REPORT, "fraction_total": 0.002, "ci95": [0.001, 0.003]}
         repeats.write_text(json.dumps({"runs": [REPORT, second], "across_runs": {}}))
+        bom.write_text(json.dumps(REPORT), encoding="utf-8-sig")
         assert run(["bound", "--with-estimate", str(single)]) == 0
         expected = capsys.readouterr().out
-        assert run(["bound", "--with-estimate", str(repeats)]) == 0
-        assert capsys.readouterr().out == expected
+        for report in (repeats, bom):
+            assert run(["bound", "--with-estimate", str(report)]) == 0
+            assert capsys.readouterr().out == expected
 
     @pytest.mark.parametrize("second, message", [
         ({**REPORT, "fraction_total": 0.1, "ci95": [0.0, 0.5]},

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -7,7 +9,7 @@ from hexknot.geom import (
     segment_distances,
     triple_product,
 )
-from conftest import solve_crossing
+from conftest import exact_sq_distance, solve_crossing
 
 UNIT_TRI = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
 
@@ -198,6 +200,26 @@ def test_segment_distance_matches_dense_sampling(rng):
         lip = np.linalg.norm(s1[1] - s1[0]) + np.linalg.norm(s2[1] - s2[0])
         assert ours <= grid + 1e-12
         assert grid - ours <= lip / 400.0 + 1e-12
+
+
+def test_segment_distance_exact_on_point_and_nearly_parallel_segments(rng):
+    """Within 1e-15 of the exact distance, in rationals over the float
+    endpoints, where the textbook a*e - b*b cancels or vanishes: a point
+    second or first segment, and a second segment nearly parallel to the
+    first (tilts 1e-4 to 1e-12) at gaps 0 to 1e-3."""
+    lanes = []
+    for _ in range(20):
+        p1, q1, p2, n, m = rng.normal(size=(5, 3))
+        d1 = q1 - p1
+        lanes += [(p1, q1, p2, p2), (p1, p1, p2, q1)]
+        for tilt in 10.0 ** -np.arange(4, 13, 2):
+            for gap in (0.0, 1e-13, 1e-11, 1e-3):
+                lanes.append((p1, q1, p1 + 0.3 * d1 + gap * n, p1 + 1.2 * d1 + gap * n + tilt * m))
+    ends = np.array(lanes).transpose(1, 2, 0)  # (4, 3, lanes)
+    dist = segment_distances(*ends)
+    for lane, points in enumerate(np.array(lanes).tolist()):
+        exact = exact_sq_distance(*([Fraction(x) for x in point] for point in points))
+        assert abs(dist[lane] - float(exact) ** 0.5) <= 1e-15
 
 
 def test_kernels_broadcast_after_the_component_axis(rng):

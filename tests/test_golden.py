@@ -114,7 +114,7 @@ def test_oracle_hits_and_agreement():
 
 # Geometry kernels on uniform lanes (float64 bytes), and the region hits
 # of the volume checks. The lane builders below use + - * only.
-SEGMENT_DISTANCES_SHA256 = "02aff9c622a0d819d324f48b3106431c7c24b832a0b37f6936acf4a81e0ba730"
+SEGMENT_DISTANCES_SHA256 = "5b878ca6d0655f94a82fe44a4ac0fff0afb86e44e20f3b532788b2bfaa865548"
 TRIPLE_PRODUCT_SHA256 = "be9fafc6699f0c8a6080863851a240bfbf356e422fff963fc78c94ed21c20913"
 # sign (int8) then degenerate (bool) bytes
 CROSSING_SIGNS_SHA256 = "6659c24a3ff6ba5bf962f415845deca779ea5dde7fa0185e5dcc2635fe1ea6b3"

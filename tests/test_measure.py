@@ -101,8 +101,7 @@ class TestRegionVolumes:
 
     def test_estimate_fields(self):
         est = mc_region_volume("torus_obtuse_window", 100_000, seed=7)
-        assert est.reference_volume == pytest.approx((2 * np.pi) ** 3)
-        assert est.value == pytest.approx(est.fraction * est.reference_volume)
+        assert est.value == pytest.approx(est.hits / est.samples * (2 * np.pi) ** 3)
         assert est.value_std_error > 0
         assert json.dumps(est.to_dict())
 

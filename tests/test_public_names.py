@@ -1,10 +1,12 @@
-"""Every public name of the package is used outside the tests.
+"""Every public name of the package is used outside the tests, and
+every module-level import of a package module is read by that module.
 
 A module-level name without a leading underscore that only its own
 tests read is dead weight: delete it, or make it private. A name counts
 as used when code in src/, demos/ or benchmarks/ loads it, imports it
 or spells it as a string, or when README.md or pyproject.toml mention
-it. Its own definition does not count.
+it. Its own definition does not count. __init__.py imports to
+re-export, so the import check skips it, and it skips __future__.
 """
 
 import ast
@@ -51,3 +53,21 @@ def test_every_public_name_is_used_outside_tests():
               for name in sorted(public_definitions(path))
               if name not in used and not re.search(rf"\b{name}\b", text)]
     assert unused == []
+
+
+def stale_imports(path):
+    """Names a module imports at module level but never loads."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    imported = {(alias.asname or alias.name).split(".")[0]
+                for node in tree.body if isinstance(node, (ast.Import, ast.ImportFrom))
+                and getattr(node, "module", None) != "__future__"
+                for alias in node.names}
+    loaded = {node.id for node in ast.walk(tree)
+              if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    return sorted(imported - loaded)
+
+
+def test_no_module_imports_a_name_it_never_reads():
+    stale = [f"{path.stem}.{name}" for path in MODULES if path.name != "__init__.py"
+             for name in stale_imports(path)]
+    assert stale == []

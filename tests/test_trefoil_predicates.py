@@ -33,8 +33,8 @@ class TestNineFunctions:
         for _ in range(50):
             x = rng.uniform(0.2, 1.9)
             t = rng.uniform(0.0, TWO_PI)
-            nf = nine_functions((x, x, x), (t, t, t))
-            assert abs(nf.f1) < 1e-12 and abs(nf.f2) < 1e-12 and abs(nf.f3) < 1e-12
+            f1, _, _, f2, _, _, f3, _, _ = nine_functions((x, x, x), (t, t, t))
+            assert abs(f1) < 1e-12 and abs(f2) < 1e-12 and abs(f3) < 1e-12
 
     def test_flat_hexagon_all_zero(self):
         nf = nine_functions((np.sqrt(3),) * 3, (np.pi,) * 3)
@@ -54,8 +54,8 @@ class TestNineFunctions:
         }
         for idx, (dperm, tperm) in swaps.items():
             sw = nine_functions(d[:, dperm], th[:, tperm])
-            f, g, h = (getattr(nf, f"{k}{idx}") for k in "fgh")
-            fs, gs, hs = (getattr(sw, f"{k}{idx}") for k in "fgh")
+            f, g, h = nf[3 * idx - 3:3 * idx]
+            fs, gs, hs = sw[3 * idx - 3:3 * idx]
             assert np.abs(f + fs).max() < 1e-10
             assert np.abs(g - hs).max() < 1e-10
             assert np.abs(h - gs).max() < 1e-10
@@ -81,12 +81,8 @@ class TestNineFunctions:
         v = build_hexagon(d, th)
         w = [v[:, i, :] for i in range(6)]
         nf = nine_functions(d, th)
-        cases = [
-            ((nf.f1, nf.g1, nf.h1), (5, 0, 2, 3, 4)),
-            ((nf.f2, nf.g2, nf.h2), (1, 2, 4, 5, 0)),
-            ((nf.f3, nf.g3, nf.h3), (3, 4, 0, 1, 2)),
-        ]
-        for (f, g, h), (e0, e1, t0, t1, t2) in cases:
+        cases = [(5, 0, 2, 3, 4), (1, 2, 4, 5, 0), (3, 4, 0, 1, 2)]
+        for (f, g, h), (e0, e1, t0, t1, t2) in zip((nf[0:3], nf[3:6], nf[6:9]), cases):
             cone1 = tp(w[e0] - w[e1], w[t1] - w[e1], w[t0] - w[e1])
             cone2 = tp(w[e0] - w[e1], w[t2] - w[e1], w[t1] - w[e1])
             sep = -(tp(w[e0] - w[t0], w[t2] - w[t0], w[t1] - w[t0])
