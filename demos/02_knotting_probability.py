@@ -15,7 +15,7 @@ SEED = 2024
 pred = estimate_knotting_probability(N, seed=SEED, mode="predicate", workers=2)
 print(f"predicate mode, {N} samples ({pred.wall_time_seconds:.1f}s):")
 print(f"  right-handed positive-curl fraction: {pred.fraction_R_plus:.3e}")
-print(f"  knotting probability (x4):           {pred.fraction_total:.3e}")
+print(f"  knotting probability:                {pred.fraction_total:.3e}")
 print(f"  95% CI: [{pred.ci95[0]:.3e}, {pred.ci95[1]:.3e}]")
 print()
 

@@ -7,7 +7,7 @@ has a closed form; Monte Carlo confirms them all.
 """
 
 from hexknot import mc_region_volume
-from hexknot.measure import CLOSED_FORMS, POSITIVE_CURL_BOUND, REGIONS
+from hexknot.measure import CLOSED_FORMS, POSITIVE_CURL_BOUND, REGIONS, UPPER_BOUND
 
 N = 2_000_000
 print("closed forms:")
@@ -21,6 +21,6 @@ for region in REGIONS:
     est = mc_region_volume(region, N, seed=99, workers=2)
     print(f"{region:22s} {est.analytic:12.6f} {est.value:12.6f} {est.z_score():6.2f}")
 print()
-print(f"upper bound (14 - 3*pi)/192 = {CLOSED_FORMS['upper_bound']:.12f}")
+print(f"upper bound (14 - 3*pi)/192 = {UPPER_BOUND:.12f}")
 print(f"1/42                        = {1 / 42:.12f}")
 print("note: the closed-form bound is numerically larger than 1/42.")

@@ -30,6 +30,7 @@ from .measure import (
     ONE_OVER_42,
     POSITIVE_CURL_BOUND,
     REGIONS,
+    UPPER_BOUND,
     EstimationReport,
     check_seed,
     compare_bound,
@@ -259,10 +260,9 @@ def cmd_volumes(args):
 
 
 def cmd_bound(args):
-    ub = CLOSED_FORMS["upper_bound"]
-    print(f"upper bound (14 - 3*pi)/192 = {ub:.12f}")
+    print(f"upper bound (14 - 3*pi)/192 = {UPPER_BOUND:.12f}")
     print(f"1/42                        = {ONE_OVER_42:.12f}")
-    relation = "<" if ub < ONE_OVER_42 else ">"
+    relation = "<" if UPPER_BOUND < ONE_OVER_42 else ">"
     print(f"ordering: (14 - 3*pi)/192 {relation} 1/42"
           f"  (note: the bound is not below 1/42)")
     print(f"expected positive-curl trefoil fraction bound: "

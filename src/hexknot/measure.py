@@ -100,7 +100,6 @@ CLOSED_FORMS = {
     "ratio_obtuse": np.pi / 2.0 - 1.0,
     "torus_frac_obtuse": 1.0 / 192.0,
     "torus_frac_acute": 1.0 / 48.0,
-    "upper_bound": UPPER_BOUND,
 }
 
 # Bound on the positive-curl trefoil fraction: obtuse and acute diagonal
@@ -180,11 +179,11 @@ def mc_region_volume(region, n, seed, workers=1):
 
 
 def wilson_interval(hits, n):
-    """95% Wilson score interval for hits / n; lower edge exactly 0 at 0 hits."""
+    """95% Wilson score interval for hits / n; edges exactly 0 at 0 hits and 1 at n hits."""
     z2 = 1.96 ** 2
     centre = (hits + z2 / 2.0) / (n + z2)
     half = 1.96 * np.sqrt(hits * (1.0 - hits / n) + z2 / 4.0) / (n + z2)
-    return float(max(centre - half, 0.0)), float(min(centre + half, 1.0))
+    return float(max(centre - half, 0.0)), float(min(centre + half, 1.0) if hits < n else 1.0)
 
 
 @dataclass
@@ -192,11 +191,10 @@ class EstimationReport:
     """Result of one knotting-probability run.
 
     fraction_* entries exclude degenerate samples from numerator and
-    denominator. fraction_total = scale * knotted / valid: in predicate
-    mode scale 4 and the trefoil_R+ count (the four classes have equal
-    measure), in oracle mode scale 1 and the four trefoil counts.
-    std_error (binomial) and ci95 (Wilson score) carry the same scale;
-    fraction_total and the scaled ci95 edges are clamped to at most 1.
+    denominator. In both modes fraction_total = p = knotted / valid with
+    knotted the sum of the four trefoil counts in hits; std_error is
+    sqrt(p (1 - p) / valid) and ci95 the Wilson score interval of
+    knotted / valid.
     """
 
     samples: int
@@ -250,10 +248,10 @@ def estimate_knotting_probability(n, seed, mode="predicate", workers=1):
     """Estimate the fraction of knotted hexagons from n uniform samples.
 
     predicate mode counts coordinate tuples passing the closed-form
-    test for a right-handed positive-curl trefoil (times 4 for the
-    total; no geometry is built). oracle mode builds every hexagon,
-    classifies it geometrically, and additionally cross-tabulates the
-    predicate against the classification.
+    test of each trefoil class (no geometry is built). oracle mode
+    builds every hexagon, classifies it geometrically, and additionally
+    cross-tabulates the predicate against the classification. The
+    estimate is the four trefoil counts over the non-degenerate samples.
 
     Deterministic for fixed (n, seed) at any worker count.
     """
@@ -265,13 +263,11 @@ def estimate_knotting_probability(n, seed, mode="predicate", workers=1):
         counts = np.sum(_run_chunks(lambda k, m: _predicate_chunk(seed, k, m),
                                     n, workers), axis=0)
         hits = {KNOT_CLASS_LABELS[cls]: int(c) for cls, c in zip(TREFOIL_PAIRS, counts)}
-        degenerate, knotted, scale, agreement = 0, hits["trefoil_R+"], 4.0, None
+        agreement = None
     else:
         class_counts, agree = (np.sum(t, axis=0) for t in zip(*_run_chunks(
             lambda k, m: _oracle_chunk(seed, k, m), n, workers)))
         hits = {KNOT_CLASS_LABELS[i]: int(c) for i, c in enumerate(class_counts)}
-        degenerate, scale = hits["degenerate"], 1.0
-        knotted = sum(hits[KNOT_CLASS_LABELS[cls]] for cls in TREFOIL_PAIRS)
         pred_total = int(agree[:, 0].sum())
         agreement = {
             "per_class": {KNOT_CLASS_LABELS[cls]: dict(zip(AGREEMENT_COLUMNS, map(int, row)))
@@ -281,9 +277,11 @@ def estimate_knotting_probability(n, seed, mode="predicate", workers=1):
             "agreement_rate": (int(agree[:, 1].sum()) / pred_total) if pred_total else 1.0,
         }
 
+    degenerate = hits.get("degenerate", 0)  # only oracle mode builds geometry
     valid = n - degenerate
     if valid <= 0:
         raise ValueError("all samples degenerate")
+    knotted = sum(hits[KNOT_CLASS_LABELS[cls]] for cls in TREFOIL_PAIRS)
     p = knotted / valid
     return EstimationReport(
         samples=n,
@@ -292,10 +290,9 @@ def estimate_knotting_probability(n, seed, mode="predicate", workers=1):
         hits=hits,
         degenerate_count=degenerate,
         fraction_R_plus=hits["trefoil_R+"] / valid,
-        # a fraction is at most 1, so the scaled estimate and edges are clamped there
-        fraction_total=min(scale * p, 1.0),
-        std_error=float(scale * np.sqrt(p * (1.0 - p) / valid)),
-        ci95=tuple(min(scale * edge, 1.0) for edge in wilson_interval(knotted, valid)),
+        fraction_total=p,
+        std_error=float(np.sqrt(p * (1.0 - p) / valid)),
+        ci95=wilson_interval(knotted, valid),
         wall_time_seconds=time.perf_counter() - t0,
         workers=workers,
         agreement=agreement,
@@ -339,21 +336,22 @@ class BoundReport:
 def compare_bound(report):
     """BoundReport for an EstimationReport.
 
-    Raises ValueError when the report has no usable samples,
-    BoundViolatedError when the 95% CI upper edge exceeds the bound
-    (the bound is proven, so that signals a bug or too few samples), and
-    ValueError when the CI does not contain fraction_total.
+    ValueError unless 0 <= degenerate_count < samples and 0 <= ci95[0]
+    <= fraction_total <= ci95[1] <= 1, as in every report the estimator
+    writes; BoundViolatedError when the 95% CI upper edge exceeds the
+    proven bound (a bug, or too few samples).
     """
-    if report.samples <= 0 or report.samples - report.degenerate_count <= 0:
-        raise ValueError("report has no usable samples")
+    if not 0 <= report.degenerate_count < report.samples:
+        raise ValueError(f"estimate report needs 0 <= degenerate_count < samples, "
+                         f"got {report.degenerate_count} and {report.samples}")
     estimate = report.fraction_total
     ci = tuple(report.ci95)
     if ci[1] > UPPER_BOUND:
         raise BoundViolatedError(
             f"CI upper edge {ci[1]:.6e} exceeds the bound {UPPER_BOUND:.6e}")
-    if not ci[0] <= estimate <= ci[1]:
-        raise ValueError(f"estimate report ci95 [{ci[0]:.6e}, {ci[1]:.6e}] "
-                         f"does not contain fraction_total {estimate:.6e}")
+    if not 0.0 <= ci[0] <= estimate <= ci[1] <= 1.0:
+        raise ValueError(f"estimate report needs 0 <= ci95[0] <= fraction_total <= ci95[1] "
+                         f"<= 1, got [{ci[0]:.6e}, {ci[1]:.6e}] and {estimate:.6e}")
     orderings = {
         "estimate_lt_upper_bound": bool(estimate < UPPER_BOUND),
         "estimate_lt_one_over_42": bool(estimate < ONE_OVER_42),

@@ -475,8 +475,7 @@ class TestEstimate:
         payload = json.loads(out.read_text())
         assert payload["samples"] == 100000
         assert payload["mode"] == "predicate"
-        assert payload["fraction_total"] == pytest.approx(
-            4 * payload["fraction_R_plus"])
+        assert payload["fraction_total"] == sum(payload["hits"].values()) / 100000
 
     def test_oracle_counts_sum(self, tmp_path):
         out = tmp_path / "report.json"
@@ -628,11 +627,19 @@ class TestVolumesAndBound:
         (json.dumps({k: v for k, v in REPORT.items() if k != "seed"}),
          "is missing field 'seed'"),
         (json.dumps({**REPORT, "fraction_total": 0.5, "ci95": [0.4, 0.0]}),
-         "ci95 [4.000000e-01, 0.000000e+00] does not contain fraction_total "
-         "5.000000e-01"),
+         "needs 0 <= ci95[0] <= fraction_total <= ci95[1] <= 1, "
+         "got [4.000000e-01, 0.000000e+00] and 5.000000e-01"),
+        (json.dumps({**REPORT, "fraction_total": -0.5, "ci95": [-1.0, 0.0]}),
+         "needs 0 <= ci95[0] <= fraction_total <= ci95[1] <= 1, "
+         "got [-1.000000e+00, 0.000000e+00] and -5.000000e-01"),
+        (json.dumps({**REPORT, "degenerate_count": -50}),
+         "needs 0 <= degenerate_count < samples, got -50 and 1000"),
+        (json.dumps({**REPORT, "degenerate_count": 1000}),
+         "needs 0 <= degenerate_count < samples, got 1000 and 1000"),
     ], ids=["number", "no-runs", "runs-number", "ci95-number", "ci95-one-edge", "ci95-string-edge",
             "samples-string", "degenerate-float", "ci95-nan", "fraction-null",
-            "fraction-inf", "fraction-huge-int", "missing-seed", "inverted-ci95"])
+            "fraction-inf", "fraction-huge-int", "missing-seed", "inverted-ci95",
+            "negative-ci95", "negative-degenerate", "all-degenerate"])
     def test_bound_with_malformed_report(self, tmp_path, capsys, text, message):
         report = tmp_path / "report.json"
         report.write_text(text)

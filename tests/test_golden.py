@@ -45,9 +45,9 @@ PREDICATE_REPORT_2_20 = {
     "samples": 1 << 20, "seed": 1, "mode": "predicate", "hits": PREDICATE_HITS_2_20,
     "degenerate_count": 0,
     "fraction_R_plus": 4.00543212890625e-05,
-    "fraction_total": 0.00016021728515625,
-    "std_error": 2.472156870373955e-05,
-    "ci95": (0.00011853896220463033, 0.00021654892148371084),
+    "fraction_total": 0.0001506805419921875,
+    "std_error": 1.1986597100999746e-05,
+    "ci95": (0.00012894685123906855, 0.00017607675050399207),
     "agreement": None,
 }
 

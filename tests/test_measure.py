@@ -34,7 +34,6 @@ class TestAnalyticVolumes:
         assert t["ratio_obtuse"] == pytest.approx(np.pi / 2.0 - 1.0, abs=0)
         assert t["torus_frac_obtuse"] == 1.0 / 192.0
         assert t["torus_frac_acute"] == 1.0 / 48.0
-        assert t["upper_bound"] == UPPER_BOUND
 
     def test_upper_bound_digits(self):
         assert abs(UPPER_BOUND - (14.0 - 3.0 * np.pi) / 192.0) == 0.0
@@ -159,7 +158,7 @@ class TestEstimate:
         assert r.samples == 100_000 and r.mode == "predicate"
         assert set(r.hits) == {"trefoil_R+", "trefoil_R-", "trefoil_L+", "trefoil_L-"}
         assert r.degenerate_count == 0
-        assert r.fraction_total == pytest.approx(4.0 * r.fraction_R_plus, abs=0)
+        assert r.fraction_total == sum(r.hits.values()) / r.samples
         assert r.ci95[0] <= r.fraction_total <= r.ci95[1]
         payload = json.loads(json.dumps(r.to_dict()))
         assert payload["fraction_R_plus"] == r.fraction_R_plus
@@ -168,9 +167,13 @@ class TestEstimate:
         pytest.param(10, 1, id="10"), pytest.param(11, 1, id="11"),
         pytest.param(2, 48047, id="2-48047"), pytest.param(3, 172, id="3-172")])
     def test_scaled_ci95_stays_in_unit_interval(self, n, seed):
-        # the R+ count and its Wilson edge times 4 would pass 1 at few samples
-        r = estimate_knotting_probability(n, seed=seed, mode="predicate")
-        assert 0.0 <= r.ci95[0] <= r.fraction_total <= r.ci95[1] == 1.0
+        # at few samples each fraction and its Wilson edges stay in [0, 1]
+        for mode in ("predicate", "oracle"):
+            r = estimate_knotting_probability(n, seed=seed, mode=mode)
+            trefoils = sum(r.hits[k] for k in
+                           ("trefoil_R+", "trefoil_R-", "trefoil_L+", "trefoil_L-"))
+            assert 0.0 <= r.ci95[0] <= r.fraction_total <= r.ci95[1] <= 1.0
+            assert r.fraction_total == trefoils / (r.samples - r.degenerate_count)
 
     def test_oracle_report_counts_sum(self):
         r = estimate_knotting_probability(100_000, seed=2, mode="oracle")
@@ -276,14 +279,14 @@ class TestEstimate:
         r = estimate_knotting_probability(1000, seed=1, mode="predicate")
         assert sum(r.hits.values()) == 0
         assert r.ci95[0] == 0.0 and 0.0 < r.ci95[1]
-        assert r.ci95[1] == pytest.approx(0.0153, abs=1e-4)
+        assert r.ci95[1] == pytest.approx(0.00383, abs=1e-5)
 
     def test_interval_is_not_negative(self):
-        # a Wald interval reaches -1.9e-4 here
+        # 3 hits: a Wald interval reaches -2.0e-5 here
         r = estimate_knotting_probability(20_000, seed=1, mode="predicate")
         assert r.ci95[0] >= 0.0
         assert r.ci95[0] <= r.fraction_total <= r.ci95[1]
-        assert r.ci95 == pytest.approx((3.5e-5, 1.13e-3), rel=0.01)
+        assert r.ci95 == pytest.approx((5.10e-5, 4.41e-4), rel=0.01)
 
     def test_oracle_interval_is_wilson_of_trefoils(self):
         r = estimate_knotting_probability(50_000, seed=2, mode="oracle")
@@ -321,6 +324,12 @@ class TestWilsonCoverage:
             mass += pmf
         return below, above, mass
 
+    def test_all_hits_upper_edge_is_one(self):
+        # centre + half rounds to 1 - 2**-53 at hits == n from n = 127
+        for n in range(1, 300):
+            assert measure.wilson_interval(n, n)[1] == 1.0, n
+            assert measure.wilson_interval(0, n)[0] == 0.0, n
+
     @pytest.mark.parametrize("p", [3.426005e-5, 1.37e-4])
     def test_coverage_at_knotting_rates(self, p):
         # p: the R+ reference fraction and about the total knotting rate
@@ -346,15 +355,17 @@ class TestCompareBound:
     def test_no_samples(self):
         r = estimate_knotting_probability(1000, seed=1, mode="predicate")
         r.degenerate_count = r.samples
-        with pytest.raises(ValueError, match="no usable samples"):
+        with pytest.raises(ValueError, match="0 <= degenerate_count < samples"):
             compare_bound(r)
 
     def test_zero_hits_on_few_samples_raise(self):
-        # with no hits, 500 samples cannot put the interval below the bound
-        r = estimate_knotting_probability(500, seed=1, mode="predicate")
-        assert sum(r.hits.values()) == 0
+        # with no hits, the Wilson upper edge falls below the bound at 158 samples
+        few, enough = (estimate_knotting_probability(n, seed=1, mode="predicate")
+                       for n in (157, 158))
+        assert sum(few.hits.values()) == sum(enough.hits.values()) == 0
         with pytest.raises(BoundViolatedError):
-            compare_bound(r)
+            compare_bound(few)
+        assert compare_bound(enough).ci95[1] < UPPER_BOUND
 
     def test_bound_violation_detected(self):
         r = estimate_knotting_probability(1000, seed=1, mode="predicate")
@@ -365,7 +376,7 @@ class TestCompareBound:
     def test_interval_must_contain_estimate(self):
         r = estimate_knotting_probability(1000, seed=1, mode="predicate")
         r.fraction_total, r.ci95 = 0.5, (0.4, 0.0)
-        with pytest.raises(ValueError, match="does not contain fraction_total"):
+        with pytest.raises(ValueError, match="needs 0 <= ci95"):
             compare_bound(r)
 
 
