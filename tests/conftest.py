@@ -1,9 +1,12 @@
 """Shared fixtures: frozen witnesses and brute-force geometric oracles.
 
 The oracles here recompute crossings by solving the intersection
-equations directly (np.linalg.solve), and segment distances exactly in
-rationals, independent of the kernels in the package.
+equations directly (np.linalg.solve), and segment distances, crossing
+signs and the curl exactly in rationals, independent of the kernels in
+the package.
 """
+
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -101,6 +104,67 @@ def exact_sq_distance(p1, q1, p2, q2):
 
     return min([g(s, clamp((f + s * b) / e) if e else 0) for s in (0, 1)]
                + [g(clamp((t * b - c) / a) if a else 0, t) for t in (0, 1)])
+
+
+def _sub(u, v):
+    return [x - y for x, y in zip(u, v)]
+
+
+def _cross(u, v):
+    return [u[1] * v[2] - u[2] * v[1], u[2] * v[0] - u[0] * v[2], u[0] * v[1] - u[1] * v[0]]
+
+
+def _sign(x):
+    return (x > 0) - (x < 0)
+
+
+def exact_triple_sign(a, b, c):
+    """Sign of the triple product (a x b) . c of Fraction vectors."""
+    return _sign(sum(x * y for x, y in zip(_cross(a, b), c)))
+
+
+def exact_crossing(p, q, a, b, c):
+    """Crossing of edge p -> q through the open disk (a, b, c), exactly:
+    +1 or -1 as (q - p) . n with n = (b - a) x (c - a), 0 for none, None
+    where a deciding sign is an exact zero (degenerate).
+
+    The edge crosses when p and q lie strictly on opposite sides of the
+    disk's plane and the orientations (p, q, a, b), (p, q, b, c) and
+    (p, q, c, a) share one strict sign."""
+    n = _cross(_sub(b, a), _sub(c, a))
+    sides = exact_triple_sign(_sub(b, a), _sub(c, a), _sub(p, a)) * \
+        exact_triple_sign(_sub(b, a), _sub(c, a), _sub(q, a))
+    if sides >= 0:
+        return 0 if sides > 0 else None
+    turns = {exact_triple_sign(_sub(q, p), _sub(x, p), _sub(y, p))
+             for x, y in ((a, b), (b, c), (c, a))}
+    if 0 in turns:
+        return None
+    return _sign(sum(x * y for x, y in zip(_sub(q, p), n))) if len(turns) == 1 else 0
+
+
+def exact_class(vertices):
+    """(embedded, chirality, curl) of one hexagon's float vertices, in
+    rationals: embedded when every non-adjacent edge pair lies a positive
+    exact distance apart; chirality the product of the signed crossing
+    counts through disks (v_k, v_k+1, v_k+2), k = 0, 2, 4 (0-based), over
+    the edges disjoint from each disk, None if one of those tests is
+    degenerate; curl the sign of (v3 - v1) x (v5 - v1) . (v2 - v1).
+
+    Exact on the float vertices, not on the real hexagon they round."""
+    w = [[Fraction(float(x)) for x in row] for row in np.asarray(vertices, dtype=float)]
+    edge = [(w[j], w[(j + 1) % 6]) for j in range(6)]
+    embedded = all(exact_sq_distance(*edge[i], *edge[j]) > 0
+                   for i in range(6) for j in range(i + 2, 6) if (i, j) != (0, 5))
+    curl = exact_triple_sign(_sub(w[2], w[0]), _sub(w[4], w[0]), _sub(w[1], w[0]))
+    chirality = 1
+    for k in (0, 2, 4):
+        disk = (w[k], w[k + 1], w[(k + 2) % 6])
+        signs = [exact_crossing(*edge[j], *disk) for j in ((k + 3) % 6, (k + 4) % 6)]
+        if None in signs:
+            return embedded, None, curl
+        chirality *= sum(signs)
+    return embedded, chirality, curl
 
 
 # Vertex relabellings of a hexagon for the automorphism tests
