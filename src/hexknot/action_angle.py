@@ -3,9 +3,9 @@
 A hexagon with unit edges is parametrised, up to rigid motion, by the
 lengths (d1, d2, d3) of the diagonals v1v3, v3v5, v5v1 and the dihedral
 angles (theta1, theta2, theta3) around them. The admissible diagonal
-triples form a polytope (half of the cube [0,2]^3) and sampling that
-polytope and the angle torus uniformly induces the uniform measure on
-hexagon space, which is what makes the Monte Carlo estimators honest.
+triples form a polytope, the cube [0,2]^3 less three corners that fold
+onto it; uniform samples of it and of the angle torus are uniform
+hexagons, which is what makes the Monte Carlo estimators honest.
 
 Conventions, pinned by tests:
   * the planar configuration reads theta_i = pi for every i;
@@ -32,8 +32,6 @@ NON_ADJACENT_EDGE_PAIRS = (
     (2, 4), (2, 5), (3, 5),
 )
 
-_MAX_REJECTIONS = 1000
-
 
 def is_interior(diagonals):
     """True where (d1, d2, d3) lies in the open moment polytope: each
@@ -49,19 +47,19 @@ def is_interior(diagonals):
 
 
 def sample_action_batch(rng, n):
-    """(n, 3) diagonal triples uniform on the interior of the polytope."""
-    out = np.empty((n, 3))
-    have = 0
-    for _ in range(_MAX_REJECTIONS):
-        if have >= n:
-            return out
-        deficit = n - have
-        draw = rng.uniform(0.0, 2.0, (int(deficit * 2.2) + 16, 3))
-        good = draw[is_interior(draw)]
-        take = min(len(good), deficit)
-        out[have:have + take] = good[:take]
-        have += take
-    raise RuntimeError("rejection sampler failed to fill the batch")
+    """(n, 3) diagonal triples uniform on the interior of the polytope P.
+
+    The cube [0, 2]^3 is P plus three corners {d_i > d_j + d_k}, and
+    (d_i, d_j, d_k) -> (d_i, d_i - d_j, d_i - d_k) maps each onto
+    {d in P : d_i largest} with determinant 1, so every point of P has
+    exactly two preimages and a folded uniform cube draw is uniform."""
+    u = rng.uniform(0.0, 2.0, (3, n))
+    big = u.max(axis=0)
+    d = np.where((2.0 * big > u.sum(axis=0)) & (u < big), big - u, u).T
+    bad = ~is_interior(d)
+    if bad.any():  # a 0.0 drawn, or a fold rounded onto a face: about once in 2^50
+        d[bad] = sample_action_batch(rng, int(bad.sum()))
+    return d
 
 
 def sample_angles_batch(rng, n):

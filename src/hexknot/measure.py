@@ -69,11 +69,14 @@ def _chunks(n):
 
 
 def _run_chunks(func, n, workers):
+    for name, count in (("sample", n), ("worker", workers)):
+        if isinstance(count, bool) or not isinstance(count, (int, np.integer)):
+            raise ValueError(f"{name} count must be an integer, got {count!r}")
     if n <= 0:
         raise ValueError("sample count must be positive")
     if workers < 1:
         raise ValueError("worker count must be positive")
-    chunks = _chunks(n)
+    chunks = _chunks(int(n))  # a small numpy integer type would overflow there
     if workers == 1:
         return [func(k, m) for k, m in chunks]
     with ThreadPoolExecutor(max_workers=workers) as pool:
@@ -173,7 +176,7 @@ def mc_region_volume(region, n, seed, workers=1):
     frac = hits / n
     frac_se = np.sqrt(frac * (1.0 - frac) / n)
     return VolumeEstimate(
-        region=region, samples=n, seed=int(seed), hits=hits,
+        region=region, samples=int(n), seed=int(seed), hits=hits,
         value=frac * ref, value_std_error=float(frac_se * ref), analytic=analytic,
     )
 
@@ -284,7 +287,7 @@ def estimate_knotting_probability(n, seed, mode="predicate", workers=1):
     knotted = sum(hits[KNOT_CLASS_LABELS[cls]] for cls in TREFOIL_PAIRS)
     p = knotted / valid
     return EstimationReport(
-        samples=n,
+        samples=int(n),
         seed=int(seed),
         mode=mode,
         hits=hits,
@@ -294,7 +297,7 @@ def estimate_knotting_probability(n, seed, mode="predicate", workers=1):
         std_error=float(np.sqrt(p * (1.0 - p) / valid)),
         ci95=wilson_interval(knotted, valid),
         wall_time_seconds=time.perf_counter() - t0,
-        workers=workers,
+        workers=int(workers),
         agreement=agreement,
     )
 

@@ -118,8 +118,8 @@ def filter_clauses(diagonals, angles):
 
     The first three are necessary conditions for a trefoil of that curl.
     dominant_diagonal_window is the tighter window; a rare fraction of
-    genuine trefoils (measured: 27 of 1,386 in 10^7 oracle samples at
-    seed 9, about 2.7 per 10^6 samples) falls outside it, so treat a
+    genuine trefoils (measured: 32 of 1,398 in 10^7 oracle samples at
+    seed 9, about 3.2 per 10^6 samples) falls outside it, so treat a
     False there as a strong but not airtight veto.
 
     Angles are mirrored for the negative-curl case so every window is

@@ -42,6 +42,32 @@ class TestPolytope:
         assert list(is_interior(d)) == [True, False, False]
 
 
+def fold_reference(u):
+    """(n, 3) triples of a (3, n) cube draw, folded lane by lane: where the
+    largest coordinate exceeds the sum of the other two, each of the
+    other two becomes the largest minus itself."""
+    d = u.T.copy()
+    for row in d:
+        i = int(np.argmax(row))
+        j, k = (i + 1) % 3, (i + 2) % 3
+        if row[i] > row[j] + row[k]:
+            row[j], row[k] = row[i] - row[j], row[i] - row[k]
+    return d
+
+
+def rejection_reference(rng, n):
+    """The rejection sampler the fold replaced: uniform cube draws kept
+    where interior, in draw order."""
+    out = np.empty((n, 3))
+    have = 0
+    while have < n:
+        draw = rng.uniform(0.0, 2.0, (2 * (n - have) + 16, 3))
+        good = draw[is_interior(draw)][:n - have]
+        out[have:have + len(good)] = good
+        have += len(good)
+    return out
+
+
 class TestSamplers:
     def test_action_samples_are_interior(self):
         rng = np.random.default_rng(3)
@@ -58,13 +84,54 @@ class TestSamplers:
         assert d.shape == (20000, 3)
         assert is_interior(d).all()
 
-    def test_gives_up_when_no_draw_is_interior(self):
-        class Outside:  # every draw is the cube corner (2, 2, 2), outside the polytope
-            def uniform(self, low, high, size):
-                return np.full(size, high)
+    def test_boundary_lane_is_drawn_again(self):
+        class Queued:  # hands out the given (3, n) cube draws in order
+            def __init__(self, *draws):
+                self.draws, self.sizes = list(draws), []
 
-        with pytest.raises(RuntimeError, match="rejection sampler failed"):
-            sample_action_batch(Outside(), 5)
+            def uniform(self, low, high, size):
+                assert (low, high) == (0.0, 2.0)
+                self.sizes.append(size)
+                return self.draws.pop(0)
+
+        # lane 1 is (0.0, 1.0, 1.0): not a corner, so it stays on the face d1 = 0
+        first = np.array([[0.5, 0.0, 1.9], [1.0, 1.0, 0.2], [1.0, 1.0, 0.3]])
+        redraw = np.array([[1.9], [0.4], [0.5]])
+        rng = Queued(first, redraw)
+        d = sample_action_batch(rng, 3)
+        assert rng.sizes == [(3, 3), (3, 1)]
+        assert is_interior(d).all()
+        assert np.array_equal(d[[0, 2]], fold_reference(first)[[0, 2]])
+        assert np.array_equal(d[1], fold_reference(redraw)[0])
+
+    def test_draws_three_doubles_per_sample(self):
+        rng, twin = (np.random.Generator(np.random.Philox(key=7)) for _ in range(2))
+        d = sample_action_batch(rng, 1000)
+        assert np.array_equal(d, fold_reference(twin.uniform(0.0, 2.0, (3, 1000))))
+        assert np.array_equal(rng.random(8), twin.random(8))
+
+    def test_fold_matches_rejection_sampler(self):
+        # 4 * 10^6 draws each: each mean (7/6 on the polytope), the second
+        # moments and four box probabilities agree within sampling error
+        def features(d):
+            d1, d2, d3 = d.T
+            yield from (d1, d2, d3, d1 * d1, d2 * d2, d3 * d3, d1 * d2, d2 * d3, d3 * d1)
+            yield from (((d > 0.8) & (d < 1.2)).all(axis=1), d1 > 1.5, (d < 0.5).all(axis=1),
+                        (d1 < 0.3) & (d2 > 1.0))
+
+        n = 4 * 10**6
+        moments = {}
+        for sampler, seed in ((sample_action_batch, 1), (rejection_reference, 2)):
+            rng = np.random.default_rng(seed)
+            sums = np.zeros((2, 13))
+            for _ in range(4):
+                for k, f in enumerate(features(sampler(rng, n // 4))):
+                    sums[:, k] += f.sum(), (f * f).sum()
+            mean = sums[0] / n
+            moments[sampler] = mean, (sums[1] / n - mean * mean) / n
+        (fold, fold_var), (ref, ref_var) = moments.values()
+        assert np.all(np.abs(fold - ref) < 4.0 * np.sqrt(fold_var + ref_var))
+        assert np.all(np.abs(fold[:3] - 7.0 / 6.0) < 4.0 * np.sqrt(fold_var[:3]))
 
     def test_acceptance_rate_is_half(self):
         # polytope volume 4 out of cube volume 8

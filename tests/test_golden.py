@@ -27,38 +27,38 @@ from hexknot.measure import (
 )
 
 STREAM_CHUNK0_SHA256 = {
-    1: "278c85e2e3dd3322ebc65f8c60c7852c64774cb83d4eaac6578db57056163ad2",
-    5: "cd5956d8ac279cc1345c6588fcf1b42073a5ef904f717f3e30d66f5bbe1e0440",
-    17: "6f07e6e64281d9cb8bce623d3034c0d2c2f8f5cdaf335139548ce9dead6b2641",
+    1: "447e8ffdbe0c5960f3069133aa8b6730aa82502559d644c6aa71c178732fc3d8",
+    5: "f5d4fe31fdad142bb4f04d8a4909e5966d975b27e8f9f92acd49b250e03f3ddc",
+    17: "c459b3d91a92a166203474f801b51d561f431b0cbe826444f994d4d3adcd64f0",
 }
 
 # classify_batch codes (int8) of chunk 0 at seed 1
-CODES_CHUNK0_SHA256 = "adb1227eee1dd16b357375cdd32d8e4fbc057b51bdb502bc84a149ae337ca539"
-CODES_CHUNK0_COUNTS = [65530, 2, 1, 1, 2, 0]
+CODES_CHUNK0_SHA256 = "92a087f9857b369a53ee9e54d11121c6e3975164cb2d9354e3d5f770533fd4b4"
+CODES_CHUNK0_COUNTS = [65526, 2, 4, 1, 3, 0]
 
-PREDICATE_HITS_2_20 = {"trefoil_R+": 42, "trefoil_R-": 38, "trefoil_L+": 38, "trefoil_L-": 40}
+PREDICATE_HITS_2_20 = {"trefoil_R+": 44, "trefoil_R-": 44, "trefoil_L+": 30, "trefoil_L-": 29}
 
-ORACLE_HITS_2_17 = {"unknot": 131056, "trefoil_R+": 4, "trefoil_R-": 3, "trefoil_L+": 3,
-                    "trefoil_L-": 6, "degenerate": 0}
+ORACLE_HITS_2_17 = {"unknot": 131054, "trefoil_R+": 4, "trefoil_R-": 6, "trefoil_L+": 4,
+                    "trefoil_L-": 4, "degenerate": 0}
 # Whole to_dict() reports without wall_time_seconds and workers.
 PREDICATE_REPORT_2_20 = {
     "samples": 1 << 20, "seed": 1, "mode": "predicate", "hits": PREDICATE_HITS_2_20,
     "degenerate_count": 0,
-    "fraction_R_plus": 4.00543212890625e-05,
-    "fraction_total": 0.0001506805419921875,
-    "std_error": 1.1986597100999746e-05,
-    "ci95": (0.00012894685123906855, 0.00017607675050399207),
+    "fraction_R_plus": 4.1961669921875e-05,
+    "fraction_total": 0.00014019012451171875,
+    "std_error": 1.1561876073580112e-05,
+    "ci95": (0.00011928631134596897, 0.00016475653230199917),
     "agreement": None,
 }
 
 ORACLE_AGREEMENT_2_17 = {
     "per_class": {
-        label: {"predicate_hits": n, "both": n, "necessity_violations": 0, "predicate_only": 0}
-        for label, n in (("trefoil_R+", 4), ("trefoil_R-", 3), ("trefoil_L+", 3),
-                         ("trefoil_L-", 6))
+        label: {"predicate_hits": n, "both": n, "necessity_violations": v, "predicate_only": 0}
+        for label, n, v in (("trefoil_R+", 4, 0), ("trefoil_R-", 6, 1), ("trefoil_L+", 4, 1),
+                            ("trefoil_L-", 4, 0))
     },
-    "necessity_violations": 0,
-    "predicate_hits": 16,
+    "necessity_violations": 2,
+    "predicate_hits": 18,
     "agreement_rate": 1.0,
 }
 
@@ -66,9 +66,9 @@ ORACLE_REPORT_2_17 = {
     "samples": 1 << 17, "seed": 1, "mode": "oracle", "hits": ORACLE_HITS_2_17,
     "degenerate_count": 0,
     "fraction_R_plus": 3.0517578125e-05,
-    "fraction_total": 0.0001220703125,
-    "std_error": 3.051571542300388e-05,
-    "ci95": (7.514272231363576e-05, 0.00019829897039261193),
+    "fraction_total": 0.0001373291015625,
+    "std_error": 3.236655699234044e-05,
+    "ci95": (8.68720131473187e-05, 0.00021708636326794284),
     "agreement": ORACLE_AGREEMENT_2_17,
 }
 

@@ -223,8 +223,9 @@ class TestEstimate:
         monkeypatch.setattr(measure, "passes_window_filters", spy)
         counts, agree = measure._oracle_chunk(1, 0, CHUNK_SIZE)
         assert lanes == [counts[1:5].sum()] and lanes[0] > 0
-        # the filters agree with the oracle on every trefoil of this chunk
-        assert agree[:, 2].sum() == 0 and agree[:, 1].sum() == lanes[0]
+        # every trefoil of this chunk passes its predicate; one trefoil_L+
+        # fails dominant_diagonal_window (criterion 4)
+        assert agree[:, 2].tolist() == [0, 0, 1, 0] and agree[:, 1].sum() == lanes[0]
 
     def test_same_stream_across_modes(self):
         pred = estimate_knotting_probability(200_000, seed=6, mode="predicate")
@@ -261,6 +262,27 @@ class TestEstimate:
             with pytest.raises(ValueError):
                 repeat_estimates(1000, 1, repeats=repeats)
 
+    def test_float_sample_count_is_refused(self):
+        with pytest.raises(ValueError, match="sample count must be an integer"):
+            estimate_knotting_probability(1e5, 1)
+
+    def test_float_sample_count_of_a_volume_is_refused(self):
+        with pytest.raises(ValueError, match="sample count must be an integer"):
+            mc_region_volume("P6", 1e5, 1)
+
+    def test_float_worker_count_is_refused(self):
+        with pytest.raises(ValueError, match="worker count must be an integer"):
+            estimate_knotting_probability(100_000, 1, workers=2.5)
+
+    def test_bool_sample_count_is_refused(self):
+        with pytest.raises(ValueError, match="sample count must be an integer"):
+            estimate_knotting_probability(True, 1)
+
+    def test_numpy_integer_counts_report_plain_ints(self):
+        r = estimate_knotting_probability(np.int64(1000), 1, workers=np.int32(2))
+        assert type(r.samples) is int and type(r.workers) is int
+        assert type(mc_region_volume("P6", np.uint16(1000), 1).samples) is int
+
     def test_all_degenerate_oracle_run_is_refused(self, monkeypatch):
         monkeypatch.setattr(measure, "classify_batch", lambda v: np.full(
             len(v), int(KnotClass.DEGENERATE), dtype=np.int8))
@@ -282,11 +304,11 @@ class TestEstimate:
         assert r.ci95[1] == pytest.approx(0.00383, abs=1e-5)
 
     def test_interval_is_not_negative(self):
-        # 3 hits: a Wald interval reaches -2.0e-5 here
-        r = estimate_knotting_probability(20_000, seed=1, mode="predicate")
+        # 2 hits: a Wald interval reaches -3.9e-5 here
+        r = estimate_knotting_probability(20_000, seed=3, mode="predicate")
         assert r.ci95[0] >= 0.0
         assert r.ci95[0] <= r.fraction_total <= r.ci95[1]
-        assert r.ci95 == pytest.approx((5.10e-5, 4.41e-4), rel=0.01)
+        assert r.ci95 == pytest.approx((2.74e-5, 3.65e-4), rel=0.01)
 
     def test_oracle_interval_is_wilson_of_trefoils(self):
         r = estimate_knotting_probability(50_000, seed=2, mode="oracle")
