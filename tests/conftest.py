@@ -77,18 +77,31 @@ def brute_force_disk_count(vertices, i):
     return total
 
 
+def _dot(u, v):
+    return sum(x * y for x, y in zip(u, v))
+
+
+def _sub(u, v):
+    return [x - y for x, y in zip(u, v)]
+
+
+def _cross(u, v):
+    return [u[1] * v[2] - u[2] * v[1], u[2] * v[0] - u[0] * v[2], u[0] * v[1] - u[1] * v[0]]
+
+
+def _sign(x):
+    return (x > 0) - (x < 0)
+
+
 def exact_sq_distance(p1, q1, p2, q2):
     """Squared distance of the closed segments [p1,q1] and [p2,q2] of
     Fraction points: the minimum over [0,1]^2 of the convex quadratic
     g(s, t) = |r + s*d1 - t*d2|^2. That is its interior critical point
     when the point lies in the square, else the least of the four clamped
     edge minima, which cover the corners."""
-    def dot(u, v):
-        return sum(x * y for x, y in zip(u, v))
-
-    d1, d2, r = ([x - y for x, y in zip(u, v)] for u, v in ((q1, p1), (q2, p2), (p1, p2)))
-    a, b, e = dot(d1, d1), dot(d1, d2), dot(d2, d2)
-    c, f, rr = dot(d1, r), dot(d2, r), dot(r, r)
+    d1, d2, r = _sub(q1, p1), _sub(q2, p2), _sub(p1, p2)
+    a, b, e = _dot(d1, d1), _dot(d1, d2), _dot(d2, d2)
+    c, f, rr = _dot(d1, r), _dot(d2, r), _dot(r, r)
 
     def g(s, t):
         return rr + 2 * s * c - 2 * t * f + s * s * a - 2 * s * t * b + t * t * e
@@ -106,21 +119,9 @@ def exact_sq_distance(p1, q1, p2, q2):
                + [g(clamp((t * b - c) / a) if a else 0, t) for t in (0, 1)])
 
 
-def _sub(u, v):
-    return [x - y for x, y in zip(u, v)]
-
-
-def _cross(u, v):
-    return [u[1] * v[2] - u[2] * v[1], u[2] * v[0] - u[0] * v[2], u[0] * v[1] - u[1] * v[0]]
-
-
-def _sign(x):
-    return (x > 0) - (x < 0)
-
-
 def exact_triple_sign(a, b, c):
     """Sign of the triple product (a x b) . c of Fraction vectors."""
-    return _sign(sum(x * y for x, y in zip(_cross(a, b), c)))
+    return _sign(_dot(_cross(a, b), c))
 
 
 def exact_crossing(p, q, a, b, c):
@@ -132,15 +133,14 @@ def exact_crossing(p, q, a, b, c):
     disk's plane and the orientations (p, q, a, b), (p, q, b, c) and
     (p, q, c, a) share one strict sign."""
     n = _cross(_sub(b, a), _sub(c, a))
-    sides = exact_triple_sign(_sub(b, a), _sub(c, a), _sub(p, a)) * \
-        exact_triple_sign(_sub(b, a), _sub(c, a), _sub(q, a))
+    sides = _sign(_dot(_sub(p, a), n)) * _sign(_dot(_sub(q, a), n))
     if sides >= 0:
         return 0 if sides > 0 else None
     turns = {exact_triple_sign(_sub(q, p), _sub(x, p), _sub(y, p))
              for x, y in ((a, b), (b, c), (c, a))}
     if 0 in turns:
         return None
-    return _sign(sum(x * y for x, y in zip(_sub(q, p), n))) if len(turns) == 1 else 0
+    return _sign(_dot(_sub(q, p), n)) if len(turns) == 1 else 0
 
 
 def exact_class(vertices):

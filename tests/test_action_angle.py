@@ -56,12 +56,12 @@ def fold_reference(u):
 
 
 def rejection_reference(rng, n):
-    """The rejection sampler the fold replaced: uniform cube draws kept
-    where interior, in draw order."""
+    """The rejection sampler the fold replaced: oversized uniform cube
+    draws, kept where interior, in draw order."""
     out = np.empty((n, 3))
     have = 0
     while have < n:
-        draw = rng.uniform(0.0, 2.0, (2 * (n - have) + 16, 3))
+        draw = rng.uniform(0.0, 2.0, (int((n - have) * 2.2) + 16, 3))
         good = draw[is_interior(draw)][:n - have]
         out[have:have + len(good)] = good
         have += len(good)
