@@ -85,6 +85,7 @@ NECESSITY_WITNESSES = (
 WITNESS_CLAUSES = {"curl_window": True, "angle_sums": True, "distinct_diagonals": True,
                    "dominant_diagonal_window": False}
 
+
 def _exact_matches_classify(d, th):
     """The KnotClass of (d, th), after asserting that the exact oracle
     finds an embedded trefoil there, of classify_batch's class, and the
