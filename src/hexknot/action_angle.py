@@ -38,10 +38,10 @@ def is_interior(diagonals):
     0 < d_i < 2 and each d_i < d_j + d_k, all strict."""
     d = np.asarray(diagonals, dtype=float)
     d1, d2, d3 = d[..., 0], d[..., 1], d[..., 2]
+    # The triangle inequalities force each d_i > 0, in floating point too:
+    # d_k <= 0 gives fl(d_j + d_k) <= d_j, so the two holding d_k contradict.
     return (
-        (0.0 < d1) & (d1 < 2.0)
-        & (0.0 < d2) & (d2 < 2.0)
-        & (0.0 < d3) & (d3 < 2.0)
+        (d1 < 2.0) & (d2 < 2.0) & (d3 < 2.0)
         & (d3 < d1 + d2) & (d1 < d2 + d3) & (d2 < d1 + d3)
     )
 

@@ -32,6 +32,7 @@ from .measure import (
     REGIONS,
     UPPER_BOUND,
     EstimationReport,
+    check_count,
     check_seed,
     compare_bound,
     estimate_knotting_probability,
@@ -56,13 +57,6 @@ def _integer(text):
         raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from exc
 
 
-def _positive_int(text):
-    value = _integer(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError("value must be >= 1")
-    return value
-
-
 def _float_or_none(text):
     try:
         return float(text)
@@ -79,18 +73,14 @@ def _finite_float(text):
     return value
 
 
-def _seed(text):
-    try:
-        return check_seed(_integer(text))
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from exc
-
-
-def _default_seed(parser):
-    try:
-        return _seed(os.environ.get("HEXKNOT_SEED", "0"))
-    except argparse.ArgumentTypeError as exc:
-        parser.error(f"HEXKNOT_SEED: {exc}")
+def _checked(check, *name):
+    """argparse type: an integer that passes the library's check(*name, value)."""
+    def parse(text):
+        try:
+            return check(*name, _integer(text))
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from exc
+    return parse
 
 
 @contextmanager
@@ -336,13 +326,13 @@ def build_parser():
     parser = argparse.ArgumentParser(
         prog="hexknot",
         description="Sample, classify and count knotted equilateral hexagons.")
-    seed = _default_seed(parser)
+    seed = _checked(check_seed)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("sample", help="write uniformly sampled coordinates")
-    p.add_argument("--n", type=_positive_int, required=True,
+    p.add_argument("--n", type=_checked(check_count, "sample"), required=True,
                    help="number of samples")
-    p.add_argument("--seed", type=_seed, default=seed)
+    p.add_argument("--seed", type=seed, default=0)
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.add_argument("--vertices", action="store_true",
                    help="emit 18-column vertex rows instead of coordinates")
@@ -356,18 +346,18 @@ def build_parser():
     p.set_defaults(func=cmd_classify)
 
     p = sub.add_parser("estimate", help="Monte Carlo knotting probability")
-    p.add_argument("--samples", type=_positive_int, required=True)
-    p.add_argument("--seed", type=_seed, default=seed)
+    p.add_argument("--samples", type=_checked(check_count, "sample"), required=True)
+    p.add_argument("--seed", type=seed, default=0)
     p.add_argument("--mode", choices=("predicate", "oracle"), default="predicate")
-    p.add_argument("--workers", type=_positive_int, default=1)
-    p.add_argument("--repeats", type=_positive_int, default=1)
+    p.add_argument("--workers", type=_checked(check_count, "worker"), default=1)
+    p.add_argument("--repeats", type=_checked(check_count, "repeat"), default=1)
     p.add_argument("--output", default=None, help="JSON output path (default stdout)")
     p.set_defaults(func=cmd_estimate)
 
     p = sub.add_parser("volumes", help="MC verification of the volume constants")
-    p.add_argument("--samples", type=_positive_int, default=1_000_000)
-    p.add_argument("--seed", type=_seed, default=seed)
-    p.add_argument("--workers", type=_positive_int, default=1)
+    p.add_argument("--samples", type=_checked(check_count, "sample"), default=1_000_000)
+    p.add_argument("--seed", type=seed, default=0)
+    p.add_argument("--workers", type=_checked(check_count, "worker"), default=1)
     p.set_defaults(func=cmd_volumes)
 
     p = sub.add_parser("bound", help="closed-form bound and orderings")

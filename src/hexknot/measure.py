@@ -51,6 +51,13 @@ def check_seed(seed):
     return seed
 
 
+def check_count(name, count):
+    """Return int(count); ValueError unless count is an integer, not a bool, of at least 1."""
+    if isinstance(count, bool) or not isinstance(count, (int, np.integer)) or count < 1:
+        raise ValueError(f"{name} count must be an integer of at least 1, got {count!r}")
+    return int(count)  # a plain int: JSON writes it, and no fixed-width overflow
+
+
 def chunk_rng(seed, chunk_index):
     """Independent generator for one chunk of the sample stream.
 
@@ -64,19 +71,13 @@ def chunk_rng(seed, chunk_index):
 
 
 def _chunks(n):
-    return [(k, min(CHUNK_SIZE, n - k * CHUNK_SIZE))
-            for k in range((n + CHUNK_SIZE - 1) // CHUNK_SIZE)]
+    n = check_count("sample", n)
+    return [(i // CHUNK_SIZE, min(CHUNK_SIZE, n - i)) for i in range(0, n, CHUNK_SIZE)]
 
 
 def _run_chunks(func, n, workers):
-    for name, count in (("sample", n), ("worker", workers)):
-        if isinstance(count, bool) or not isinstance(count, (int, np.integer)):
-            raise ValueError(f"{name} count must be an integer, got {count!r}")
-    if n <= 0:
-        raise ValueError("sample count must be positive")
-    if workers < 1:
-        raise ValueError("worker count must be positive")
-    chunks = _chunks(int(n))  # a small numpy integer type would overflow there
+    chunks = _chunks(n)
+    workers = check_count("worker", workers)
     if workers == 1:
         return [func(k, m) for k, m in chunks]
     with ThreadPoolExecutor(max_workers=workers) as pool:
@@ -306,11 +307,10 @@ def repeat_estimates(n, seed, mode="predicate", workers=1, repeats=10):
     """Run the estimator `repeats` times with seeds seed..seed+repeats-1.
 
     Returns (reports, summary) where summary carries the across-run mean
-    and standard deviation of the headline fractions. Raises ValueError
-    when repeats < 1 or the last seed fails check_seed, before any run.
+    and standard deviation of the headline fractions. Raises ValueError,
+    before any run, unless repeats passes check_count and the last seed check_seed.
     """
-    if repeats < 1:
-        raise ValueError("repeat count must be positive")
+    repeats = check_count("repeat", repeats)
     check_seed(seed + repeats - 1)
     reports = [estimate_knotting_probability(n, seed + r, mode=mode,
                                              workers=workers)

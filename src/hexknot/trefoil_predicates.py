@@ -58,6 +58,14 @@ def nine_functions(diagonals, angles):
     return tuple(values)
 
 
+def _predicate_coordinates(diagonals, angles):
+    """interior_coordinates, and ValueError unless every angle lies in [0, 2*pi)."""
+    d, th = interior_coordinates(diagonals, angles)
+    if not np.all((th >= 0.0) & (th < TWO_PI)):
+        raise ValueError("angles must lie in [0, 2*pi)")
+    return d, th
+
+
 def _angles_in(th, lo, hi):
     return np.all((th > lo) & (th < hi), axis=-1)
 
@@ -80,18 +88,18 @@ def class_masks(diagonals, angles):
     functions carries exactly one sine factor, so the whole vector is
     odd under theta -> 2*pi - theta, which flips both chirality and
     curl; one evaluation therefore covers both curl signs. This is the
-    hot path of the predicate-mode estimator. Angles must lie in
-    [0, 2*pi), the samplers' range; reduce others mod 2*pi first.
+    hot path of the predicate-mode estimator.
 
     No class holds unless all three angles are on one side of pi, and
     the nine functions are elementwise, so they are evaluated only on
     those lanes (about a quarter); every other lane is False in every
     class.
 
-    Returns a dict KnotClass -> bool array. Raises ValueError
-    unless every diagonal triple is interior.
+    Returns a dict KnotClass -> bool array. Raises ValueError unless
+    every diagonal triple is interior and every angle lies in [0, 2*pi),
+    the samplers' range (wrap_angles reduces others).
     """
-    d, th = interior_coordinates(diagonals, angles)
+    d, th = _predicate_coordinates(diagonals, angles)
     window = {1: _angles_in(th, 0.0, np.pi), -1: _angles_in(th, np.pi, TWO_PI)}
     one_side = window[1] | window[-1]
     nf = nine_functions(d[one_side], th[one_side])
@@ -124,10 +132,10 @@ def filter_clauses(diagonals, angles):
 
     Angles are mirrored for the negative-curl case so every window is
     stated for positive curl; the diagonal-only work is done once for
-    both signs. Angles must lie in [0, 2*pi). Raises ValueError
-    unless every diagonal triple is interior.
+    both signs. Raises ValueError unless every diagonal triple is
+    interior and every angle lies in [0, 2*pi).
     """
-    d, th = interior_coordinates(diagonals, angles)
+    d, th = _predicate_coordinates(diagonals, angles)
     distinct = np.all(np.abs(d - d[..., (1, 2, 0)]) > _DISTINCT_TOL, axis=-1)
     big = np.argmax(d, axis=-1)[..., None]
     is_big = np.arange(3) == big
@@ -150,6 +158,6 @@ def filter_clauses(diagonals, angles):
 
 def passes_window_filters(diagonals, angles):
     """Conjunction of the filter_clauses, as a dict curl sign (+1, -1)
-    -> bool array. Angles must lie in [0, 2*pi)."""
+    -> bool array. Raises ValueError as filter_clauses does."""
     return {curl_sign: np.logical_and.reduce(list(clauses.values()))
             for curl_sign, clauses in filter_clauses(diagonals, angles).items()}

@@ -41,6 +41,23 @@ class TestPolytope:
         d = np.array([[1, 1, 1], [0.5, 0.5, 1.5], [2, 2, 2]], dtype=float)
         assert list(is_interior(d)) == [True, False, False]
 
+    @staticmethod
+    def nine_comparisons(d):
+        """is_interior as written before: the three 0 < d_i terms stated too."""
+        d1, d2, d3 = d[..., 0], d[..., 1], d[..., 2]
+        return ((0.0 < d1) & (d1 < 2.0) & (0.0 < d2) & (d2 < 2.0) & (0.0 < d3) & (d3 < 2.0)
+                & (d3 < d1 + d2) & (d1 < d2 + d3) & (d2 < d1 + d3))
+
+    def test_positivity_follows_from_triangle_inequalities(self, rng):
+        cube = rng.uniform(-0.5, 2.5, (10 ** 6, 3))
+        assert np.array_equal(is_interior(cube), self.nine_comparisons(cube))
+        edges = np.array([0.0, -0.0, 5e-324, -5e-324, 1.0, 2.0, np.nan, np.inf, -np.inf])
+        triples = np.stack(np.meshgrid(edges, edges, edges), axis=-1).reshape(-1, 3)
+        with np.errstate(invalid="ignore"):  # inf - inf in the sums
+            old = self.nine_comparisons(triples)
+            assert np.array_equal(is_interior(triples), old)
+        assert old.sum() == 2  # (1, 1, 1) and three 5e-324s
+
 
 def fold_reference(u):
     """(n, 3) triples of a (3, n) cube draw, folded lane by lane: where the

@@ -197,25 +197,26 @@ class TestSample:
             run(["sample", "--n", "0"])
         assert err.value.code == 2
 
-    def test_env_seed_default(self, tmp_path, monkeypatch):
+    def test_default_seed_is_zero(self, tmp_path, monkeypatch):
+        # no environment variable moves the default: a run is fixed by its arguments
         monkeypatch.setenv("HEXKNOT_SEED", "77")
-        # parser defaults are bound at build time, so rebuild via main
         a = tmp_path / "a.csv"
         b = tmp_path / "b.csv"
         run(["sample", "--n", "20", "--output", str(a)])
-        run(["sample", "--n", "20", "--output", str(b)])
-        monkeypatch.setenv("HEXKNOT_SEED", "78")
-        c = tmp_path / "c.csv"
-        run(["sample", "--n", "20", "--output", str(c)])
+        run(["sample", "--n", "20", "--seed", "0", "--output", str(b)])
         assert a.read_bytes() == b.read_bytes()
-        assert a.read_bytes() != c.read_bytes()
 
-    def test_non_integer_env_seed_is_usage_error(self, monkeypatch, capsys):
-        monkeypatch.setenv("HEXKNOT_SEED", "abc")
+    @pytest.mark.parametrize("command, option, name", [
+        (["sample"], "--n", "sample"),
+        (["estimate", "--samples", "10"], "--workers", "worker"),
+        (["estimate", "--samples", "10"], "--repeats", "repeat"),
+        (["volumes"], "--samples", "sample"),
+    ])
+    def test_count_below_one_is_usage_error(self, capsys, command, option, name):
         with pytest.raises(SystemExit) as err:
-            run(["bound"])
+            run([*command, option, "0"])
         assert err.value.code == 2
-        assert "HEXKNOT_SEED: not an integer: 'abc'" in capsys.readouterr().err
+        assert f"{name} count must be an integer of at least 1, got 0" in capsys.readouterr().err
 
     def test_non_integer_seed_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as err:
@@ -223,7 +224,7 @@ class TestSample:
         assert err.value.code == 2
         assert "not an integer: 'abc'" in capsys.readouterr().err
 
-    def test_seed_outside_64_bits_is_usage_error(self, monkeypatch, capsys):
+    def test_seed_outside_64_bits_is_usage_error(self, capsys):
         for seed in (str(2 ** 64), "18446744073709551617", "-1"):
             for command in (["sample", "--n", "3"], ["estimate", "--samples", "10"],
                             ["volumes", "--samples", "10"]):
@@ -231,12 +232,6 @@ class TestSample:
                     run([*command, "--seed", seed])
                 assert err.value.code == 2
                 assert "seed must be in [0, 2**64)" in capsys.readouterr().err
-            monkeypatch.setenv("HEXKNOT_SEED", seed)
-            with pytest.raises(SystemExit) as err:
-                run(["sample", "--n", "3"])
-            assert err.value.code == 2
-            assert "HEXKNOT_SEED" in capsys.readouterr().err
-            monkeypatch.delenv("HEXKNOT_SEED")
 
     def test_closed_pipe_exits_quietly(self):
         # `hexknot sample | head -1`: the reader leaves after one line

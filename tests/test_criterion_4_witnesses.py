@@ -13,9 +13,10 @@ import pytest
 
 from hexknot.action_angle import build_hexagon
 from hexknot.invariants import KNOT_CLASS_LABELS, TREFOIL_PAIRS, KnotClass, classify_batch
-from hexknot.measure import sample_coordinate_stream
+from hexknot.measure import CHUNK_SIZE, sample_coordinate_stream
 from hexknot.trefoil_predicates import class_masks, filter_clauses, passes_window_filters
 from conftest import WITNESSES, exact_class
+from test_golden import STREAM_CHUNK0_SHA256
 
 # (class, diagonals, angles) of every necessity violator, as round-trip
 # float literals.
@@ -129,3 +130,20 @@ def test_exact_class_agrees_on_stream_lanes():
             assert embedded and chirality == 0
         else:
             assert TREFOIL_PAIRS[KnotClass(code)] == (chirality, curl_sign)
+
+
+@pytest.mark.parametrize("seed", sorted(STREAM_CHUNK0_SHA256))
+def test_exact_class_agrees_on_pinned_chunk_trefoils(seed):
+    # every trefoil lane of the chunk-0 streams test_golden pins, and the
+    # first 1,000 unknot lanes of seed 1
+    v = build_hexagon(*next(sample_coordinate_stream(seed, CHUNK_SIZE)))
+    codes = classify_batch(v)
+    trefoils = np.nonzero(np.isin(codes, list(TREFOIL_PAIRS)))[0]
+    assert len(trefoils) > 0
+    for lane in trefoils:
+        embedded, chirality, curl_sign = exact_class(v[lane])
+        assert embedded and TREFOIL_PAIRS[KnotClass(codes[lane])] == (chirality, curl_sign)
+    if seed == 1:
+        for lane in np.nonzero(codes == KnotClass.UNKNOT)[0][:1000]:
+            embedded, chirality, _ = exact_class(v[lane])
+            assert embedded and chirality == 0, lane

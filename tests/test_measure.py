@@ -14,6 +14,7 @@ from hexknot.measure import (
     REGIONS,
     UPPER_BOUND,
     BoundViolatedError,
+    check_count,
     chunk_rng,
     compare_bound,
     estimate_knotting_probability,
@@ -325,6 +326,40 @@ class TestEstimate:
         rp = [r.fraction_R_plus for r in reports]
         assert summary["mean_fraction_R_plus"] == pytest.approx(np.mean(rp))
         assert summary["std_fraction_R_plus"] == pytest.approx(np.std(rp, ddof=1))
+
+
+class TestCountRule:
+    """Every library entry point that takes a count refuses what check_count refuses."""
+
+    @pytest.mark.parametrize("n", [1e5, True, 0, -5])
+    def test_stream_refuses_bad_sample_count(self, n):
+        # a generator: the refusal comes at the first next()
+        with pytest.raises(ValueError, match="sample count must be an integer"):
+            next(sample_coordinate_stream(1, n))
+
+    def test_stream_takes_a_small_numpy_integer(self):
+        rows = sum(len(d) for d, _ in sample_coordinate_stream(1, np.uint16(1000)))
+        assert rows == 1000
+
+    @pytest.mark.parametrize("repeats", [2.5, True])
+    def test_repeats_refuses_non_integer(self, repeats):
+        with pytest.raises(ValueError, match="repeat count must be an integer"):
+            repeat_estimates(1000, 1, repeats=repeats)
+
+    def test_numpy_integer_repeats_summary_is_json(self):
+        _, summary = repeat_estimates(1000, 1, repeats=np.int64(2))
+        assert type(summary["repeats"]) is int
+        assert json.loads(json.dumps(summary))["repeats"] == 2
+
+    @pytest.mark.parametrize("count", [1, 7, np.int64(3), np.uint16(1000)])
+    def test_check_count_returns_a_plain_int(self, count):
+        value = check_count("sample", count)
+        assert type(value) is int and value == count
+
+    @pytest.mark.parametrize("count", [0, -1, 1.0, True, np.bool_(True), "3", None])
+    def test_check_count_refuses(self, count):
+        with pytest.raises(ValueError, match="^worker count must be an integer"):
+            check_count("worker", count)
 
 
 class TestWilsonCoverage:

@@ -7,6 +7,9 @@ as used when code in src/, demos/ or benchmarks/ loads it, imports it
 or spells it as a string, or when README.md or pyproject.toml mention
 it. Its own definition does not count. __init__.py imports to
 re-export, so the import check skips it, and it skips __future__.
+
+No package module reads the process environment: every default is a
+constant, so a run is fixed by its arguments alone.
 """
 
 import ast
@@ -71,3 +74,12 @@ def test_no_module_imports_a_name_it_never_reads():
     stale = [f"{path.stem}.{name}" for path in MODULES if path.name != "__init__.py"
              for name in stale_imports(path)]
     assert stale == []
+
+
+ENVIRONMENT_READERS = {"environ", "environb", "getenv", "getenvb"}
+
+
+def test_no_module_reads_the_process_environment():
+    readers = [f"{path.stem}.{name}" for path in MODULES
+               for name in sorted(references(path) & ENVIRONMENT_READERS)]
+    assert readers == []

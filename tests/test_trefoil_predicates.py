@@ -253,3 +253,45 @@ def test_non_finite_angles_rejected(func, value):
         func(np.full((4, 3), 1.0), th)
     with pytest.raises(ValueError, match="^angles must be finite$"):
         func((1.5, 0.8, 0.9), (value, 0.3, 0.3))
+
+
+def _shifted_witness_angles():
+    """The trefoil_R+ witness's angles moved out of [0, 2*pi): by -2*pi and
+    +2*pi, with one angle at exactly 2*pi, and with one at -1e-300."""
+    th = np.array(WITNESSES["trefoil_R+"][1])
+    at_two_pi, tiny_negative = th.copy(), th.copy()
+    at_two_pi[1], tiny_negative[2] = TWO_PI, -1e-300
+    return {"minus_2pi": th - TWO_PI, "plus_2pi": th + TWO_PI,
+            "exactly_2pi": at_two_pi, "minus_1e-300": tiny_negative}
+
+
+@pytest.mark.parametrize("func", [class_masks, filter_clauses, passes_window_filters])
+@pytest.mark.parametrize("case", sorted(_shifted_witness_angles()))
+def test_angles_outside_the_circle_rejected(func, case):
+    # before, these answered "no class" and "fails every filter" silently
+    d = WITNESSES["trefoil_R+"][0]
+    th = _shifted_witness_angles()[case]
+    with pytest.raises(ValueError, match=r"^angles must lie in \[0, 2\*pi\)$"):
+        func(d, th)
+    batch = np.tile(np.array(WITNESSES["trefoil_R+"][1]), (5, 1))
+    batch[3] = th
+    with pytest.raises(ValueError, match=r"^angles must lie in \[0, 2\*pi\)$"):
+        func(np.tile(d, (5, 1)), batch)
+
+
+@pytest.mark.parametrize("case", ["minus_2pi", "plus_2pi"])
+def test_geometry_stays_periodic_in_the_angles(case):
+    # build_hexagon and nine_functions take any finite angle; the shifted
+    # witness is still the same trefoil
+    d, witness_th = WITNESSES["trefoil_R+"]
+    th = _shifted_witness_angles()[case]
+    assert classify_batch(build_hexagon(d, th)[None])[0] == R_PLUS
+    assert np.array_equal(np.sign(nine_functions(d, th)),
+                          np.sign(nine_functions(d, witness_th)))
+
+
+def test_angle_range_ends_are_accepted():
+    d = WITNESSES["trefoil_R+"][0]
+    for th in ((0.0, 0.0, 0.0), (-0.0, 1.0, 2.0), (np.nextafter(TWO_PI, 0.0),) * 3):
+        class_masks(d, th)
+        passes_window_filters(d, th)
