@@ -109,16 +109,11 @@ def crossing_signs(p, q, a, b, c):
         # vertex height turns them into signed distances to the
         # boundary edges. |tsum| > 0 here: the plane signs differ.
         ap, bp, cp = a[:, idx], b[:, idx], c[:, idx]
-        h_a = nn[idx] / np.maximum(_norm(cp - bp), _TINY)
-        h_b = nn[idx] / np.maximum(_norm(ap - cp), _TINY)
-        h_c = nn[idx] / np.maximum(_norm(bp - ap), _TINY)
-        # Relative to p only now: (c - p) - (b - p) rounds unlike c - b.
-        ap, bp, cp = ap - pm, bp - pm, cp - pm
-        margin = np.minimum(
-            np.minimum(triple_product(d, bp, cp) / tsum * h_a,
-                       triple_product(d, cp, ap) / tsum * h_b),
-            triple_product(d, ap, bp) / tsum * h_c,
-        )
+        margin = np.inf
+        for x, y in ((bp, cp), (cp, ap), (ap, bp)):
+            height = nn[idx] / np.maximum(_norm(y - x), _TINY)
+            # Relative to p only now: (y - p) - (x - p) rounds unlike y - x.
+            margin = np.minimum(margin, triple_product(d, x - pm, y - pm) / tsum * height)
         sign[idx] = np.where(margin > EPS_EDGE, np.where(tsum > 0.0, 1, -1), 0)
         degenerate[idx] = np.abs(margin) <= EPS_EDGE
 
@@ -174,10 +169,9 @@ def _segment_triangle_gap(p, q, sp, sq, a, b, c, n, nn_safe):
         # perpendicular lands outside the closed triangle; the edge
         # distances below cover edge and vertex proximity.
         foot = x - s * (n / nn_safe)
-        w_a = triple_product(b - foot, c - foot, n)
-        w_b = triple_product(c - foot, a - foot, n)
-        w_c = triple_product(a - foot, b - foot, n)
-        inside = (w_a >= 0.0) & (w_b >= 0.0) & (w_c >= 0.0)
+        inside = True
+        for u, w in ((b, c), (c, a), (a, b)):
+            inside = inside & (triple_product(u - foot, w - foot, n) >= 0.0)
         gap = np.minimum(gap, np.where(inside, np.abs(s), np.inf))
     for ea, eb in ((a, b), (b, c), (c, a)):
         gap = np.minimum(gap, segment_distances(p, q, ea, eb))

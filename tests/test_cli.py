@@ -601,6 +601,16 @@ class TestVolumesAndBound:
     def test_bound_with_missing_file(self, capsys):
         assert run(["bound", "--with-estimate", "/nonexistent.json"]) == 1
 
+    def test_bound_reads_the_report_from_stdin(self, tmp_path, capsys, monkeypatch):
+        report = tmp_path / "report.json"
+        report.write_text(json.dumps(REPORT))
+        assert run(["bound", "--with-estimate", str(report)]) == 0
+        expected = capsys.readouterr().out
+        monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(
+            io.BytesIO(json.dumps(REPORT).encode()), encoding="utf-8", newline="\n"))
+        assert run(["bound", "--with-estimate", "-"]) == 0
+        assert capsys.readouterr().out == expected
+
     @pytest.mark.parametrize("text, message", [
         ("5", "is not a JSON object"),
         ('{"runs": [], "across_runs": {}}', "has no runs"),

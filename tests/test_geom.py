@@ -5,11 +5,13 @@ import pytest
 
 from hexknot.geom import (
     EPS_CONTACT,
+    EPS_EDGE,
+    EPS_PLANE,
     crossing_signs,
     segment_distances,
     triple_product,
 )
-from conftest import exact_sq_distance, solve_crossing
+from conftest import exact_crossing, exact_sq_distance, random_rotation, solve_crossing
 
 UNIT_TRI = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
 
@@ -139,6 +141,40 @@ def test_crossing_signs_batch_matches_scalar(rng):
     for k in range(64):
         s, d = crossing_signs(seg[k, 0], seg[k, 1], tri[k, 0], tri[k, 1], tri[k, 2])
         assert s == signs[k] and d == degen[k]
+
+
+def test_crossing_margins_at_the_tolerances():
+    # One fixed scalene triangle, turned out of the coordinate planes. Each
+    # segment meets its plane a signed distance delta (inside positive) from
+    # the midpoint of one edge; its near endpoint sits eps off the plane
+    # (eps = 1: well off) and its far one a unit below, along a direction
+    # tilted off the normal. Both directions of every segment are tested.
+    tri = (np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.3, 0.9, 0.0]])
+           @ random_rotation(np.random.default_rng(5)).T + (0.2, -0.1, 0.4))
+    normal = np.cross(tri[1] - tri[0], tri[2] - tri[0])
+    normal /= np.linalg.norm(normal)
+    along = normal + 0.3 * (tri[1] - tri[0])  # unit height over the plane
+    lanes, deltas, epsilons = [], [], []
+    for i in range(3):
+        x, y = tri[i], tri[(i + 1) % 3]
+        inward = np.cross(normal, y - x) / np.linalg.norm(y - x)
+        for delta in (s * k * EPS_EDGE for s in (1, -1) for k in (0.1, 0.5, 2, 10, 1e3)):
+            hit = (x + y) / 2.0 + delta * inward
+            for eps in [s * k * EPS_PLANE for s in (1, -1) for k in (0.1, 0.5, 2, 10)] + [1.0]:
+                near, far = hit + eps * along, hit - along
+                lanes += [(near, far), (far, near)]
+                deltas += [delta, delta]
+                epsilons += [eps, eps]
+    seg = np.array(lanes)
+    deltas, epsilons = np.abs(deltas), np.abs(epsilons)
+    sign, degenerate = crossing_signs(seg[:, 0].T, seg[:, 1].T, *tri[:, :, None])
+    exact = [exact_crossing(*([Fraction(float(x)) for x in point] for point in (*pq, *tri)))
+             for pq in seg]
+    free = np.nonzero(~degenerate)[0]
+    assert [int(sign[k]) for k in free] == [exact[k] for k in free]
+    assert set(sign[free].tolist()) == {-1, 0, 1}
+    assert not degenerate[(deltas >= 10 * EPS_EDGE) & (epsilons >= 10 * EPS_PLANE)].any()
+    assert degenerate[(deltas <= 0.5 * EPS_EDGE) & (epsilons == 1.0)].all()
 
 
 def _touch(s1, s2):

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import tracemalloc
@@ -14,7 +15,9 @@ from hexknot.measure import (
     REGIONS,
     UPPER_BOUND,
     BoundViolatedError,
+    EstimationReport,
     check_count,
+    check_seed,
     chunk_rng,
     compare_bound,
     estimate_knotting_probability,
@@ -103,7 +106,7 @@ class TestRegionVolumes:
         est = mc_region_volume("torus_obtuse_window", 100_000, seed=7)
         assert est.value == pytest.approx(est.hits / est.samples * (2 * np.pi) ** 3)
         assert est.value_std_error > 0
-        assert json.dumps(est.to_dict())
+        assert json.dumps(dataclasses.asdict(est))
 
 
 class TestChunkStream:
@@ -127,8 +130,8 @@ class TestChunkStream:
                               chunk_rng(2 ** 64 - 1, 0).uniform(size=2))
 
     def test_non_integer_seed_is_rejected(self):
-        # a float seed used to run the stream of its truncation
-        for seed in (1.5, 2.9, 3.0):
+        # a float seed used to run the stream of its truncation, and True seed 1
+        for seed in (1.5, 2.9, 3.0, True, False):
             with pytest.raises(ValueError, match="integer"):
                 estimate_knotting_probability(1000, seed)
             with pytest.raises(ValueError, match="integer"):
@@ -142,7 +145,24 @@ class TestChunkStream:
             del out["wall_time_seconds"]
             return json.dumps(out)
         assert report(np.uint64(3)) == report(3)
-        assert json.dumps(mc_region_volume("P6", 1000, np.int64(3)).to_dict())
+        assert json.dumps(dataclasses.asdict(mc_region_volume("P6", 1000, np.int64(3))))
+
+    @pytest.mark.parametrize("seed", [0, 3, np.uint64(3), np.int64(7), np.uint64(2 ** 64 - 1)])
+    def test_check_seed_returns_a_plain_int(self, seed):
+        value = check_seed(seed)
+        assert type(value) is int and value == seed
+
+    def test_first_chunk_memory_does_not_grow_with_n(self):
+        # the chunk plan is lazy: 10**6 chunks cost what one chunk costs
+        peaks = []
+        for n in (CHUNK_SIZE, CHUNK_SIZE * 10 ** 6):
+            tracemalloc.start()
+            try:
+                next(sample_coordinate_stream(1, n))
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] - peaks[0] <= 2 ** 20, [p / 2 ** 20 for p in peaks]
 
     def test_stream_concatenation_is_stable(self):
         long_d = np.concatenate([d for d, _ in sample_coordinate_stream(3, 200_000)])
@@ -294,8 +314,10 @@ class TestEstimate:
         def must_not_run(*args, **kwargs):
             raise AssertionError("estimator ran before the seed range check")
         monkeypatch.setattr(measure, "estimate_knotting_probability", must_not_run)
-        with pytest.raises(ValueError, match="seed"):
-            repeat_estimates(1000, 2 ** 64 - 1, repeats=2)
+        # np.uint64 arithmetic wraps: its last seed used to run as 0
+        for seed in (2 ** 64 - 1, np.uint64(2 ** 64 - 1)):
+            with pytest.raises(ValueError, match="seed"):
+                repeat_estimates(1000, seed, repeats=2)
 
     def test_zero_hit_interval_has_width(self):
         # a Wald interval collapses to (0, 0) here
@@ -399,6 +421,12 @@ class TestWilsonCoverage:
                 assert 1.0 - below - above >= 0.93, (n, below, above)
 
 
+# a well-formed predicate-mode report, as `hexknot bound` reads one
+WELL_FORMED = EstimationReport(
+    samples=1000, seed=1, mode="predicate", hits={}, degenerate_count=0,
+    fraction_R_plus=0.0, fraction_total=0.0, std_error=0.0, ci95=[0.0, 0.01])
+
+
 class TestCompareBound:
     def test_healthy_report(self):
         r = estimate_knotting_probability(500_000, seed=10, mode="predicate")
@@ -435,6 +463,36 @@ class TestCompareBound:
         r.fraction_total, r.ci95 = 0.5, (0.4, 0.0)
         with pytest.raises(ValueError, match="needs 0 <= ci95"):
             compare_bound(r)
+
+    @pytest.mark.parametrize("name, value, kind", [
+        ("ci95", 5, "two numbers"),
+        ("ci95", [0.1], "two numbers"),
+        ("ci95", [0, "1"], "two numbers"),
+        ("ci95", [float("nan"), float("nan")], "two numbers"),
+        ("ci95", (0.0, float("inf")), "two numbers"),
+        ("samples", "10", "an integer"),
+        ("samples", True, "an integer"),
+        ("samples", 1000.0, "an integer"),
+        ("degenerate_count", 0.5, "an integer"),
+        ("fraction_total", None, "a number"),
+        ("fraction_total", float("inf"), "a number"),
+        ("fraction_total", 10 ** 400, "a number"),
+        ("fraction_total", False, "a number"),
+    ], ids=["ci95-number", "ci95-one-edge", "ci95-string-edge", "ci95-nan", "ci95-inf",
+            "samples-string", "samples-bool", "samples-float", "degenerate-float",
+            "fraction-null", "fraction-inf", "fraction-huge-int", "fraction-bool"])
+    def test_malformed_field_names_the_field(self, name, value, kind):
+        # the refusals and messages of `hexknot bound --with-estimate`
+        r = dataclasses.replace(WELL_FORMED, **{name: value})
+        with pytest.raises(ValueError) as err:
+            compare_bound(r)
+        assert str(err.value) == f"estimate report field {name!r} must be {kind}"
+
+    def test_numpy_fields_are_accepted(self):
+        r = dataclasses.replace(WELL_FORMED, samples=np.int64(1000), degenerate_count=np.int64(0),
+                                fraction_total=np.float64(0.0),
+                                ci95=(np.float64(0.0), np.float64(0.01)))
+        assert compare_bound(r).ci95 == (0.0, 0.01)
 
 
 class TestSymmetry:
