@@ -148,20 +148,23 @@ def _parse_block(block):
     raise CliError("mixed 6- and 18-column rows in input")
 
 
-def _read_blocks(fh):
+def _read_blocks(fh, source):
     """(texts, float rows) of the non-blank lines of a 6- or 18-column CSV,
     GEOMETRY_BLOCK lines at a time. The first non-blank line is skipped
-    when no field of it parses (a header)."""
+    when no field of it parses (a header). CliError names source if not UTF-8."""
     lines = enumerate(chain.from_iterable(map(str.splitlines, fh)), 1)
     header = True
-    while chunk := list(islice(lines, GEOMETRY_BLOCK)):
-        block = [(n, line, text) for n, line in chunk if (text := line.strip())]
-        if header and block:
-            header = False
-            if all(_float_or_none(f) is None for f in block[0][2].split(",")):
-                del block[0]
-        if block:
-            yield _parse_block(block)
+    try:
+        while chunk := list(islice(lines, GEOMETRY_BLOCK)):
+            block = [(n, line, text) for n, line in chunk if (text := line.strip())]
+            if header and block:
+                header = False
+                if all(_float_or_none(f) is None for f in block[0][2].split(",")):
+                    del block[0]
+            if block:
+                yield _parse_block(block)
+    except UnicodeDecodeError as exc:
+        raise CliError(f"cannot read {source}: {exc}") from exc
 
 
 def _classify_rows(data):
@@ -189,7 +192,7 @@ def cmd_classify(args):
             if same:
                 raise CliError(
                     f"--output {args.output} is the file classify reads; nothing written")
-        blocks = _read_blocks(fh)
+        blocks = _read_blocks(fh, args.input if args.input not in (None, "-") else "stdin")
         first = next(blocks, None)
         if first is None:
             raise CliError("no data rows in input")
@@ -254,11 +257,11 @@ def cmd_bound(args):
           f"  (note: the bound is not below 1/42)")
     print(f"expected positive-curl trefoil fraction bound: "
           f"{POSITIVE_CURL_BOUND:.12f} = 7/192 - pi/128")
-    if args.with_estimate:
+    if args.with_estimate is not None:
         with _input(args.with_estimate) as fh:
             try:
                 payload = json.load(fh)
-            except json.JSONDecodeError as exc:
+            except (json.JSONDecodeError, UnicodeDecodeError) as exc:
                 raise CliError(f"cannot read estimate report: {exc}") from exc
         repeats = isinstance(payload, dict) and "across_runs" in payload
         runs = payload.get("runs") if repeats else [payload]

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import sys
 import time
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, asdict
 
@@ -85,9 +86,15 @@ def _run_chunks(func, n, workers):
     chunks = _chunks(n)
     workers = check_count("worker", workers)
     if workers == 1:  # serial: a one-thread pool raised peak RSS by 10-18%
-        return [func(k, m) for k, m in chunks]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(lambda km: func(*km), chunks))
+        yield from (func(k, m) for k, m in chunks)
+        return
+    with ThreadPoolExecutor(max_workers=workers) as pool:  # in order, 2 * workers ahead
+        ahead = deque()
+        for k, m in chunks:
+            ahead.append(pool.submit(func, k, m))
+            if len(ahead) > 2 * workers:
+                yield ahead.popleft().result()
+        yield from (future.result() for future in ahead)
 
 
 def _chunk_coordinates(seed, k, m):
@@ -222,8 +229,7 @@ class EstimationReport:
 
 
 def _predicate_chunk(seed, k, m):
-    d, th = _chunk_coordinates(seed, k, m)
-    masks = class_masks(d, th)
+    masks = class_masks(*_chunk_coordinates(seed, k, m))
     return np.array([int(masks[cls].sum()) for cls in TREFOIL_PAIRS])
 
 
@@ -268,13 +274,13 @@ def estimate_knotting_probability(n, seed, mode="predicate", workers=1):
     t0 = time.perf_counter()
 
     if mode == "predicate":
-        counts = np.sum(_run_chunks(lambda k, m: _predicate_chunk(seed, k, m),
-                                    n, workers), axis=0)
+        counts = sum(_run_chunks(lambda k, m: _predicate_chunk(seed, k, m), n, workers))
         hits = {KNOT_CLASS_LABELS[cls]: int(c) for cls, c in zip(TREFOIL_PAIRS, counts)}
         agreement = None
     else:
-        class_counts, agree = (np.sum(t, axis=0) for t in zip(*_run_chunks(
-            lambda k, m: _oracle_chunk(seed, k, m), n, workers)))
+        class_counts = agree = 0
+        for counts, block in _run_chunks(lambda k, m: _oracle_chunk(seed, k, m), n, workers):
+            class_counts, agree = class_counts + counts, agree + block
         hits = {KNOT_CLASS_LABELS[i]: int(c) for i, c in enumerate(class_counts)}
         pred_total = int(agree[:, 0].sum())
         agreement = {

@@ -15,6 +15,9 @@ boundary sets have measure zero under the sampling distribution.
 
 from __future__ import annotations
 
+from functools import reduce
+from operator import and_
+
 import numpy as np
 
 from .action_angle import TWO_PI, fold_terms, interior_coordinates
@@ -67,14 +70,13 @@ def _predicate_coordinates(diagonals, angles):
 
 
 def _angles_in(th, lo, hi):
-    return np.all((th > lo) & (th < hi), axis=-1)
+    return reduce(and_, ((th[..., i] > lo) & (th[..., i] < hi) for i in range(3)))
 
 
 def _all_of_sign(values, sign):
     """True where every value is strictly positive (sign +1) or
     strictly negative (sign -1)."""
-    return np.logical_and.reduce([value > 0.0 if sign > 0 else value < 0.0
-                                  for value in values])
+    return reduce(and_, (value > 0.0 if sign > 0 else value < 0.0 for value in values))
 
 
 def class_masks(diagonals, angles):
@@ -92,25 +94,26 @@ def class_masks(diagonals, angles):
 
     No class holds unless all three angles are on one side of pi, and
     the nine functions are elementwise, so they are evaluated only on
-    those lanes (about a quarter); every other lane is False in every
-    class.
+    those lanes (about a quarter), gathered once by an integer index;
+    every other lane is False in every class.
 
     Returns a dict KnotClass -> bool array. Raises ValueError unless
     every diagonal triple is interior and every angle lies in [0, 2*pi),
     the samplers' range (wrap_angles reduces others).
     """
     d, th = _predicate_coordinates(diagonals, angles)
+    shape = th.shape[:-1]
+    d, th = d.reshape(-1, 3), th.reshape(-1, 3)
     window = {1: _angles_in(th, 0.0, np.pi), -1: _angles_in(th, np.pi, TWO_PI)}
-    one_side = window[1] | window[-1]
-    nf = nine_functions(d[one_side], th[one_side])
+    idx = np.flatnonzero(window[1] | window[-1])
+    nf = nine_functions(d[idx], th[idx])
     f_sign = {sign: _all_of_sign(nf[0::3], sign) for sign in (1, -1)}
-    curl_side = {sign: window[sign][one_side] & _all_of_sign(nf[1::3] + nf[2::3], sign)
+    curl_side = {sign: window[sign][idx] & _all_of_sign(nf[1::3] + nf[2::3], sign)
                  for sign in (1, -1)}
-    masks = {}
-    for cls, (chirality, curl_sign) in TREFOIL_PAIRS.items():
-        masks[cls] = np.zeros(one_side.shape, dtype=bool)
-        masks[cls][one_side] = f_sign[chirality] & curl_side[curl_sign]
-    return masks
+    masks = np.zeros((len(TREFOIL_PAIRS), len(th)), dtype=bool)
+    for mask, (chirality, curl_sign) in zip(masks, TREFOIL_PAIRS.values()):
+        mask[idx] = f_sign[chirality] & curl_side[curl_sign]
+    return {cls: mask.reshape(shape) for cls, mask in zip(TREFOIL_PAIRS, masks)}
 
 
 def filter_clauses(diagonals, angles):
@@ -136,20 +139,23 @@ def filter_clauses(diagonals, angles):
     interior and every angle lies in [0, 2*pi).
     """
     d, th = _predicate_coordinates(diagonals, angles)
-    distinct = np.all(np.abs(d - d[..., (1, 2, 0)]) > _DISTINCT_TOL, axis=-1)
-    big = np.argmax(d, axis=-1)[..., None]
-    is_big = np.arange(3) == big
-    d_sq = d * d
-    big_sq = np.take_along_axis(d_sq, big, axis=-1)[..., 0]
-    obtuse = big_sq > d_sq.sum(axis=-1) - big_sq
-    big_lo = np.where(obtuse, 0.5 * np.pi, 0.0)
+    d1, d2, d3 = d[..., 0], d[..., 1], d[..., 2]
+    distinct = ((np.abs(d1 - d2) > _DISTINCT_TOL) & (np.abs(d2 - d3) > _DISTINCT_TOL)
+                & (np.abs(d3 - d1) > _DISTINCT_TOL))
+    big1 = (d1 >= d2) & (d1 >= d3)  # the largest diagonal, the first on ties as np.argmax
+    big2 = ~big1 & (d2 >= d3)
+    big3 = ~(big1 | big2)
+    q1, q2, q3 = d1 * d1, d2 * d2, d3 * d3
+    big_sq = np.where(big1, q1, np.where(big2, q2, q3))
+    big_lo = np.where(big_sq > q1 + q2 + q3 - big_sq, 0.5 * np.pi, 0.0)  # obtuse
 
     clauses = {}
     for curl_sign, t in ((1, th), (-1, TWO_PI - th)):
         t1, t2, t3 = t[..., 0], t[..., 1], t[..., 2]
         angle_sums = (t1 + t2 < np.pi) & (t1 + t3 < np.pi) & (t2 + t3 < np.pi)
-        others_small = np.all(is_big | ((t > 0.0) & (t < 0.5 * np.pi)), axis=-1)
-        t_big = np.take_along_axis(t, big, axis=-1)[..., 0]
+        small = (t > 0.0) & (t < 0.5 * np.pi)
+        others_small = (big1 | small[..., 0]) & (big2 | small[..., 1]) & (big3 | small[..., 2])
+        t_big = np.where(big1, t1, np.where(big2, t2, t3))
         window = others_small & (t_big > big_lo) & (t_big < np.pi)
         clauses[curl_sign] = dict(zip(FILTER_CLAUSES, (
             _angles_in(t, 0.0, np.pi), angle_sums, distinct, window)))
@@ -159,5 +165,5 @@ def filter_clauses(diagonals, angles):
 def passes_window_filters(diagonals, angles):
     """Conjunction of the filter_clauses, as a dict curl sign (+1, -1)
     -> bool array. Raises ValueError as filter_clauses does."""
-    return {curl_sign: np.logical_and.reduce(list(clauses.values()))
+    return {curl_sign: reduce(and_, clauses.values())
             for curl_sign, clauses in filter_clauses(diagonals, angles).items()}

@@ -246,6 +246,21 @@ class TestSample:
         assert err == b"", err  # no error line, no "Exception ignored"
 
 
+NOT_UTF8 = "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"
+
+
+def _non_utf8(tmp_path, monkeypatch, source):
+    """Path of a file, or "-" for stdin, whose bytes start FF FE (not UTF-8)."""
+    data = b"\xff\xfe" + lines(HEADER, UNKNOT).encode()
+    if source == "stdin":
+        monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(
+            io.BytesIO(data), encoding="utf-8", newline="\n"))
+        return "-"
+    src = tmp_path / "not-utf8.csv"
+    src.write_bytes(data)
+    return str(src)
+
+
 class TestClassify:
     def test_round_trip_matches_in_memory(self, tmp_path, capsys):
         rows = tmp_path / "rows.csv"
@@ -316,6 +331,13 @@ class TestClassify:
 
     def test_missing_file_is_runtime_error(self, capsys):
         assert run(["classify", "--input", "/nonexistent/x.csv"]) == 1
+
+    @pytest.mark.parametrize("source", ["file", "stdin"])
+    def test_non_utf8_input_names_the_source(self, tmp_path, capsys, monkeypatch, source):
+        path = _non_utf8(tmp_path, monkeypatch, source)
+        assert run(["classify", "--input", path]) == 1
+        name = path if source == "file" else "stdin"
+        assert capsys.readouterr().err == f"hexknot: error: cannot read {name}: {NOT_UTF8}\n"
 
     def test_output_onto_input_is_refused(self, tmp_path, capsys, monkeypatch):
         # classify streams: opening the output would truncate the input
@@ -600,6 +622,18 @@ class TestVolumesAndBound:
 
     def test_bound_with_missing_file(self, capsys):
         assert run(["bound", "--with-estimate", "/nonexistent.json"]) == 1
+
+    def test_bound_with_empty_path(self, capsys):
+        # an unset shell variable in --with-estimate "$REPORT" gives ""
+        assert run(["bound", "--with-estimate", ""]) == 1
+        assert "hexknot: error: cannot read : " in capsys.readouterr().err
+
+    @pytest.mark.parametrize("source", ["file", "stdin"])
+    def test_bound_with_non_utf8_report(self, tmp_path, capsys, monkeypatch, source):
+        path = _non_utf8(tmp_path, monkeypatch, source)
+        assert run(["bound", "--with-estimate", path]) == 1
+        assert capsys.readouterr().err == (
+            f"hexknot: error: cannot read estimate report: {NOT_UTF8}\n")
 
     def test_bound_reads_the_report_from_stdin(self, tmp_path, capsys, monkeypatch):
         report = tmp_path / "report.json"

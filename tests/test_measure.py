@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import time
 import tracemalloc
 
 import numpy as np
@@ -163,6 +164,32 @@ class TestChunkStream:
             finally:
                 tracemalloc.stop()
         assert peaks[1] - peaks[0] <= 2 ** 20, [p / 2 ** 20 for p in peaks]
+
+    def test_pool_runs_at_most_two_chunks_per_worker_ahead(self):
+        # the chunk plan of 10**6 chunks is not submitted at once
+        calls = []
+
+        def chunk(k, m):
+            calls.append(k)
+            return k, m
+
+        results = measure._run_chunks(chunk, CHUNK_SIZE * 10 ** 6, 2)
+        assert next(results) == (0, CHUNK_SIZE)
+        results.close()
+        assert len(calls) <= 5
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_chunk_results_arrive_in_chunk_order(self, workers):
+        rng = np.random.default_rng(workers)
+        delays = rng.uniform(0.0, 2e-3, 20)
+
+        def chunk(k, m):
+            time.sleep(delays[k])  # later chunks may finish first
+            return k, m
+
+        n = 19 * CHUNK_SIZE + 5
+        assert list(measure._run_chunks(chunk, n, workers)) == (
+            [(k, CHUNK_SIZE) for k in range(19)] + [(19, 5)])
 
     def test_stream_concatenation_is_stable(self):
         long_d = np.concatenate([d for d, _ in sample_coordinate_stream(3, 200_000)])

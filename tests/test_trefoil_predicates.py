@@ -92,6 +92,22 @@ class TestNineFunctions:
             assert np.array_equal(np.sign(h), np.sign(sep))
 
 
+def _angles_in_window(th):
+    return {1: np.all((th > 0.0) & (th < np.pi), axis=-1),
+            -1: np.all((th > np.pi) & (th < TWO_PI), axis=-1)}
+
+
+def _unprefixed_masks(d, th):
+    """class_masks' rule without its one-side prefix: the nine functions on
+    every lane, ANDed with the curl's window."""
+    nf = nine_functions(d, th)
+    window = _angles_in_window(np.broadcast_arrays(np.asarray(d), np.asarray(th))[1])
+    return {cls: (window[curl_sign]
+                  & np.all([chirality * f > 0.0 for f in nf[0::3]], axis=0)
+                  & np.all([curl_sign * g > 0.0 for g in nf[1::3] + nf[2::3]], axis=0))
+            for cls, (chirality, curl_sign) in TREFOIL_PAIRS.items()}
+
+
 class TestClassPredicates:
     def test_witnesses_satisfy_their_predicate(self):
         d, th = map(np.array, WITNESSES["trefoil_R+"])
@@ -145,21 +161,31 @@ class TestClassPredicates:
         pick = rng.random(th.shape) < 0.2
         th[pick] = rng.choice(edges, int(pick.sum()))
         d, th = d.reshape(2, n // 2, 3), th.reshape(2, n // 2, 3)
-        nf = nine_functions(d, th)
-        window = {1: np.all((th > 0.0) & (th < np.pi), axis=-1),
-                  -1: np.all((th > np.pi) & (th < TWO_PI), axis=-1)}
+        window = _angles_in_window(th)
         masks = class_masks(d, th)
         hits = 0
-        for cls, (chirality, curl_sign) in TREFOIL_PAIRS.items():
-            want = (window[curl_sign]
-                    & np.all([chirality * f > 0.0 for f in nf[0::3]], axis=0)
-                    & np.all([curl_sign * g > 0.0 for g in nf[1::3] + nf[2::3]], axis=0))
+        for cls, want in _unprefixed_masks(d, th).items():
             assert masks[cls].shape == (2, n // 2)
             assert np.array_equal(masks[cls], want)
             hits += int(want.sum())
         assert hits > 0
         # the edge angles reach lanes inside a window
         assert np.any(pick.reshape(2, n // 2, 3).any(axis=-1) & (window[1] | window[-1]))
+
+    def test_shapes_match_unprefixed_rule(self, rng):
+        # one lane, one diagonal triple against many angle triples, and no lanes
+        d, th = (np.array(x) for x in WITNESSES["trefoil_R+"])
+        near = (th + rng.normal(0.0, 0.05, (2000, 3))) % TWO_PI
+        cases = {"lane": (d, th), "broadcast": (d, near),
+                 "empty": (np.empty((0, 3)), np.empty((0, 3)))}
+        for name, (dd, tt) in cases.items():
+            masks = class_masks(dd, tt)
+            for cls, want in _unprefixed_masks(dd, tt).items():
+                assert masks[cls].shape == np.shape(want) == np.broadcast_shapes(
+                    dd.shape, tt.shape)[:-1], (name, cls)
+                assert np.array_equal(masks[cls], want), (name, cls)
+        assert class_masks(d, th)[R_PLUS]
+        assert 0 < class_masks(d, near)[R_PLUS].sum() < len(near)
 
     def test_necessity_on_sampled_trefoils(self, rng):
         d = sample_action_batch(rng, 300_000)
@@ -169,6 +195,29 @@ class TestClassPredicates:
         for cls in TREFOIL_PAIRS:
             oracle = codes == int(cls)
             assert not (oracle & ~masks[cls]).any()
+
+
+def _filter_clauses_reference(diagonals, angles):
+    """filter_clauses in its earlier form: argmax, take_along_axis and
+    reductions over the trailing axis."""
+    d, th = np.broadcast_arrays(np.asarray(diagonals, float), np.asarray(angles, float))
+    distinct = np.all(np.abs(d - d[..., (1, 2, 0)]) > 1e-9, axis=-1)
+    big = np.argmax(d, axis=-1)[..., None]
+    is_big = np.arange(3) == big
+    d_sq = d * d
+    big_sq = np.take_along_axis(d_sq, big, axis=-1)[..., 0]
+    obtuse = big_sq > d_sq.sum(axis=-1) - big_sq
+    big_lo = np.where(obtuse, 0.5 * np.pi, 0.0)
+    clauses = {}
+    for curl_sign, t in ((1, th), (-1, TWO_PI - th)):
+        t1, t2, t3 = t[..., 0], t[..., 1], t[..., 2]
+        angle_sums = (t1 + t2 < np.pi) & (t1 + t3 < np.pi) & (t2 + t3 < np.pi)
+        others_small = np.all(is_big | ((t > 0.0) & (t < 0.5 * np.pi)), axis=-1)
+        t_big = np.take_along_axis(t, big, axis=-1)[..., 0]
+        window = others_small & (t_big > big_lo) & (t_big < np.pi)
+        clauses[curl_sign] = dict(zip(FILTER_CLAUSES, (
+            np.all((t > 0.0) & (t < np.pi), axis=-1), angle_sums, distinct, window)))
+    return clauses
 
 
 class TestLemmaFilters:
@@ -225,6 +274,25 @@ class TestLemmaFilters:
             curl_sign = TREFOIL_PAIRS[CLASS_OF_LABEL[label]][1]
             clauses = filter_clauses(np.array(d), np.array(th))[curl_sign]
             assert all(clauses.values()), (label, clauses)
+
+    def test_columns_match_reference(self, rng):
+        # stream lanes, then tied largest diagonals and angles at the window edges
+        d = sample_action_batch(rng, 100_000)
+        th = sample_angles_batch(rng, 100_000)
+        edges = (0.0, 0.5 * np.pi, np.pi, np.nextafter(TWO_PI, 0.0), 0.3, 2.0, 4.5)
+        grid = np.array(np.meshgrid(edges, edges, edges)).reshape(3, -1).T
+        ties = [(1.2, 1.2, 0.9), (1.0, 1.0, 1.0), (0.9, 1.2, 1.2), (1.2, 0.9, 1.2),
+                (1.5, 0.8, 0.9), (1.0, 0.9, 0.8)]
+        cases = [(d, th), (d[0], th), (d, th[0])] + [(np.array(t), grid) for t in ties]
+        for dd, tt in cases:
+            got, want = filter_clauses(dd, tt), _filter_clauses_reference(dd, tt)
+            for curl_sign in (1, -1):
+                for name in FILTER_CLAUSES:
+                    assert np.shape(got[curl_sign][name]) == np.shape(want[curl_sign][name])
+                    assert np.array_equal(got[curl_sign][name], want[curl_sign][name]), name
+        # the grid reaches both window outcomes for a tied largest diagonal
+        window = filter_clauses((1.2, 1.2, 0.9), grid)[1]["dominant_diagonal_window"]
+        assert window.any() and not window.all()
 
     def test_vectorised_matches_scalar(self, rng):
         d = sample_action_batch(rng, 300)
