@@ -88,7 +88,7 @@ def _run_chunks(func, n, workers):
     if workers == 1:  # serial: a one-thread pool raised peak RSS by 10-18%
         yield from (func(k, m) for k, m in chunks)
         return
-    with ThreadPoolExecutor(max_workers=workers) as pool:  # in order, 2 * workers ahead
+    with ThreadPoolExecutor(max_workers=workers) as pool:  # in chunk order, 2 * workers ahead
         ahead = deque()
         for k, m in chunks:
             ahead.append(pool.submit(func, k, m))
