@@ -27,6 +27,7 @@ from .invariants import (
 from .measure import (
     CLOSED_FORMS,
     GEOMETRY_BLOCK,
+    MODES,
     ONE_OVER_42,
     POSITIVE_CURL_BOUND,
     REGIONS,
@@ -35,7 +36,6 @@ from .measure import (
     check_count,
     check_seed,
     compare_bound,
-    estimate_knotting_probability,
     mc_region_volume,
     repeat_estimates,
     sample_coordinate_stream,
@@ -212,16 +212,10 @@ def cmd_classify(args):
 
 
 def cmd_estimate(args):
-    if args.repeats > 1:
-        reports, summary = repeat_estimates(
-            args.samples, args.seed, mode=args.mode,
-            workers=args.workers, repeats=args.repeats)
-        payload = {"runs": [r.to_dict() for r in reports],
-                   "across_runs": summary}
-    else:
-        report = estimate_knotting_probability(
-            args.samples, args.seed, mode=args.mode, workers=args.workers)
-        payload = report.to_dict()
+    reports, summary = repeat_estimates(args.samples, args.seed, mode=args.mode,
+                                        workers=args.workers, repeats=args.repeats)
+    payload = ({"runs": [r.to_dict() for r in reports], "across_runs": summary}
+               if args.repeats > 1 else reports[0].to_dict())
     with _output(args.output) as out:
         json.dump(payload, out, indent=2)
         out.write("\n")
@@ -336,7 +330,7 @@ def build_parser():
     p = sub.add_parser("estimate", help="Monte Carlo knotting probability")
     p.add_argument("--samples", type=_checked(check_count, "sample"), required=True)
     p.add_argument("--seed", type=seed, default=0)
-    p.add_argument("--mode", choices=("predicate", "oracle"), default="predicate")
+    p.add_argument("--mode", choices=MODES, default="predicate")
     p.add_argument("--workers", type=_checked(check_count, "worker"), default=1)
     p.add_argument("--repeats", type=_checked(check_count, "repeat"), default=1)
     p.add_argument("--output", default=None, help="JSON output path (default stdout)")

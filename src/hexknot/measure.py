@@ -238,58 +238,65 @@ def _oracle_chunk(seed, k, m):
     codes = np.concatenate([
         classify_batch(build_hexagon(d[b:b + GEOMETRY_BLOCK], th[b:b + GEOMETRY_BLOCK]))
         for b in range(0, m, GEOMETRY_BLOCK)])
-    class_counts = np.bincount(codes, minlength=6)
+    # One row per KnotClass: the oracle count, then AGREEMENT_COLUMNS on trefoil rows.
+    tally = np.zeros((len(KNOT_CLASS_LABELS), 1 + len(AGREEMENT_COLUMNS)), dtype=np.int64)
+    tally[:, 0] = np.bincount(codes, minlength=len(KNOT_CLASS_LABELS))
 
     masks = class_masks(d, th)
     # The filters are read only where a trefoil code is set.
     trefoil = np.nonzero(np.isin(codes, list(TREFOIL_PAIRS)))[0]
     windows = passes_window_filters(d[trefoil], th[trefoil])
-    agree = np.zeros((len(TREFOIL_PAIRS), len(AGREEMENT_COLUMNS)), dtype=np.int64)
-    for row, (cls, (_, curl_sign)) in enumerate(TREFOIL_PAIRS.items()):
+    for cls, (_, curl_sign) in TREFOIL_PAIRS.items():
         pred = masks[cls]
         oracle = codes == int(cls)
         accepted = pred[trefoil] & windows[curl_sign]
-        agree[row, :3] = (
+        tally[cls, 1:4] = (
             pred.sum(),
             (oracle & pred).sum(),
             (oracle[trefoil] & ~accepted).sum(),  # fails predicate or a filter
         )
-    agree[:, 3] = agree[:, 0] - agree[:, 1]  # sufficiency gap
-    return class_counts, agree
+    tally[:, 4] = tally[:, 1] - tally[:, 2]  # sufficiency gap
+    return tally
+
+
+def _oracle_finish(tally):
+    agree = tally[list(TREFOIL_PAIRS), 1:]
+    pred_total = int(agree[:, 0].sum())
+    return {KNOT_CLASS_LABELS[i]: int(c) for i, c in enumerate(tally[:, 0])}, {
+        "per_class": {KNOT_CLASS_LABELS[cls]: dict(zip(AGREEMENT_COLUMNS, map(int, row)))
+                      for cls, row in zip(TREFOIL_PAIRS, agree)},
+        "necessity_violations": int(agree[:, 2].sum()),
+        "predicate_hits": pred_total,
+        "agreement_rate": (int(agree[:, 1].sum()) / pred_total) if pred_total else 1.0,
+    }
+
+
+# name -> (chunk function of (seed, k, m) giving one fixed-shape integer
+# array, finish from the chunks' total to the report's (hits, agreement)).
+MODES = {
+    "predicate": (_predicate_chunk, lambda counts: (
+        {KNOT_CLASS_LABELS[cls]: int(c) for cls, c in zip(TREFOIL_PAIRS, counts)}, None)),
+    "oracle": (_oracle_chunk, _oracle_finish),
+}
 
 
 def estimate_knotting_probability(n, seed, mode="predicate", workers=1):
     """Estimate the fraction of knotted hexagons from n uniform samples.
 
-    predicate mode counts coordinate tuples passing the closed-form
-    test of each trefoil class (no geometry is built). oracle mode
-    builds every hexagon, classifies it geometrically, and additionally
-    cross-tabulates the predicate against the classification. The
-    estimate is the four trefoil counts over the non-degenerate samples.
-
-    Deterministic for fixed (n, seed) at any worker count.
+    mode is a key of MODES, else ValueError. predicate mode counts
+    coordinate tuples passing the closed-form test of each trefoil class
+    (no geometry is built). oracle mode builds every hexagon, classifies
+    it geometrically, and additionally cross-tabulates the predicate
+    against the classification. The estimate is the four trefoil counts
+    over the non-degenerate samples, deterministic for fixed (n, seed)
+    at any worker count.
     """
-    if mode not in ("predicate", "oracle"):
-        raise ValueError(f"unknown mode {mode!r}")
+    if not isinstance(mode, str) or mode not in MODES:  # a list would raise TypeError
+        raise ValueError(f"unknown mode {mode!r}; choose from {sorted(MODES)}")
+    chunk, finish = MODES[mode]
     t0 = time.perf_counter()
-
-    if mode == "predicate":
-        counts = sum(_run_chunks(lambda k, m: _predicate_chunk(seed, k, m), n, workers))
-        hits = {KNOT_CLASS_LABELS[cls]: int(c) for cls, c in zip(TREFOIL_PAIRS, counts)}
-        agreement = None
-    else:
-        class_counts = agree = 0
-        for counts, block in _run_chunks(lambda k, m: _oracle_chunk(seed, k, m), n, workers):
-            class_counts, agree = class_counts + counts, agree + block
-        hits = {KNOT_CLASS_LABELS[i]: int(c) for i, c in enumerate(class_counts)}
-        pred_total = int(agree[:, 0].sum())
-        agreement = {
-            "per_class": {KNOT_CLASS_LABELS[cls]: dict(zip(AGREEMENT_COLUMNS, map(int, row)))
-                          for cls, row in zip(TREFOIL_PAIRS, agree)},
-            "necessity_violations": int(agree[:, 2].sum()),
-            "predicate_hits": pred_total,
-            "agreement_rate": (int(agree[:, 1].sum()) / pred_total) if pred_total else 1.0,
-        }
+    # Summed in the chunk order _run_chunks keeps at any worker count: floats stay bit-identical.
+    hits, agreement = finish(sum(_run_chunks(lambda k, m: chunk(seed, k, m), n, workers)))
 
     degenerate = hits.get("degenerate", 0)  # only oracle mode builds geometry
     valid = n - degenerate
@@ -323,8 +330,7 @@ def repeat_estimates(n, seed, mode="predicate", workers=1, repeats=10):
     seed = check_seed(seed)
     repeats = check_count("repeat", repeats)
     check_seed(seed + repeats - 1)
-    reports = [estimate_knotting_probability(n, seed + r, mode=mode,
-                                             workers=workers)
+    reports = [estimate_knotting_probability(n, seed + r, mode=mode, workers=workers)
                for r in range(repeats)]
     summary = {"repeats": repeats}
     for name in ("fraction_R_plus", "fraction_total"):
@@ -372,12 +378,12 @@ def compare_bound(report):
                          f"got {report.degenerate_count} and {report.samples}")
     estimate = report.fraction_total
     ci = tuple(ci)
-    if ci[1] > UPPER_BOUND:
-        raise BoundViolatedError(
-            f"CI upper edge {ci[1]:.6e} exceeds the bound {UPPER_BOUND:.6e}")
     if not 0.0 <= ci[0] <= estimate <= ci[1] <= 1.0:
         raise ValueError(f"estimate report needs 0 <= ci95[0] <= fraction_total <= ci95[1] "
                          f"<= 1, got [{ci[0]:.6e}, {ci[1]:.6e}] and {estimate:.6e}")
+    if ci[1] > UPPER_BOUND:
+        raise BoundViolatedError(
+            f"CI upper edge {ci[1]:.6e} exceeds the bound {UPPER_BOUND:.6e}")
     orderings = {
         "estimate_lt_upper_bound": bool(estimate < UPPER_BOUND),
         "estimate_lt_one_over_42": bool(estimate < ONE_OVER_42),

@@ -18,6 +18,7 @@ from hexknot.action_angle import (
 )
 from hexknot.invariants import KnotClass, classify_batch
 from hexknot.measure import (
+    MODES,
     REGIONS,
     UPPER_BOUND,
     compare_bound,
@@ -209,7 +210,7 @@ def test_criterion_7_unknot_floor(oracle_1m):
 def test_criterion_8_worker_determinism():
     passed = True
     details = []
-    for mode in ("predicate", "oracle"):
+    for mode in MODES:
         dicts = []
         for workers in (1, 4, 16):
             r = estimate_knotting_probability(200_000, seed=17, mode=mode,

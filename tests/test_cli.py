@@ -519,7 +519,7 @@ class TestEstimate:
         def no_run(*args, **kwargs):
             raise AssertionError("estimator ran")
         monkeypatch.setattr(cli, "repeat_estimates", no_run)
-        monkeypatch.setattr(cli, "estimate_knotting_probability", no_run)
+        monkeypatch.setattr(measure, "estimate_knotting_probability", no_run)
         for seed, repeats in ((last, 2), (last - 2, 4)):
             with pytest.raises(SystemExit) as err:
                 run(["estimate", "--samples", "10", "--seed", str(seed),

@@ -11,6 +11,7 @@ from hexknot import measure
 from hexknot.measure import (
     CHUNK_SIZE,
     CLOSED_FORMS,
+    MODES,
     ONE_OVER_42,
     POSITIVE_CURL_BOUND,
     REGIONS,
@@ -26,7 +27,7 @@ from hexknot.measure import (
     repeat_estimates,
     sample_coordinate_stream,
 )
-from hexknot.invariants import KnotClass
+from hexknot.invariants import TREFOIL_PAIRS, KnotClass
 from hexknot.trefoil_predicates import passes_window_filters
 
 
@@ -216,7 +217,7 @@ class TestEstimate:
         pytest.param(2, 48047, id="2-48047"), pytest.param(3, 172, id="3-172")])
     def test_scaled_ci95_stays_in_unit_interval(self, n, seed):
         # at few samples each fraction and its Wilson edges stay in [0, 1]
-        for mode in ("predicate", "oracle"):
+        for mode in MODES:
             r = estimate_knotting_probability(n, seed=seed, mode=mode)
             trefoils = sum(r.hits[k] for k in
                            ("trefoil_R+", "trefoil_R-", "trefoil_L+", "trefoil_L-"))
@@ -255,11 +256,11 @@ class TestEstimate:
     @pytest.mark.parametrize("seed", [1, 5])
     def test_geometry_blocks_give_the_same_tallies(self, monkeypatch, seed, block, m):
         monkeypatch.setattr(measure, "GEOMETRY_BLOCK", m)
-        counts, agree = measure._oracle_chunk(seed, 0, m)
+        tally = measure._oracle_chunk(seed, 0, m)
         monkeypatch.setattr(measure, "GEOMETRY_BLOCK", block)
-        blocked_counts, blocked_agree = measure._oracle_chunk(seed, 0, m)
-        assert np.array_equal(blocked_counts, counts)
-        assert np.array_equal(blocked_agree, agree)
+        blocked = measure._oracle_chunk(seed, 0, m)
+        assert np.array_equal(blocked[:, 0], tally[:, 0])  # class counts
+        assert np.array_equal(blocked[:, 1:], tally[:, 1:])  # agreement columns
 
     def test_window_filters_run_on_trefoil_lanes_only(self, monkeypatch):
         lanes = []
@@ -269,7 +270,8 @@ class TestEstimate:
             return passes_window_filters(d, th)
 
         monkeypatch.setattr(measure, "passes_window_filters", spy)
-        counts, agree = measure._oracle_chunk(1, 0, CHUNK_SIZE)
+        tally = measure._oracle_chunk(1, 0, CHUNK_SIZE)
+        counts, agree = tally[:, 0], tally[list(TREFOIL_PAIRS), 1:]
         assert lanes == [counts[1:5].sum()] and lanes[0] > 0
         # every trefoil of this chunk passes its predicate; one trefoil_L+
         # fails dominant_diagonal_window (criterion 4)
@@ -301,8 +303,10 @@ class TestEstimate:
     def test_bad_arguments(self):
         with pytest.raises(ValueError):
             estimate_knotting_probability(0, seed=1)
-        with pytest.raises(ValueError):
-            estimate_knotting_probability(10, seed=1, mode="nope")
+        for mode in ("nope", None, ["predicate"]):
+            with pytest.raises(ValueError, match="unknown mode") as err:
+                estimate_knotting_probability(10, seed=1, mode=mode)
+            assert all(repr(name) in str(err.value) for name in MODES)
         for workers in (0, -5):
             with pytest.raises(ValueError):
                 estimate_knotting_probability(1000, seed=1, workers=workers)
@@ -481,8 +485,18 @@ class TestCompareBound:
 
     def test_bound_violation_detected(self):
         r = estimate_knotting_probability(1000, seed=1, mode="predicate")
-        r.ci95 = (0.9, 1.1)
+        r.fraction_total, r.ci95 = 0.95, (0.9, 1.0)
         with pytest.raises(BoundViolatedError):
+            compare_bound(r)
+
+    @pytest.mark.parametrize("fraction, ci", [
+        (0.3, (0.5, 0.1)), (0.5, (0.0, 2.0)), (0.9, (0.0, 0.5)), (0.0, (0.9, 1.1))],
+        ids=["inverted", "upper-above-1", "estimate-above-ci", "estimate-below-ci"])
+    def test_range_is_checked_before_the_bound(self, fraction, ci):
+        # each interval also lies above the bound: a malformed report is a
+        # ValueError, not a bound violation
+        r = dataclasses.replace(WELL_FORMED, fraction_total=fraction, ci95=ci)
+        with pytest.raises(ValueError, match="needs 0 <= ci95"):
             compare_bound(r)
 
     def test_interval_must_contain_estimate(self):

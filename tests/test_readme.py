@@ -1,7 +1,8 @@
 """README's library text matches the package.
 
 The quickstart block runs as written, every kernel the README names as
-public imports from hexknot, and every command-line example parses.
+public imports from hexknot, every command-line example parses, and the
+estimator modes listed are the keys of measure.MODES.
 """
 
 import contextlib
@@ -11,7 +12,7 @@ import shlex
 from pathlib import Path
 
 import hexknot
-from hexknot import cli
+from hexknot import cli, measure
 
 README = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
 
@@ -40,3 +41,8 @@ def test_command_line_examples_parse():
     for line in lines:
         args = parser.parse_args(shlex.split(line, comments=True)[1:])
         assert args.command == line.split()[1]
+
+
+def test_estimator_modes_are_the_table():
+    section = re.search(r"### Estimator modes\n(.*?)\n## ", README, re.S).group(1)
+    assert re.findall(r"^\* `(\w+)`", section, re.M) == list(measure.MODES)
