@@ -6,8 +6,8 @@ window fractions (where the folding angles must land). Each constant
 has a closed form; Monte Carlo confirms them all.
 """
 
-from hexknot import mc_region_volume
-from hexknot.measure import CLOSED_FORMS, POSITIVE_CURL_BOUND, REGIONS, UPPER_BOUND
+from hexknot import mc_region_volumes
+from hexknot.measure import CLOSED_FORMS, POSITIVE_CURL_BOUND, UPPER_BOUND
 
 N = 2_000_000
 print("closed forms:")
@@ -17,8 +17,7 @@ print(f"  expected positive-curl bound = {POSITIVE_CURL_BOUND:.12f}")
 print()
 
 print(f"{'region':22s} {'analytic':>12s} {'monte carlo':>12s} {'z':>6s}")
-for region in REGIONS:
-    est = mc_region_volume(region, N, seed=99, workers=2)
+for region, est in mc_region_volumes(N, seed=99, workers=2).items():
     print(f"{region:22s} {est.analytic:12.6f} {est.value:12.6f} {est.z_score():6.2f}")
 print()
 print(f"upper bound (14 - 3*pi)/192 = {UPPER_BOUND:.12f}")

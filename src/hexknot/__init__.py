@@ -43,7 +43,7 @@ from .measure import (
     VolumeEstimate,
     compare_bound,
     estimate_knotting_probability,
-    mc_region_volume,
+    mc_region_volumes,
     repeat_estimates,
 )
 

@@ -35,8 +35,11 @@ NON_ADJACENT_EDGE_PAIRS = (
 
 def is_interior(diagonals):
     """True where (d1, d2, d3) lies in the open moment polytope: each
-    0 < d_i < 2 and each d_i < d_j + d_k, all strict."""
+    0 < d_i < 2 and each d_i < d_j + d_k, all strict. Raises ValueError
+    unless the trailing axis has length 3."""
     d = np.asarray(diagonals, dtype=float)
+    if d.shape[-1:] != (3,):
+        raise ValueError(f"diagonals must have trailing shape (3,), got shape {d.shape}")
     d1, d2, d3 = d[..., 0], d[..., 1], d[..., 2]
     # The triangle inequalities force each d_i > 0, in floating point too:
     # d_k <= 0 gives fl(d_j + d_k) <= d_j, so the two holding d_k contradict.
@@ -70,11 +73,13 @@ def sample_angles_batch(rng, n):
 def interior_coordinates(diagonals, angles):
     """(diagonals, angles) as broadcast float arrays.
 
-    Raises ValueError unless every diagonal triple is interior and
-    every angle is finite.
+    Raises ValueError unless both trailing axes have length 3, every
+    diagonal triple is interior and every angle is finite.
     """
     d = np.asarray(diagonals, dtype=float)
     th = np.asarray(angles, dtype=float)
+    if th.shape[-1:] != (3,):
+        raise ValueError(f"angles must have trailing shape (3,), got shape {th.shape}")
     if not np.all(is_interior(d)):
         raise ValueError("diagonals must lie in the open moment polytope")
     if not np.isfinite(th).all():
@@ -209,12 +214,14 @@ def is_embedded(vertices):
 
 
 def vertex_components(vertices):
-    """The contiguous (6, 3, n) blocks of an (..., 6, 3) vertex array, so
-    w[k] is vertex k's component-first (3, n) block for the geom kernels:
-    a view of build_hexagon's buffer, a copy of any other layout. A lane
-    holding NaN or inf reads as six vertices at the origin, a collapsed
-    hexagon that the tolerance checks of every vertex kernel reject."""
-    v = np.asarray(vertices, dtype=float).reshape(-1, 6, 3)
-    w = np.ascontiguousarray(v.transpose(1, 2, 0))
+    """The contiguous (6, 3, n) blocks of an (..., 6, 3) vertex array, else
+    ValueError, so w[k] is vertex k's component-first (3, n) block for the
+    geom kernels: a view of build_hexagon's buffer, a copy of any other
+    layout. A lane holding NaN or inf reads as six vertices at the origin,
+    a collapsed hexagon that every vertex kernel's tolerance checks reject."""
+    v = np.asarray(vertices, dtype=float)
+    if v.shape[-2:] != (6, 3):
+        raise ValueError(f"vertices must have trailing shape (6, 3), got shape {v.shape}")
+    w = np.ascontiguousarray(v.reshape(-1, 6, 3).transpose(1, 2, 0))
     finite = np.isfinite(w).all(axis=(0, 1))
     return w if finite.all() else np.where(finite, w, 0.0)

@@ -30,13 +30,12 @@ from .measure import (
     MODES,
     ONE_OVER_42,
     POSITIVE_CURL_BOUND,
-    REGIONS,
     UPPER_BOUND,
     EstimationReport,
     check_count,
     check_seed,
     compare_bound,
-    mc_region_volume,
+    mc_region_volumes,
     repeat_estimates,
     sample_coordinate_stream,
 )
@@ -232,9 +231,7 @@ def cmd_volumes(args):
     print(f"{'region':22s} {'analytic':>14s} {'estimate':>14s} "
           f"{'std_error':>12s} {'z':>7s}")
     worst = 0.0
-    for name in REGIONS:
-        est = mc_region_volume(name, args.samples, args.seed,
-                               workers=args.workers)
+    for name, est in mc_region_volumes(args.samples, args.seed, args.workers).items():
         z = est.z_score()
         worst = max(worst, abs(z))
         print(f"{name:22s} {est.analytic:14.8f} {est.value:14.8f} "

@@ -19,11 +19,10 @@ from hexknot.action_angle import (
 from hexknot.invariants import KnotClass, classify_batch
 from hexknot.measure import (
     MODES,
-    REGIONS,
     UPPER_BOUND,
     compare_bound,
     estimate_knotting_probability,
-    mc_region_volume,
+    mc_region_volumes,
     repeat_estimates,
 )
 from conftest import reverse, shift
@@ -85,8 +84,7 @@ def test_criterion_1_monte_carlo_reproduction(predicate_10m, predicate_repeats):
 def test_criterion_2_volume_verification():
     rows = []
     passed = True
-    for name in REGIONS:
-        est = mc_region_volume(name, 10_000_000, seed=11, workers=WORKERS)
+    for name, est in mc_region_volumes(10_000_000, seed=11, workers=WORKERS).items():
         z = est.z_score()
         rows.append(f"{name} z={z:+.2f}")
         passed &= abs(z) < 4.0

@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -428,3 +429,16 @@ class TestEmbedded:
 
     def test_empty_input(self):
         assert is_embedded(np.zeros((0, 6, 3))).shape == (0,)
+
+
+@pytest.mark.parametrize("func", [classify_batch, is_embedded, curl, disk_counts,
+                                  extract_action_angle])
+def test_vertex_arrays_must_end_in_six_by_three(func):
+    # the README's witness trefoil component-first, the layout the geom
+    # kernels take, used to read as an unknot with disk counts [0, 0, 0]
+    v = build_hexagon([1.10151, 1.07689, 0.35248], [1.69010, 0.38533, 0.32013])
+    for bad in (v.T, v.T[None], v.reshape(18), v.reshape(9, 2), v.reshape(2, 9)):
+        with pytest.raises(ValueError, match=rf"^vertices must have trailing shape \(6, 3\), "
+                                             rf"got shape {re.escape(str(bad.shape))}$"):
+            func(bad)
+    func(v[None])

@@ -22,7 +22,7 @@ from hexknot.measure import (
     CHUNK_SIZE,
     REGIONS,
     estimate_knotting_probability,
-    mc_region_volume,
+    mc_region_volumes,
     sample_coordinate_stream,
 )
 
@@ -118,7 +118,7 @@ SEGMENT_DISTANCES_SHA256 = "5b878ca6d0655f94a82fe44a4ac0fff0afb86e44e20f3b532788
 TRIPLE_PRODUCT_SHA256 = "be9fafc6699f0c8a6080863851a240bfbf356e422fff963fc78c94ed21c20913"
 # sign (int8) then degenerate (bool) bytes
 CROSSING_SIGNS_SHA256 = "6659c24a3ff6ba5bf962f415845deca779ea5dde7fa0185e5dcc2635fe1ea6b3"
-# mc_region_volume(region, 2**20, 3).hits
+# mc_region_volumes(2**20, 3)[region].hits
 REGION_HITS_2_20 = {"P6": 524211, "third_d1_max": 175084, "obtuse_d1": 99773,
                     "acute_d1": 75311, "torus_obtuse_window": 5538,
                     "torus_acute_window": 21787}
@@ -209,6 +209,11 @@ def test_crossing_signs_digest():
     assert digest.hexdigest() == CROSSING_SIGNS_SHA256
 
 
+@pytest.fixture(scope="module")
+def region_volumes_2_20():
+    return mc_region_volumes(1 << 20, 3)
+
+
 @pytest.mark.parametrize("region", list(REGIONS))
-def test_region_hits(region):
-    assert mc_region_volume(region, 1 << 20, 3).hits == REGION_HITS_2_20[region]
+def test_region_hits(region, region_volumes_2_20):
+    assert region_volumes_2_20[region].hits == REGION_HITS_2_20[region]

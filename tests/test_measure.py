@@ -23,7 +23,7 @@ from hexknot.measure import (
     chunk_rng,
     compare_bound,
     estimate_knotting_probability,
-    mc_region_volume,
+    mc_region_volumes,
     repeat_estimates,
     sample_coordinate_stream,
 )
@@ -63,23 +63,20 @@ class TestAnalyticVolumes:
 
 class TestRegionVolumes:
     def test_all_regions_within_four_sigma(self):
-        for name in REGIONS:
-            est = mc_region_volume(name, 1_000_000, seed=23)
+        estimates = mc_region_volumes(1_000_000, seed=23)
+        assert list(estimates) == list(REGIONS)
+        for name, est in estimates.items():
             assert abs(est.z_score()) < 4.0, (name, est.z_score())
-
-    def test_unknown_region(self):
-        with pytest.raises(ValueError, match="unknown region"):
-            mc_region_volume("nope", 1000, seed=0)
 
     def test_bad_arguments(self):
         with pytest.raises(ValueError):
-            mc_region_volume("P6", 0, seed=1)
+            mc_region_volumes(0, seed=1)
         with pytest.raises(ValueError):
-            mc_region_volume("P6", 1000, seed=1, workers=0)
+            mc_region_volumes(1000, seed=1, workers=0)
 
     def test_z_score_with_zero_std_error(self):
         # a window with no hits has a zero binomial standard error
-        est = mc_region_volume("torus_obtuse_window", 100, seed=0)
+        est = mc_region_volumes(100, seed=0)["torus_obtuse_window"]
         assert est.hits == 0 and est.value_std_error == 0.0
         assert est.z_score() == -np.inf
         est.analytic = 0.0
@@ -100,13 +97,24 @@ class TestRegionVolumes:
         assert np.array_equal(member(t), passes_window_filters(diagonals, t)[1])
 
     def test_deterministic_across_workers(self):
-        a = mc_region_volume("P6", 300_000, seed=5, workers=1)
-        b = mc_region_volume("P6", 300_000, seed=5, workers=4)
-        assert a.hits == b.hits and a.value == b.value
+        a = mc_region_volumes(300_000, seed=5, workers=1)
+        b = mc_region_volumes(300_000, seed=5, workers=4)
+        assert a == b
+
+    @pytest.mark.parametrize("workers", [1, 3])
+    def test_shared_draw_matches_per_region_draws(self, workers):
+        # the per-region definition: each region draws its own uniform(0, hi)
+        # cube per chunk from the same key; the last chunk is partial
+        sizes = [CHUNK_SIZE, CHUNK_SIZE, 1000]
+        estimates = mc_region_volumes(sum(sizes), seed=13, workers=workers)
+        for name, (hi, member, _) in REGIONS.items():
+            hits = sum(int(member(chunk_rng(13, k).uniform(0.0, hi, (m, 3))).sum())
+                       for k, m in enumerate(sizes))
+            assert estimates[name].hits == hits, name
 
     def test_estimate_fields(self):
-        est = mc_region_volume("torus_obtuse_window", 100_000, seed=7)
-        assert est.value == pytest.approx(est.hits / est.samples * (2 * np.pi) ** 3)
+        est = mc_region_volumes(100_000, seed=7)["torus_obtuse_window"]
+        assert est.value == pytest.approx(est.hits / 100_000 * (2 * np.pi) ** 3)
         assert est.value_std_error > 0
         assert json.dumps(dataclasses.asdict(est))
 
@@ -127,7 +135,7 @@ class TestChunkStream:
             with pytest.raises(ValueError, match="seed"):
                 estimate_knotting_probability(1000, seed)
             with pytest.raises(ValueError, match="seed"):
-                mc_region_volume("P6", 1000, seed)
+                mc_region_volumes(1000, seed)
         assert np.array_equal(chunk_rng(2 ** 64 - 1, 0).uniform(size=2),
                               chunk_rng(2 ** 64 - 1, 0).uniform(size=2))
 
@@ -137,7 +145,7 @@ class TestChunkStream:
             with pytest.raises(ValueError, match="integer"):
                 estimate_knotting_probability(1000, seed)
             with pytest.raises(ValueError, match="integer"):
-                mc_region_volume("P6", 1000, seed)
+                mc_region_volumes(1000, seed)
             with pytest.raises(ValueError, match="integer"):
                 repeat_estimates(1000, seed, repeats=2)
 
@@ -147,7 +155,9 @@ class TestChunkStream:
             del out["wall_time_seconds"]
             return json.dumps(out)
         assert report(np.uint64(3)) == report(3)
-        assert json.dumps(dataclasses.asdict(mc_region_volume("P6", 1000, np.int64(3))))
+        estimates = mc_region_volumes(1000, np.int64(3))
+        assert estimates == mc_region_volumes(1000, 3)
+        assert json.dumps({name: dataclasses.asdict(est) for name, est in estimates.items()})
 
     @pytest.mark.parametrize("seed", [0, 3, np.uint64(3), np.int64(7), np.uint64(2 ** 64 - 1)])
     def test_check_seed_returns_a_plain_int(self, seed):
@@ -320,7 +330,7 @@ class TestEstimate:
 
     def test_float_sample_count_of_a_volume_is_refused(self):
         with pytest.raises(ValueError, match="sample count must be an integer"):
-            mc_region_volume("P6", 1e5, 1)
+            mc_region_volumes(1e5, 1)
 
     def test_float_worker_count_is_refused(self):
         with pytest.raises(ValueError, match="worker count must be an integer"):
@@ -333,7 +343,8 @@ class TestEstimate:
     def test_numpy_integer_counts_report_plain_ints(self):
         r = estimate_knotting_probability(np.int64(1000), 1, workers=np.int32(2))
         assert type(r.samples) is int and type(r.workers) is int
-        assert type(mc_region_volume("P6", np.uint16(1000), 1).samples) is int
+        assert all(type(est.hits) is int
+                   for est in mc_region_volumes(np.uint16(1000), 1).values())
 
     def test_all_degenerate_oracle_run_is_refused(self, monkeypatch):
         monkeypatch.setattr(measure, "classify_batch", lambda v: np.full(

@@ -3,6 +3,7 @@ import pytest
 
 from hexknot.action_angle import (
     build_hexagon,
+    is_interior,
     sample_action_batch,
     sample_angles_batch,
 )
@@ -321,6 +322,28 @@ def test_non_finite_angles_rejected(func, value):
         func(np.full((4, 3), 1.0), th)
     with pytest.raises(ValueError, match="^angles must be finite$"):
         func((1.5, 0.8, 0.9), (value, 0.3, 0.3))
+
+
+@pytest.mark.parametrize("func", [build_hexagon, nine_functions, class_masks, filter_clauses,
+                                  is_interior])
+@pytest.mark.parametrize("length", [2, 4])
+def test_coordinates_must_end_in_three(func, length):
+    # a trailing length of 2 used to raise IndexError, and one of 4 was
+    # read as its first three
+    def resized(x):
+        return np.concatenate([x, np.ones((5, 1))], axis=1)[:, :length]
+
+    d, th = (np.tile(x, (5, 1)) for x in WITNESSES["trefoil_R+"])
+    if func is is_interior:  # the one-argument kernel reads diagonals only
+        is_interior(d[0])
+        cases = {"diagonals": (resized(d),)}
+    else:
+        func(d[0], th)  # a (3,) diagonal triple still broadcasts against (n, 3) angles
+        cases = {"diagonals": (resized(d), th), "angles": (d, resized(th))}
+    for name, args in cases.items():
+        with pytest.raises(ValueError, match=rf"^{name} must have trailing shape \(3,\), "
+                                             rf"got shape \(5, {length}\)$"):
+            func(*args)
 
 
 def _shifted_witness_angles():
