@@ -7,7 +7,7 @@ has a closed form; Monte Carlo confirms them all.
 """
 
 from hexknot import mc_region_volumes
-from hexknot.measure import CLOSED_FORMS, POSITIVE_CURL_BOUND, UPPER_BOUND
+from hexknot.measure import CLOSED_FORMS, ONE_OVER_42, POSITIVE_CURL_BOUND, UPPER_BOUND
 
 N = 2_000_000
 print("closed forms:")
@@ -21,5 +21,5 @@ for region, est in mc_region_volumes(N, seed=99, workers=2).items():
     print(f"{region:22s} {est.analytic:12.6f} {est.value:12.6f} {est.z_score():6.2f}")
 print()
 print(f"upper bound (14 - 3*pi)/192 = {UPPER_BOUND:.12f}")
-print(f"1/42                        = {1 / 42:.12f}")
+print(f"1/42                        = {ONE_OVER_42:.12f}")
 print("note: the closed-form bound is numerically larger than 1/42.")

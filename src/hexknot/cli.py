@@ -211,11 +211,11 @@ def cmd_classify(args):
 
 
 def cmd_estimate(args):
-    reports, summary = repeat_estimates(args.samples, args.seed, mode=args.mode,
-                                        workers=args.workers, repeats=args.repeats)
-    payload = ({"runs": [r.to_dict() for r in reports], "across_runs": summary}
-               if args.repeats > 1 else reports[0].to_dict())
-    with _output(args.output) as out:
+    with _output(args.output) as out:  # an unwritable path fails before the run
+        reports, summary = repeat_estimates(args.samples, args.seed, mode=args.mode,
+                                            workers=args.workers, repeats=args.repeats)
+        payload = ({"runs": [r.to_dict() for r in reports], "across_runs": summary}
+                   if args.repeats > 1 else reports[0].to_dict())
         json.dump(payload, out, indent=2)
         out.write("\n")
     return 0

@@ -1,10 +1,10 @@
 """Monte Carlo estimators and the closed-form knotting-probability bound.
 
-The estimators partition the sample stream into fixed-size chunks;
-chunk k draws from a counter-based generator keyed by (seed, k), so
-results are bit-identical for a given (samples, seed) regardless of
-how many workers execute the chunks. Reported fractions exclude
-degenerate samples from both numerator and denominator.
+_run_chunks splits every sample stream into fixed-size chunks and yields
+chunk(seed, k, m) for chunk k of m samples, in chunk order; chunk k
+draws from a counter-based generator keyed by (seed, k), so results are
+bit-identical for a given (samples, seed) at any worker count. Reported
+fractions exclude degenerate samples from both numerator and denominator.
 """
 
 from __future__ import annotations
@@ -77,21 +77,17 @@ def chunk_rng(seed, chunk_index):
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def _chunks(n):
+def _run_chunks(chunk, seed, n, workers):
     n = check_count("sample", n)
-    return ((i // CHUNK_SIZE, min(CHUNK_SIZE, n - i)) for i in range(0, n, CHUNK_SIZE))
-
-
-def _run_chunks(func, n, workers):
-    chunks = _chunks(n)
+    chunks = ((i // CHUNK_SIZE, min(CHUNK_SIZE, n - i)) for i in range(0, n, CHUNK_SIZE))
     workers = check_count("worker", workers)
     if workers == 1:  # serial: a one-thread pool raised peak RSS by 10-18%
-        yield from (func(k, m) for k, m in chunks)
+        yield from (chunk(seed, k, m) for k, m in chunks)
         return
     with ThreadPoolExecutor(max_workers=workers) as pool:  # in chunk order, 2 * workers ahead
         ahead = deque()
         for k, m in chunks:
-            ahead.append(pool.submit(func, k, m))
+            ahead.append(pool.submit(chunk, seed, k, m))
             if len(ahead) > 2 * workers:
                 yield ahead.popleft().result()
         yield from (future.result() for future in ahead)
@@ -104,8 +100,7 @@ def _chunk_coordinates(seed, k, m):
 
 def sample_coordinate_stream(seed, n):
     """Yield (diagonals, angles) chunk pairs of the estimator's stream."""
-    for k, m in _chunks(n):
-        yield _chunk_coordinates(seed, k, m)
+    return _run_chunks(_chunk_coordinates, seed, n, 1)
 
 
 # Closed-form constants behind the knotting-probability bound (REGIONS
@@ -168,17 +163,17 @@ class VolumeEstimate:
         return diff / self.value_std_error
 
 
+def _region_chunk(seed, k, m):
+    u = chunk_rng(seed, k).random((m, 3))
+    return np.array([member(hi * u).sum() for hi, member, _ in REGIONS.values()])
+
+
 def mc_region_volumes(n, seed, workers=1):
     """{name: VolumeEstimate} for every REGIONS row, in REGIONS order: the
     hit fraction times the reference volume hi^3, with the binomial
     standard error. Each chunk draws u on [0, 1)^3 once, and row r counts
     member_r(hi_r * u), bit for bit the draw uniform(0, hi_r) would give."""
-
-    def one_chunk(k, m):
-        u = chunk_rng(seed, k).random((m, 3))
-        return np.array([member(hi * u).sum() for hi, member, _ in REGIONS.values()])
-
-    totals = sum(_run_chunks(one_chunk, n, workers))
+    totals = sum(_run_chunks(_region_chunk, seed, n, workers))
     estimates = {}
     for (name, (hi, _, analytic)), hits in zip(REGIONS.items(), map(int, totals)):
         frac = hits / n
@@ -290,7 +285,7 @@ def estimate_knotting_probability(n, seed, mode="predicate", workers=1):
     chunk, finish = MODES[mode]
     t0 = time.perf_counter()
     # Summed in the chunk order _run_chunks keeps at any worker count: floats stay bit-identical.
-    hits, agreement = finish(sum(_run_chunks(lambda k, m: chunk(seed, k, m), n, workers)))
+    hits, agreement = finish(sum(_run_chunks(chunk, seed, n, workers)))
 
     degenerate = hits.get("degenerate", 0)  # only oracle mode builds geometry
     valid = n - degenerate

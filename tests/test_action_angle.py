@@ -17,8 +17,14 @@ from hexknot.action_angle import (
     vertex_components,
 )
 from hexknot.geom import EPS_CONTACT, EPS_LINE, segment_distances
-from hexknot.invariants import KnotClass, classify_batch, curl, disk_counts
-from conftest import REGULAR_ANGLES, REGULAR_DIAGONALS, exact_sq_distance, random_rotation
+from hexknot.invariants import TREFOIL_PAIRS, KnotClass, classify_batch, curl, disk_counts
+from conftest import (
+    REGULAR_ANGLES,
+    REGULAR_DIAGONALS,
+    exact_class,
+    exact_sq_distance,
+    random_rotation,
+)
 
 SQ3 = np.sqrt(3.0)
 
@@ -413,6 +419,25 @@ class TestEmbedded:
             for w in ([[Fraction(x) for x in point] for point in v] for v in near.tolist())])
         assert (~apart).sum() >= len(near) // 2
         assert np.array_equal(is_embedded(near), apart)
+
+    @pytest.mark.parametrize("seed, trefoils", [(20240815, 0), (7, 1)])
+    def test_decided_near_contact_lanes_match_the_exact_class(self, seed, trefoils):
+        """Every near-contact lane that classify_batch does not call
+        degenerate gets the same class from the exact oracle: an embedded
+        unknot with chirality 0, or the trefoil's (chirality, curl)."""
+        near = near_contact_hexagons(np.random.default_rng(seed))
+        codes = classify_batch(near)
+        decided = np.nonzero(codes != KnotClass.DEGENERATE)[0]
+        assert len(decided) >= 100
+        assert np.isin(codes[decided], list(TREFOIL_PAIRS)).sum() == trefoils
+        for lane in decided:
+            embedded, chirality, curl_sign = exact_class(near[lane])
+            cls = KnotClass(codes[lane])
+            assert embedded, lane
+            if cls == KnotClass.UNKNOT:
+                assert chirality == 0, lane
+            else:
+                assert TREFOIL_PAIRS[cls] == (chirality, curl_sign), lane
 
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     def test_non_finite_vertices_rejected(self, value):

@@ -529,6 +529,16 @@ class TestEstimate:
             assert "--seed" in message and "--repeats" in message
             assert str(last + 1) not in message
 
+    def test_unwritable_output_fails_before_the_run(self, tmp_path, monkeypatch, capsys):
+        def no_run(*args, **kwargs):
+            raise AssertionError("estimator ran")
+        monkeypatch.setattr(cli, "repeat_estimates", no_run)
+        path = tmp_path / "missing" / "report.json"
+        assert run(["estimate", "--samples", "20000000", "--output", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("hexknot: error: ") and str(path) in err
+        assert "estimator ran" not in err
+
     def test_worker_invariance(self, tmp_path):
         reports = []
         for workers, name in ((1, "a"), (4, "b")):

@@ -179,12 +179,14 @@ class TestChunkStream:
     def test_pool_runs_at_most_two_chunks_per_worker_ahead(self):
         # the chunk plan of 10**6 chunks is not submitted at once
         calls = []
+        seed = np.uint64(2 ** 64 - 1)
 
-        def chunk(k, m):
+        def chunk(s, k, m):
+            assert s is seed  # the runner passes the seed on unchanged
             calls.append(k)
             return k, m
 
-        results = measure._run_chunks(chunk, CHUNK_SIZE * 10 ** 6, 2)
+        results = measure._run_chunks(chunk, seed, CHUNK_SIZE * 10 ** 6, 2)
         assert next(results) == (0, CHUNK_SIZE)
         results.close()
         assert len(calls) <= 5
@@ -193,13 +195,16 @@ class TestChunkStream:
     def test_chunk_results_arrive_in_chunk_order(self, workers):
         rng = np.random.default_rng(workers)
         delays = rng.uniform(0.0, 2e-3, 20)
+        seed = np.uint64(2 ** 64 - 1)
 
-        def chunk(k, m):
+        def chunk(s, k, m):
             time.sleep(delays[k])  # later chunks may finish first
-            return k, m
+            return s, k, m
 
         n = 19 * CHUNK_SIZE + 5
-        assert list(measure._run_chunks(chunk, n, workers)) == (
+        results = list(measure._run_chunks(chunk, seed, n, workers))
+        assert all(s is seed for s, _, _ in results)
+        assert [(k, m) for _, k, m in results] == (
             [(k, CHUNK_SIZE) for k in range(19)] + [(19, 5)])
 
     def test_stream_concatenation_is_stable(self):
@@ -400,6 +405,15 @@ class TestCountRule:
         # a generator: the refusal comes at the first next()
         with pytest.raises(ValueError, match="sample count must be an integer"):
             next(sample_coordinate_stream(1, n))
+
+    @pytest.mark.parametrize("run", [estimate_knotting_probability, mc_region_volumes])
+    def test_sample_count_then_worker_count_then_seed(self, run):
+        with pytest.raises(ValueError, match="^sample count"):
+            run(0, -1, workers=0)
+        with pytest.raises(ValueError, match="^worker count"):
+            run(10, -1, workers=0)
+        with pytest.raises(ValueError, match="^seed"):
+            run(10, -1, workers=2)
 
     def test_stream_takes_a_small_numpy_integer(self):
         rows = sum(len(d) for d, _ in sample_coordinate_stream(1, np.uint16(1000)))

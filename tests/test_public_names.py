@@ -1,12 +1,15 @@
-"""Every public name of the package is used outside the tests, and
-every module-level import of a package module is read by that module.
+"""Every public name of the package is used outside the tests, every
+private name is read by a package module, and every module-level import
+of a package module is read by that module.
 
 A module-level name without a leading underscore that only its own
 tests read is dead weight: delete it, or make it private. A name counts
 as used when code in src/, demos/ or benchmarks/ loads it, imports it
 or spells it as a string, or when README.md or pyproject.toml mention
-it. Its own definition does not count. __init__.py imports to
-re-export, so the import check skips it, and it skips __future__.
+it. Its own definition does not count. A module-level name with one
+leading underscore is used only when code in src/ reads it. __init__.py
+imports to re-export, so the import check skips it, and it skips
+__future__.
 
 No package module reads the process environment: every default is a
 constant, so a run is fixed by its arguments alone.
@@ -22,7 +25,7 @@ CODE = MODULES + sorted((ROOT / "demos").glob("*.py")) + sorted((ROOT / "benchma
 TEXTS = [ROOT / "README.md", ROOT / "pyproject.toml"]
 
 
-def public_definitions(path):
+def definitions(path):
     """Module-level function, class and variable names of a module."""
     names = set()
     for node in ast.parse(path.read_text(encoding="utf-8")).body:
@@ -31,7 +34,7 @@ def public_definitions(path):
         elif isinstance(node, (ast.Assign, ast.AnnAssign)):
             targets = node.targets if isinstance(node, ast.Assign) else [node.target]
             names.update(t.id for t in targets if isinstance(t, ast.Name))
-    return {name for name in names if not name.startswith("_")}
+    return names
 
 
 def references(path):
@@ -53,9 +56,17 @@ def test_every_public_name_is_used_outside_tests():
     used = set().union(*map(references, CODE))
     text = "\n".join(path.read_text(encoding="utf-8") for path in TEXTS)
     unused = [f"{path.stem}.{name}" for path in MODULES
-              for name in sorted(public_definitions(path))
-              if name not in used and not re.search(rf"\b{name}\b", text)]
+              for name in sorted(definitions(path)) if not name.startswith("_")
+              and name not in used and not re.search(rf"\b{name}\b", text)]
     assert unused == []
+
+
+def test_every_private_name_is_read_in_src():
+    read = set().union(*map(references, MODULES))
+    unread = [f"{path.stem}.{name}" for path in MODULES
+              for name in sorted(definitions(path))
+              if name.startswith("_") and not name.startswith("__") and name not in read]
+    assert unread == []
 
 
 def stale_imports(path):
