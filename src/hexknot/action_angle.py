@@ -87,6 +87,20 @@ def interior_coordinates(diagonals, angles):
     return np.broadcast_arrays(d, th)
 
 
+def _diagonal_terms(d):
+    """fold_terms' (dd, r) of validated diagonals."""
+    a2, b2, c2 = d[..., 0] ** 2, d[..., 1] ** 2, d[..., 2] ** 2
+    expr = 2.0 * (a2 * b2 + a2 * c2 + b2 * c2) - a2 ** 2 - b2 ** 2 - c2 ** 2  # Heron: 16 area^2
+    dd = np.sqrt(np.maximum(expr, 0.0))
+    return dd, tuple(np.sqrt(4.0 - d[..., i] * d[..., i]) for i in range(3))
+
+
+def _angle_terms(th, columns=(0, 1, 2)):
+    """fold_terms' (c, s) of angles, None in each column not listed."""
+    return tuple(tuple(f(th[..., i]) if i in columns else None for i in range(3))
+                 for f in (np.cos, np.sin))
+
+
 def fold_terms(diagonals, angles):
     """Terms shared by the vertex formulas and the nine sign functions.
 
@@ -97,13 +111,7 @@ def fold_terms(diagonals, angles):
     unless every diagonal triple is interior.
     """
     d, th = interior_coordinates(diagonals, angles)
-    a2, b2, c2 = d[..., 0] ** 2, d[..., 1] ** 2, d[..., 2] ** 2
-    expr = 2.0 * (a2 * b2 + a2 * c2 + b2 * c2) - a2 ** 2 - b2 ** 2 - c2 ** 2  # Heron: 16 area^2
-    dd = np.sqrt(np.maximum(expr, 0.0))
-    r = tuple(np.sqrt(4.0 - d[..., i] * d[..., i]) for i in range(3))
-    c = tuple(np.cos(th[..., i]) for i in range(3))
-    s = tuple(np.sin(th[..., i]) for i in range(3))
-    return d, dd, r, c, s
+    return (d, *_diagonal_terms(d), *_angle_terms(th))
 
 
 def build_hexagon(diagonals, angles):

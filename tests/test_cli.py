@@ -539,6 +539,22 @@ class TestEstimate:
         assert err.startswith("hexknot: error: ") and str(path) in err
         assert "estimator ran" not in err
 
+    def test_only_estimate_keeps_freed_heap(self, tmp_path, monkeypatch):
+        # the estimator's heap thresholds are process-wide; the text
+        # commands leave glibc's defaults alone, which keeps their peak RSS
+        calls = []
+        monkeypatch.setattr(measure, "_keep_freed_heap", lambda: calls.append(1))
+        rows = tmp_path / "rows.csv"
+        for argv in (["sample", "--n", "5000", "--output", str(rows)],
+                     ["sample", "--n", "5000", "--format", "json",
+                      "--output", str(tmp_path / "rows.json")],
+                     ["classify", "--input", str(rows), "--output", str(tmp_path / "c.csv")]):
+            assert run(argv) == 0
+            assert calls == [], argv
+        assert run(["estimate", "--samples", "1000",
+                    "--output", str(tmp_path / "report.json")]) == 0
+        assert calls
+
     def test_worker_invariance(self, tmp_path):
         reports = []
         for workers, name in ((1, "a"), (4, "b")):

@@ -7,7 +7,9 @@ from hexknot.action_angle import (
     sample_action_batch,
     sample_angles_batch,
 )
+from hexknot import trefoil_predicates
 from hexknot.invariants import KNOT_CLASS_LABELS, TREFOIL_PAIRS, KnotClass, classify_batch
+from hexknot.measure import CHUNK_SIZE, sample_coordinate_stream
 from hexknot.trefoil_predicates import (
     FILTER_CLAUSES,
     class_masks,
@@ -196,6 +198,100 @@ class TestClassPredicates:
         for cls in TREFOIL_PAIRS:
             oracle = codes == int(cls)
             assert not (oracle & ~masks[cls]).any()
+
+
+def _unstaged_masks(d, th):
+    """class_masks' rule in one stage: the nine functions on every lane
+    with all three angles on one side of pi, none filtered by g1 and h1
+    first."""
+    d, th = np.broadcast_arrays(np.asarray(d, dtype=float), np.asarray(th, dtype=float))
+    shape = th.shape[:-1]
+    d, th = d.reshape(-1, 3), th.reshape(-1, 3)
+    window = _angles_in_window(th)
+    idx = np.flatnonzero(window[1] | window[-1])
+    nf = nine_functions(d[idx], th[idx])
+    masks = {}
+    for cls, (chirality, curl_sign) in TREFOIL_PAIRS.items():
+        mask = np.zeros(len(th), dtype=bool)
+        mask[idx] = (window[curl_sign][idx]
+                     & np.all([chirality * f > 0.0 for f in nf[0::3]], axis=0)
+                     & np.all([curl_sign * g > 0.0 for g in nf[1::3] + nf[2::3]], axis=0))
+        masks[cls] = mask.reshape(shape)
+    return masks
+
+
+def _triple_one_survivors(d, th):
+    """Lanes with all angles on one side of pi whose g1 and h1 both have
+    that side's curl sign, from the nine functions on every lane."""
+    window = _angles_in_window(th)
+    _, g1, h1 = nine_functions(d, th)[:3]
+    return (window[1] & (g1 > 0.0) & (h1 > 0.0)) | (window[-1] & (g1 < 0.0) & (h1 < 0.0))
+
+
+class TestStagedMasks:
+    """class_masks tests triple 1 on the window lanes first and calls
+    nine_functions on the survivors only; the masks are the one-stage
+    rule's, and the survivors are exactly the lanes where g1 and h1 have
+    the curl's sign."""
+
+    @staticmethod
+    def _staged(monkeypatch, d, th):
+        seen = []
+
+        def recording(diagonals, angles):
+            seen.append((diagonals, angles))
+            return nine_functions(diagonals, angles)
+        monkeypatch.setattr(trefoil_predicates, "nine_functions", recording)
+        masks = class_masks(d, th)
+        assert len(seen) == 1  # entered once, even when no lane survives
+        return masks, seen[0]
+
+    @pytest.mark.parametrize("seed", [1, 5, 17])
+    def test_stream_chunks_match_unstaged_rule(self, monkeypatch, seed):
+        hits = dict.fromkeys(TREFOIL_PAIRS, 0)
+        for d, th in sample_coordinate_stream(seed, 6 * CHUNK_SIZE):
+            masks, (d_in, th_in) = self._staged(monkeypatch, d, th)
+            for cls, want in _unstaged_masks(d, th).items():
+                assert np.array_equal(masks[cls], want), cls
+                hits[cls] += int(want.sum())
+            keep = _triple_one_survivors(d, th)
+            assert np.array_equal(d_in, d[keep]) and np.array_equal(th_in, th[keep])
+            # about 4% of lanes survive stage 1
+            assert 0.02 < keep.mean() < 0.07
+        assert all(hits.values()), hits  # both curls and both chiralities
+
+    def test_shapes_match_unstaged_rule(self, monkeypatch, rng):
+        d, th = (np.array(x) for x in WITNESSES["trefoil_R+"])
+        near = (th + rng.normal(0.0, 0.05, (2000, 3))) % TWO_PI
+        cases = {"lane": (d, th), "broadcast": (d, near), "mirrored": (d, TWO_PI - near),
+                 "empty": (np.empty((0, 3)), np.empty((0, 3))),
+                 "empty batch": (d, np.empty((0, 3))),
+                 "leading axes": (d, near.reshape(20, 100, 3))}
+        for name, (dd, tt) in cases.items():
+            masks, (d_in, th_in) = self._staged(monkeypatch, dd, tt)
+            for cls, want in _unstaged_masks(dd, tt).items():
+                assert masks[cls].shape == want.shape, (name, cls)
+                assert np.array_equal(masks[cls], want), (name, cls)
+            dd, tt = (x.reshape(-1, 3) for x in np.broadcast_arrays(dd, tt))
+            keep = _triple_one_survivors(dd, tt)
+            assert np.array_equal(th_in, tt[keep]), name
+        assert 0 < class_masks(d, near)[R_PLUS].sum() < len(near)
+        assert 0 < class_masks(d, TWO_PI - near)[L_MINUS].sum() < len(near)
+
+    def test_angles_at_the_window_edges(self, monkeypatch, rng):
+        # angles at 0, pi and 2*pi - ulp, the ends of the two windows
+        n = 60_000
+        d = sample_action_batch(rng, n)
+        th = sample_angles_batch(rng, n)
+        pick = rng.random(th.shape) < 0.3
+        th[pick] = rng.choice([0.0, np.pi, np.nextafter(TWO_PI, 0.0)], int(pick.sum()))
+        masks, (d_in, th_in) = self._staged(monkeypatch, d, th)
+        for cls, want in _unstaged_masks(d, th).items():
+            assert np.array_equal(masks[cls], want), cls
+        keep = _triple_one_survivors(d, th)
+        assert np.array_equal(th_in, th[keep])
+        # some survivor has an edge angle
+        assert (pick[keep] & (th[keep] == np.nextafter(TWO_PI, 0.0))).any()
 
 
 def _filter_clauses_reference(diagonals, angles):
