@@ -87,31 +87,26 @@ def interior_coordinates(diagonals, angles):
     return np.broadcast_arrays(d, th)
 
 
-def _diagonal_terms(d):
-    """fold_terms' (dd, r) of validated diagonals."""
-    a2, b2, c2 = d[..., 0] ** 2, d[..., 1] ** 2, d[..., 2] ** 2
-    expr = 2.0 * (a2 * b2 + a2 * c2 + b2 * c2) - a2 ** 2 - b2 ** 2 - c2 ** 2  # Heron: 16 area^2
-    dd = np.sqrt(np.maximum(expr, 0.0))
-    return dd, tuple(np.sqrt(4.0 - d[..., i] * d[..., i]) for i in range(3))
+def _fold_terms(d, th, columns=(0, 1, 2)):
+    """Terms shared by the vertex formulas and the nine sign functions,
+    for validated d and th.
 
-
-def _angle_terms(th, columns=(0, 1, 2)):
-    """fold_terms' (c, s) of angles, None in each column not listed."""
-    return tuple(tuple(f(th[..., i]) if i in columns else None for i in range(3))
-                 for f in (np.cos, np.sin))
-
-
-def fold_terms(diagonals, angles):
-    """Terms shared by the vertex formulas and the nine sign functions.
-
-    Returns (d, dd, r, c, s): the validated, broadcast diagonals, four
-    times the central triangle's area, and one triple each of
-    r_i = sqrt(4 - d_i^2) (twice the distance of apex i from its
-    diagonal), cos(theta_i) and sin(theta_i). Raises ValueError
-    unless every diagonal triple is interior.
+    Returns (dl, e, dd, r, c, s): the diagonal columns; the three
+    law-of-cosines numerators e, where e[i] / (2 d_j d_k) is the cosine
+    of the central triangle's angle between diagonals j and k; four
+    times that triangle's area; one triple of r_i = sqrt(4 - d_i^2)
+    (twice the distance of apex i from its diagonal); and cos(theta_i)
+    and sin(theta_i) of the angle columns listed, None in the others.
     """
-    d, th = interior_coordinates(diagonals, angles)
-    return (d, *_diagonal_terms(d), *_angle_terms(th))
+    dl = tuple(d[..., i] for i in range(3))
+    q1, q2, q3 = (x * x for x in dl)
+    e = (-q1 + q2 + q3, q1 - q2 + q3, q1 + q2 - q3)
+    expr = 2.0 * (q1 * q2 + q1 * q3 + q2 * q3) - q1 * q1 - q2 * q2 - q3 * q3  # Heron: 16 area^2
+    dd = np.sqrt(np.maximum(expr, 0.0))
+    r = tuple(np.sqrt(4.0 - q) for q in (q1, q2, q3))
+    c, s = (tuple(f(th[..., i]) if i in columns else None for i in range(3))
+            for f in (np.cos, np.sin))
+    return dl, e, dd, r, c, s
 
 
 def build_hexagon(diagonals, angles):
@@ -138,16 +133,16 @@ def build_hexagon(diagonals, angles):
     Raises ValueError unless every diagonal triple is interior and
     every angle is finite.
     """
-    d, dd, r, c, s = fold_terms(diagonals, angles)
-    d1, d2, d3 = d[..., 0], d[..., 1], d[..., 2]
+    d, th = interior_coordinates(diagonals, angles)
+    dl, e, dd, r, c, s = _fold_terms(d, th)
     w = np.zeros((6, 3) + d.shape[:-1])
-    w[2, 0] = d1
-    w[4, 0] = (d1 * d1 - d2 * d2 + d3 * d3) / (2.0 * d1)
-    w[4, 1] = dd / (2.0 * d1)
+    w[2, 0] = dl[0]
+    w[4, 0] = e[1] / (2.0 * dl[0])
+    w[4, 1] = dd / (2.0 * dl[0])
     for i in range(3):
         # In standard position n = z, so n x u = (-u_y, u_x, 0).
         p, q = w[2 * i], w[(2 * i + 2) % 6]
-        h = r[i] * c[i] / (2.0 * d[..., i])
+        h = r[i] * c[i] / (2.0 * dl[i])
         w[2 * i + 1, 0] = 0.5 * (p[0] + q[0]) - h * (q[1] - p[1])
         w[2 * i + 1, 1] = 0.5 * (p[1] + q[1]) + h * (q[0] - p[0])
         w[2 * i + 1, 2] = 0.5 * r[i] * s[i]

@@ -20,7 +20,7 @@ from operator import and_
 
 import numpy as np
 
-from .action_angle import TWO_PI, _angle_terms, _diagonal_terms, interior_coordinates
+from .action_angle import TWO_PI, _fold_terms, interior_coordinates
 from .invariants import TREFOIL_PAIRS
 
 _DISTINCT_TOL = 1e-9
@@ -28,21 +28,8 @@ FILTER_CLAUSES = ("curl_window", "angle_sums", "distinct_diagonals",
                   "dominant_diagonal_window")
 
 
-def _terms(d, th, columns=(0, 1, 2)):
-    """What the triples read, for validated d and th: the diagonal
-    columns, e, then fold_terms' dd and r, and cos and sin of the angle
-    columns listed (None in the others)."""
-    dd, r = _diagonal_terms(d)
-    c, s = _angle_terms(th, columns)
-    dl = tuple(d[..., i] for i in range(3))
-    q1, q2, q3 = (x * x for x in dl)
-    # e[i] / (2 d_j d_k) is the cosine of the central triangle's angle
-    # between diagonals j and k (law of cosines).
-    return dl, (-q1 + q2 + q3, q1 - q2 + q3, q1 + q2 - q3), dd, r, c, s
-
-
 def _triple(i, dl, e, dd, r, c, s):
-    """(f, g, h) of triple i (0-based) from _terms. With (j, k) =
+    """(f, g, h) of triple i (0-based) from _fold_terms. With (j, k) =
     (i+1, i+2) mod 3, f is antisymmetric under swapping j and k, and h
     is g with j and k swapped; r, c and s are read at j and k only."""
     j, k = (i + 1) % 3, (i + 2) % 3
@@ -66,7 +53,7 @@ def nine_functions(diagonals, angles):
     under swapping its two (d, theta) argument pairs and g/h exchange
     under the same swap.
     """
-    terms = _terms(*interior_coordinates(diagonals, angles))
+    terms = _fold_terms(*interior_coordinates(diagonals, angles))
     return tuple(value for i in range(3) for value in _triple(i, *terms))
 
 
@@ -118,7 +105,7 @@ def class_masks(diagonals, angles):
     window = {1: _angles_in(th, 0.0, np.pi), -1: _angles_in(th, np.pi, TWO_PI)}
     idx = np.flatnonzero(window[1] | window[-1])
     # Stage 1, triple 1 alone: about 83% of window lanes fail here.
-    _, g1, h1 = _triple(0, *_terms(d[idx], th[idx], (1, 2)))
+    _, g1, h1 = _triple(0, *_fold_terms(d[idx], th[idx], (1, 2)))
     curl = np.where(window[1][idx], 1.0, -1.0)
     idx = idx[(curl * g1 > 0.0) & (curl * h1 > 0.0)]
     nf = nine_functions(d[idx], th[idx])

@@ -7,9 +7,10 @@ import pytest
 from hexknot import action_angle
 from hexknot.action_angle import (
     NON_ADJACENT_EDGE_PAIRS,
+    _fold_terms,
     build_hexagon,
     extract_action_angle,
-    fold_terms,
+    interior_coordinates,
     is_embedded,
     is_interior,
     sample_action_batch,
@@ -18,6 +19,7 @@ from hexknot.action_angle import (
 )
 from hexknot.geom import EPS_CONTACT, EPS_LINE, segment_distances
 from hexknot.invariants import TREFOIL_PAIRS, KnotClass, classify_batch, curl, disk_counts
+from hexknot.measure import CHUNK_SIZE, sample_coordinate_stream
 from conftest import (
     REGULAR_ANGLES,
     REGULAR_DIAGONALS,
@@ -187,7 +189,8 @@ class TestSamplers:
 def element_layout_hexagon(diagonals, angles):
     """build_hexagon's formulas written vertex by vertex into a
     (..., 6, 3) zero array: the reference for its component-first buffer."""
-    d, dd, r, c, s = fold_terms(diagonals, angles)
+    d, th = interior_coordinates(diagonals, angles)
+    _, _, dd, r, c, s = _fold_terms(d, th)
     d1, d2, d3 = d[..., 0], d[..., 1], d[..., 2]
     v = np.zeros(d.shape[:-1] + (6, 3))
     v[..., 2, 0] = d1
@@ -260,7 +263,26 @@ class TestBuildHexagon:
         d = np.array([1.2, 0.9, 1.4])
         s = d.sum() / 2
         heron = np.sqrt(s * (s - d[0]) * (s - d[1]) * (s - d[2]))
-        assert fold_terms(d, (1.0, 2.0, 3.0))[1] == pytest.approx(4.0 * heron, rel=1e-12)
+        assert _fold_terms(d, np.array([1.0, 2.0, 3.0]))[2] == pytest.approx(4.0 * heron, rel=1e-12)
+
+        # On stream lanes, each of _fold_terms' diagonal terms is the
+        # length its docstring names on build_hexagon's vertices: diagonal
+        # i runs from vertex 2i to 2i + 2, and its apex is vertex 2i + 1.
+        d, th = next(sample_coordinate_stream(3, 400))
+        dl, e, dd, r, _, _ = _fold_terms(d, th)
+        v = build_hexagon(d, th)
+        cross = np.cross(v[:, 2] - v[:, 0], v[:, 4] - v[:, 0])
+        assert np.abs(dd - 2.0 * np.linalg.norm(cross, axis=-1)).max() < 1e-12
+        for i in range(3):
+            j, k = (i + 1) % 3, (i + 2) % 3
+            p, apex, q = v[:, 2 * i], v[:, 2 * i + 1], v[:, (2 * i + 2) % 6]
+            corner = v[:, (2 * i + 4) % 6]  # where diagonals j and k meet
+            a, b = p - corner, q - corner
+            cosine = np.sum(a * b, axis=-1) / (np.linalg.norm(a, axis=-1)
+                                               * np.linalg.norm(b, axis=-1))
+            assert np.abs(e[i] / (2.0 * dl[j] * dl[k]) - cosine).max() < 1e-12
+            height = np.linalg.norm(np.cross(apex - p, q - p), axis=-1) / dl[i]
+            assert np.abs(r[i] / 2.0 - height).max() < 1e-12
 
 
 class TestExtract:
@@ -309,6 +331,56 @@ class TestExtract:
         flat[:, 0] = np.arange(6.0)  # v1, v3, v5 collinear
         with pytest.raises(ValueError, match="v1, v3, v5 are collinear"):
             extract_action_angle(flat)
+
+
+class TestPolygonSpaceMoments:
+    """The samplers and build_hexagon give uniform hexagons, checked by
+    moments that hold exactly in polygon space.
+
+    A uniform hexagon's six unit edge vectors are exchangeable and sum to
+    0, so E[e_i . e_j] = -1/5 for i != j, and a chord spanning k edges
+    has E|v_i - v_{i+k}|^2 = k (6 - k) / 5. The same hexagons with their
+    edges put in a random order per lane are uniform too, so their
+    diagonals are uniform on the polytope: d1 is the largest on a third
+    of them, and the central triangle is obtuse on pi/2 - 1 of those.
+    """
+
+    N_CHUNKS, N_PERMUTED_CHUNKS = 16, 4  # 2^20 and 2^18 stream samples
+
+    @staticmethod
+    def z_scores(total, total_sq, n, expected):
+        """(mean - expected) / standard error, from running sums of n values."""
+        mean = total / n
+        return (mean - expected) / np.sqrt((total_sq / n - mean * mean) / n)
+
+    def test_edge_products_chords_and_permuted_diagonals(self):
+        rng = np.random.default_rng(2024)
+        pairs = [(i, j) for i in range(6) for j in range(i + 1, 6)]
+        total = total_sq = 0.0
+        permuted = []
+        for k, (d, th) in enumerate(sample_coordinate_stream(11, self.N_CHUNKS * CHUNK_SIZE)):
+            v = build_hexagon(d, th)
+            edges = np.roll(v, -1, axis=-2) - v
+            products = [np.sum(edges[:, i] * edges[:, j], axis=-1) for i, j in pairs]
+            chords = [np.sum((v[:, i] - v[:, (i + span) % 6]) ** 2, axis=-1)
+                      for span, starts in ((2, range(6)), (3, range(3))) for i in starts]
+            values = np.stack(products + chords)
+            total, total_sq = total + values.sum(axis=1), total_sq + (values * values).sum(axis=1)
+            if k < self.N_PERMUTED_CHUNKS:
+                order = rng.random(edges.shape[:2]).argsort(axis=1)
+                shuffled = np.take_along_axis(edges, order[..., None], axis=1)
+                w = np.concatenate([np.zeros_like(v[:, :1]), np.cumsum(shuffled[:, :5], axis=1)],
+                                   axis=1)
+                permuted.append(extract_action_angle(w)[0])
+        expected = np.array([-0.2] * 15 + [1.6] * 6 + [1.8] * 3)
+        z = list(self.z_scores(total, total_sq, self.N_CHUNKS * CHUNK_SIZE, expected))
+
+        d = np.concatenate(permuted)
+        largest = (d[:, 0] > d[:, 1]) & (d[:, 0] > d[:, 2])
+        obtuse = d[largest, 0] ** 2 > d[largest, 1] ** 2 + d[largest, 2] ** 2
+        for hits, share in ((largest, 1.0 / 3.0), (obtuse, np.pi / 2.0 - 1.0)):
+            z.append(self.z_scores(hits.sum(), hits.sum(), hits.size, share))
+        assert len(z) == 26 and np.abs(z).max() < 4.5, np.round(z, 2)
 
 
 def pair_endpoints(vertices):
