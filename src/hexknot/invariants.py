@@ -94,9 +94,11 @@ def classify(vertices):
 def classify_batch(vertices):
     """KnotClass values of an (..., 6, 3) vertex array, as int8.
 
-    Non-embedded hexagons, degenerate crossing tests, a crossing-count
-    product outside {-1, 0, 1}, and a zero curl paired with nonzero
-    chirality all map to KnotClass.DEGENERATE.
+    A hexagon of chirality 1 or -1 is the trefoil of its (chirality,
+    curl) in TREFOIL_PAIRS; the curl is read on those lanes alone (about
+    1.4 in 10^4). Non-embedded hexagons, degenerate crossing tests, a
+    crossing-count product outside {-1, 0, 1}, and a zero curl paired
+    with nonzero chirality all map to KnotClass.DEGENERATE.
 
     The disks are tested in cascade: disk 2 on every hexagon, disk 4
     only where disk 2's count is nonzero and unflagged, and disk 6 only
@@ -118,16 +120,13 @@ def classify_batch(vertices):
         live = live[(count != 0) & ~flag]
     degen |= bad
 
-    # The curl decides only where |chirality| = 1 (about 1.4 lanes in
-    # 10^4); it stays 0 elsewhere, which matches no trefoil pair.
     knotted = np.nonzero(np.abs(chi) == 1)[0]
-    cc = np.zeros(v.shape[0], dtype=np.int16)
-    cc[knotted] = curl(v[knotted])
+    knotted_curl = curl(v[knotted])
     degen |= np.abs(chi) > 1
-    degen[knotted] |= cc[knotted] == 0
+    degen[knotted] |= knotted_curl == 0
 
     codes = np.full(v.shape[0], int(KnotClass.UNKNOT), dtype=np.int8)
     for cls, (chirality, curl_sign) in TREFOIL_PAIRS.items():
-        codes[(chi == chirality) & (cc == curl_sign)] = int(cls)
+        codes[knotted[(chi[knotted] == chirality) & (knotted_curl == curl_sign)]] = int(cls)
     codes[degen] = int(KnotClass.DEGENERATE)
     return codes.reshape(lead)

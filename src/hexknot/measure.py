@@ -248,18 +248,15 @@ def _oracle_chunk(seed, k, m):
     tally[:, 0] = np.bincount(codes, minlength=len(KNOT_CLASS_LABELS))
 
     masks = class_masks(d, th)
-    # The filters are read only where a trefoil code is set.
+    # Only trefoil lanes count in `both` or in the third column (fails the
+    # predicate or a filter), so codes and filters are read there alone.
     trefoil = np.nonzero(np.isin(codes, list(TREFOIL_PAIRS)))[0]
     windows = passes_window_filters(d[trefoil], th[trefoil])
     for cls, (_, curl_sign) in TREFOIL_PAIRS.items():
-        pred = masks[cls]
-        oracle = codes == int(cls)
-        accepted = pred[trefoil] & windows[curl_sign]
-        tally[cls, 1:4] = (
-            pred.sum(),
-            (oracle & pred).sum(),
-            (oracle[trefoil] & ~accepted).sum(),  # fails predicate or a filter
-        )
+        pred = masks[cls][trefoil]
+        oracle = codes[trefoil] == int(cls)
+        tally[cls, 1:4] = (masks[cls].sum(), (oracle & pred).sum(),
+                           (oracle & ~(pred & windows[curl_sign])).sum())
     tally[:, 4] = tally[:, 1] - tally[:, 2]  # sufficiency gap
     return tally
 

@@ -69,12 +69,6 @@ def _angles_in(th, lo, hi):
     return reduce(and_, ((th[..., i] > lo) & (th[..., i] < hi) for i in range(3)))
 
 
-def _all_of_sign(values, sign):
-    """True where every value is strictly positive (sign +1) or
-    strictly negative (sign -1)."""
-    return reduce(and_, (value > 0.0 if sign > 0 else value < 0.0 for value in values))
-
-
 def class_masks(diagonals, angles):
     """Predicate masks for all four trefoil classes at once.
 
@@ -88,12 +82,13 @@ def class_masks(diagonals, angles):
     curl; one evaluation therefore covers both curl signs. This is the
     hot path of the predicate-mode estimator.
 
-    No class holds unless all three angles are on one side of pi, and
-    the functions are elementwise. So g1 and h1, which read theta_2 and
-    theta_3 alone, are evaluated first on those lanes (about a quarter),
-    gathered by an integer index, and all nine only where both have the
-    curl's sign (about 4% of lanes); every other lane is False in every
-    class.
+    No class holds unless all three angles are on one side of pi, the
+    lane's curl. The functions are elementwise, so g1 and h1, which read
+    theta_2 and theta_3 alone, are evaluated first on those lanes (about
+    a quarter), gathered by an integer index, and all nine only where
+    both have the curl's sign (about 4% of lanes). There a lane is in
+    the class of its (chirality = sign f1, curl) if every f has the
+    chirality's sign and every g and h the curl's; others are in none.
 
     Returns a dict KnotClass -> bool array. Raises ValueError unless
     every diagonal triple is interior and every angle lies in [0, 2*pi),
@@ -102,19 +97,19 @@ def class_masks(diagonals, angles):
     d, th = _predicate_coordinates(diagonals, angles)
     shape = th.shape[:-1]
     d, th = d.reshape(-1, 3), th.reshape(-1, 3)
-    window = {1: _angles_in(th, 0.0, np.pi), -1: _angles_in(th, np.pi, TWO_PI)}
-    idx = np.flatnonzero(window[1] | window[-1])
+    below = _angles_in(th, 0.0, np.pi)
+    idx = np.flatnonzero(below | _angles_in(th, np.pi, TWO_PI))
     # Stage 1, triple 1 alone: about 83% of window lanes fail here.
     _, g1, h1 = _triple(0, *_fold_terms(d[idx], th[idx], (1, 2)))
-    curl = np.where(window[1][idx], 1.0, -1.0)
-    idx = idx[(curl * g1 > 0.0) & (curl * h1 > 0.0)]
+    curl = np.where(below[idx], 1.0, -1.0)
+    keep = (curl * g1 > 0.0) & (curl * h1 > 0.0)
+    idx, curl = idx[keep], curl[keep]
     nf = nine_functions(d[idx], th[idx])
-    f_sign = {sign: _all_of_sign(nf[0::3], sign) for sign in (1, -1)}
-    curl_side = {sign: window[sign][idx] & _all_of_sign(nf[1::3] + nf[2::3], sign)
-                 for sign in (1, -1)}
+    chirality = np.sign(nf[0])  # 0 where f1 = 0, a pair no class has
+    hit = reduce(and_, (s * v > 0.0 for s, v in zip((chirality, curl, curl) * 3, nf)))
     masks = np.zeros((len(TREFOIL_PAIRS), len(th)), dtype=bool)
-    for mask, (chirality, curl_sign) in zip(masks, TREFOIL_PAIRS.values()):
-        mask[idx] = f_sign[chirality] & curl_side[curl_sign]
+    for mask, (chi, curl_sign) in zip(masks, TREFOIL_PAIRS.values()):
+        mask[idx] = hit & (chirality == chi) & (curl == curl_sign)
     return {cls: mask.reshape(shape) for cls, mask in zip(TREFOIL_PAIRS, masks)}
 
 

@@ -1,4 +1,5 @@
-"""Shared fixtures: frozen witnesses and brute-force geometric oracles.
+"""Shared fixtures: frozen witnesses, brute-force geometric oracles and
+reference arcs of the predicate set.
 
 The oracles here recompute crossings by solving the intersection
 equations directly (np.linalg.solve), and segment distances, crossing
@@ -10,6 +11,11 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+
+from hexknot.action_angle import NON_ADJACENT_EDGE_PAIRS, build_hexagon, vertex_components
+from hexknot.geom import segment_distances
+from hexknot.invariants import TREFOIL_PAIRS, classify_batch
+from hexknot.trefoil_predicates import class_masks, nine_functions
 
 # One frozen coordinate tuple per trefoil class, mined by seeded search
 # and pinned; tests assert the full pipeline reproduces the class.
@@ -165,6 +171,95 @@ def exact_class(vertices):
             return embedded, None, curl
         chirality *= sum(signs)
     return embedded, chirality, curl
+
+
+def theta1_pieces(d, th):
+    """Reference arcs along theta_1 of (n, 3) coordinate lanes.
+
+    Starts from the lanes whose three angles lie on one side of pi, the
+    curl's, and whose g1 and h1 have the curl's sign; those two and f1
+    do not read theta_1. Each of f2, g2, h2, f3, g3 and h3 is A + B cos
+    t + C sin t in t = theta_1, and nine_functions at t = 0, pi/2 and pi
+    gives A, B and C. Its roots are phi +- arccos(-A/R), with R = hypot(B,
+    C) and phi = atan2(C, B). The roots inside the curl's half-circle,
+    sorted together with its two ends, cut it into pieces, and the sign
+    of every function is constant on each piece.
+
+    Returns (lane, lo, hi): each piece's lane index into d and th and
+    its ends, in lane order and then in increasing theta_1, so that
+    neighbouring pieces of one lane share an end.
+    """
+    below = np.all((th > 0.0) & (th < np.pi), axis=-1)
+    above = np.all((th > np.pi) & (th < 2.0 * np.pi), axis=-1)
+    curl = np.where(below, 1.0, np.where(above, -1.0, 0.0))
+    _, g1, h1 = nine_functions(d, th)[:3]
+    lane = np.flatnonzero((curl * g1 > 0.0) & (curl * h1 > 0.0))
+    d, th, curl = d[lane], th[lane], curl[lane]
+
+    def at(t):
+        return np.array(nine_functions(d, np.column_stack([np.full(len(lane), t), th[:, 1:]]))[3:])
+
+    f0, f90, f180 = at(0.0), at(0.5 * np.pi), at(np.pi)
+    a, b = 0.5 * (f0 + f180), 0.5 * (f0 - f180)
+    c = f90 - a
+    with np.errstate(divide="ignore", invalid="ignore"):  # no root where |A| > R
+        half = np.arccos(-a / np.hypot(b, c))
+    phi = np.arctan2(c, b)
+    roots = np.concatenate([phi + half, phi - half]) % (2.0 * np.pi)
+    start = np.where(curl > 0.0, 0.0, np.pi)
+    inside = (roots > start) & (roots < start + np.pi)
+    cuts = np.sort(np.vstack([np.where(inside, roots, np.nan), start, start + np.pi]).T, axis=1)
+    lo, hi = cuts[:, :-1], cuts[:, 1:]
+    rows, cols = np.nonzero(hi > lo)  # NaN (no root) compares False
+    return lane[rows], lo[rows, cols], hi[rows, cols]
+
+
+def at_theta1(d, th, lane, t):
+    """The lanes' coordinates with theta_1 replaced by t."""
+    moved = th[lane].copy()
+    moved[:, 0] = t
+    return d[lane], moved
+
+
+def pair_endpoints(vertices):
+    """Per non-adjacent pair (i, j), the component-first endpoints
+    (v_i, v_i+1, v_j, v_j+1) of its two edges."""
+    w = vertex_components(vertices)
+    return [(w[i], w[(i + 1) % 6], w[j], w[(j + 1) % 6]) for i, j in NON_ADJACENT_EDGE_PAIRS]
+
+
+def reference_distances(vertices):
+    """(9, n) closed-segment distances of every non-adjacent edge pair."""
+    return np.stack([segment_distances(*ends) for ends in pair_endpoints(vertices)])
+
+
+def certify_theta1_pieces(d, th):
+    """Check the predicate set along theta_1 against the geometry.
+
+    Each piece of theta1_pieces gets the class of class_masks at its
+    midpoint (0 where no mask holds) and the class of classify_batch.
+    Where class_masks switches between counted and uncounted across an
+    end shared by two pieces, the hexagon at that end is returned too:
+    its closest non-adjacent edges are the contact that lets the knot
+    type change there. Returns a dict of the pieces' lane, ends and
+    midpoint, their predicted and geometric class, and the closest edge
+    gap at each switching end.
+    """
+    d, th = (np.asarray(x, dtype=float) for x in (d, th))
+    lane, lo, hi = theta1_pieces(d, th)
+    mid = 0.5 * (lo + hi)
+    masks = class_masks(*at_theta1(d, th, lane, mid))
+    predicted = np.zeros(len(lane), dtype=np.int8)
+    for cls in TREFOIL_PAIRS:
+        predicted[masks[cls]] = int(cls)
+    counted = predicted != 0
+    switch = np.flatnonzero((lane[1:] == lane[:-1]) & (counted[1:] != counted[:-1]))
+    ends = at_theta1(d, th, lane[switch], hi[switch])
+    return {
+        "lane": lane, "lo": lo, "hi": hi, "mid": mid, "predicted": predicted,
+        "oracle": classify_batch(build_hexagon(*at_theta1(d, th, lane, mid))),
+        "gaps": reference_distances(build_hexagon(*ends)).min(axis=0),
+    }
 
 
 # Vertex relabellings of a hexagon for the automorphism tests

@@ -25,7 +25,9 @@ from conftest import (
     REGULAR_DIAGONALS,
     exact_class,
     exact_sq_distance,
+    pair_endpoints,
     random_rotation,
+    reference_distances,
 )
 
 SQ3 = np.sqrt(3.0)
@@ -381,18 +383,6 @@ class TestPolygonSpaceMoments:
         for hits, share in ((largest, 1.0 / 3.0), (obtuse, np.pi / 2.0 - 1.0)):
             z.append(self.z_scores(hits.sum(), hits.sum(), hits.size, share))
         assert len(z) == 26 and np.abs(z).max() < 4.5, np.round(z, 2)
-
-
-def pair_endpoints(vertices):
-    """Per non-adjacent pair (i, j), the component-first endpoints
-    (v_i, v_i+1, v_j, v_j+1) of its two edges."""
-    w = vertex_components(vertices)
-    return [(w[i], w[(i + 1) % 6], w[j], w[(j + 1) % 6]) for i, j in NON_ADJACENT_EDGE_PAIRS]
-
-
-def reference_distances(vertices):
-    """(9, n) closed-segment distances of every non-adjacent edge pair."""
-    return np.stack([segment_distances(*ends) for ends in pair_endpoints(vertices)])
 
 
 def near_contact_hexagons(rng, repeats=8):

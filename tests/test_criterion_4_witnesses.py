@@ -15,7 +15,8 @@ from hexknot.action_angle import build_hexagon
 from hexknot.invariants import KNOT_CLASS_LABELS, TREFOIL_PAIRS, KnotClass, classify_batch
 from hexknot.measure import CHUNK_SIZE, sample_coordinate_stream
 from hexknot.trefoil_predicates import class_masks, filter_clauses, passes_window_filters
-from conftest import WITNESSES, exact_class
+from hexknot.geom import EPS_CONTACT
+from conftest import WITNESSES, at_theta1, certify_theta1_pieces, exact_class
 from test_golden import STREAM_CHUNK0_SHA256
 
 # (class, diagonals, angles) of every necessity violator, as round-trip
@@ -110,6 +111,29 @@ def test_necessity_witness(label, d, th):
     assert not passes_window_filters(d, th)[curl_sign]
     clauses = filter_clauses(d, th)[curl_sign]
     assert {name: bool(value) for name, value in clauses.items()} == WITNESS_CLAUSES
+
+
+def test_witness_arcs_are_bounded_by_contacts():
+    # The theta_1 arcs of the witnesses, certified as in
+    # test_trefoil_predicates.TestArcCertificate: each piece has the
+    # predicted class, and every end where the predicate switches is a
+    # self-contact. Most trefoil pieces lie outside the window set W, so
+    # the knotted set outside W is bounded by contacts, not by W.
+    labels, d, th = zip(*NECESSITY_WITNESSES)
+    d, th = np.array(d), np.array(th)
+    arcs = certify_theta1_pieces(d, th)
+    assert np.array_equal(arcs["predicted"], arcs["oracle"])
+    assert arcs["gaps"].max() <= EPS_CONTACT
+    # each witness's own theta_1 lies in a piece of its class
+    own = (arcs["lo"] < th[arcs["lane"], 0]) & (th[arcs["lane"], 0] < arcs["hi"])
+    assert np.array_equal(arcs["lane"][own], np.arange(len(labels)))
+    assert [KNOT_CLASS_LABELS[c] for c in arcs["predicted"][own]] == list(labels)
+    trefoil = np.flatnonzero(arcs["predicted"])
+    lane, mid = arcs["lane"][trefoil], arcs["mid"][trefoil]
+    windows = passes_window_filters(*at_theta1(d, th, lane, mid))
+    curl_sign = np.array([TREFOIL_PAIRS[c][1] for c in arcs["predicted"][trefoil]])
+    outside = ~np.where(curl_sign > 0, windows[1], windows[-1])
+    assert 0 < outside.sum() < len(trefoil)
 
 
 @pytest.mark.parametrize("label", sorted(WITNESSES))

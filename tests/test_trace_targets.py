@@ -37,3 +37,15 @@ def test_traced_cli_enters_every_span(tmp_path):
     assert payload["exit_codes"] == [0] * 6
     assert payload["absent_targets"] == [] and payload["absent_spans"] == []
     assert _spans_of(in_cli=True) <= set(payload["spans"])
+
+
+def test_traced_predicate_run_enters_its_spans_and_counts_its_hits():
+    # predicate mode calls the two samplers, class_masks and, from it,
+    # nine_functions; the per-layer hit counter reads class_masks' output
+    payload = workload.run_estimator("predicate", 7, 0, 1 << 16, trace_calls=1)
+    spans = {"action_angle.sample_action_batch", "action_angle.sample_angles_batch",
+             "trefoil_predicates.class_masks", "trefoil_predicates.nine_functions"}
+    assert spans <= _spans_of(in_cli=False)
+    assert payload["absent_targets"] == [] and spans <= set(payload["spans"])
+    hits = sum(payload["traced_calls"][0]["hits"].values())
+    assert payload["counts"]["trefoil_predicates.class_masks.hits"] == hits > 0

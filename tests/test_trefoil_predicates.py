@@ -17,7 +17,8 @@ from hexknot.trefoil_predicates import (
     nine_functions,
     passes_window_filters,
 )
-from conftest import WITNESSES
+from hexknot.geom import EPS_CONTACT
+from conftest import WITNESSES, certify_theta1_pieces
 
 TWO_PI = 2.0 * np.pi
 R_PLUS = KnotClass.TREFOIL_R_PLUS
@@ -101,8 +102,8 @@ def _angles_in_window(th):
 
 
 def _unprefixed_masks(d, th):
-    """class_masks' rule without its one-side prefix: the nine functions on
-    every lane, ANDed with the curl's window."""
+    """class_masks' rule in one stage, without its one-side prefix: the
+    nine functions on every lane, ANDed with the curl's window."""
     nf = nine_functions(d, th)
     window = _angles_in_window(np.broadcast_arrays(np.asarray(d), np.asarray(th))[1])
     return {cls: (window[curl_sign]
@@ -138,7 +139,14 @@ class TestClassPredicates:
         assert not class_masks(d, th)[R_PLUS].any()
 
     def test_equal_everything_fails_l_plus(self):
-        assert not bool(class_masks((1.0, 1.0, 1.0), (0.5, 0.5, 0.5))[L_PLUS])
+        # f1 = f2 = f3 = 0 exactly, so the chirality sign f1 is 0; g1 and h1
+        # have the curl's sign, so the lane reaches stage 2 and is in no class
+        d, th = (1.0, 1.0, 1.0), (0.5, 0.5, 0.5)
+        nf = nine_functions(d, th)
+        assert nf[0] == nf[3] == nf[6] == 0.0 and nf[1] > 0.0 and nf[2] > 0.0
+        masks = class_masks(d, th)
+        assert not bool(masks[L_PLUS])
+        assert not any(bool(mask) for mask in masks.values())
 
     def test_class_masks_mirror_reduction(self, rng):
         # theta -> 2*pi - theta flips both chirality and curl, so each
@@ -152,44 +160,6 @@ class TestClassPredicates:
         assert np.array_equal(masks[R_MINUS], mirrored[L_PLUS])
         assert np.array_equal(masks[L_MINUS], mirrored[R_PLUS])
 
-    def test_one_side_prefix_matches_unprefixed_rule(self, rng):
-        # class_masks evaluates the nine functions only where all three
-        # angles are on one side of pi; the rule without that prefix
-        # evaluates them everywhere and ANDs in the curl's window
-        n = 100_000
-        d = sample_action_batch(rng, n)
-        th = sample_angles_batch(rng, n)
-        edges = np.array([0.0, np.pi, np.nextafter(np.pi, 0.0), np.nextafter(np.pi, 4.0),
-                          np.nextafter(TWO_PI, 0.0)])
-        pick = rng.random(th.shape) < 0.2
-        th[pick] = rng.choice(edges, int(pick.sum()))
-        d, th = d.reshape(2, n // 2, 3), th.reshape(2, n // 2, 3)
-        window = _angles_in_window(th)
-        masks = class_masks(d, th)
-        hits = 0
-        for cls, want in _unprefixed_masks(d, th).items():
-            assert masks[cls].shape == (2, n // 2)
-            assert np.array_equal(masks[cls], want)
-            hits += int(want.sum())
-        assert hits > 0
-        # the edge angles reach lanes inside a window
-        assert np.any(pick.reshape(2, n // 2, 3).any(axis=-1) & (window[1] | window[-1]))
-
-    def test_shapes_match_unprefixed_rule(self, rng):
-        # one lane, one diagonal triple against many angle triples, and no lanes
-        d, th = (np.array(x) for x in WITNESSES["trefoil_R+"])
-        near = (th + rng.normal(0.0, 0.05, (2000, 3))) % TWO_PI
-        cases = {"lane": (d, th), "broadcast": (d, near),
-                 "empty": (np.empty((0, 3)), np.empty((0, 3)))}
-        for name, (dd, tt) in cases.items():
-            masks = class_masks(dd, tt)
-            for cls, want in _unprefixed_masks(dd, tt).items():
-                assert masks[cls].shape == np.shape(want) == np.broadcast_shapes(
-                    dd.shape, tt.shape)[:-1], (name, cls)
-                assert np.array_equal(masks[cls], want), (name, cls)
-        assert class_masks(d, th)[R_PLUS]
-        assert 0 < class_masks(d, near)[R_PLUS].sum() < len(near)
-
     def test_necessity_on_sampled_trefoils(self, rng):
         d = sample_action_batch(rng, 300_000)
         th = sample_angles_batch(rng, 300_000)
@@ -198,26 +168,6 @@ class TestClassPredicates:
         for cls in TREFOIL_PAIRS:
             oracle = codes == int(cls)
             assert not (oracle & ~masks[cls]).any()
-
-
-def _unstaged_masks(d, th):
-    """class_masks' rule in one stage: the nine functions on every lane
-    with all three angles on one side of pi, none filtered by g1 and h1
-    first."""
-    d, th = np.broadcast_arrays(np.asarray(d, dtype=float), np.asarray(th, dtype=float))
-    shape = th.shape[:-1]
-    d, th = d.reshape(-1, 3), th.reshape(-1, 3)
-    window = _angles_in_window(th)
-    idx = np.flatnonzero(window[1] | window[-1])
-    nf = nine_functions(d[idx], th[idx])
-    masks = {}
-    for cls, (chirality, curl_sign) in TREFOIL_PAIRS.items():
-        mask = np.zeros(len(th), dtype=bool)
-        mask[idx] = (window[curl_sign][idx]
-                     & np.all([chirality * f > 0.0 for f in nf[0::3]], axis=0)
-                     & np.all([curl_sign * g > 0.0 for g in nf[1::3] + nf[2::3]], axis=0))
-        masks[cls] = mask.reshape(shape)
-    return masks
 
 
 def _triple_one_survivors(d, th):
@@ -251,7 +201,7 @@ class TestStagedMasks:
         hits = dict.fromkeys(TREFOIL_PAIRS, 0)
         for d, th in sample_coordinate_stream(seed, 6 * CHUNK_SIZE):
             masks, (d_in, th_in) = self._staged(monkeypatch, d, th)
-            for cls, want in _unstaged_masks(d, th).items():
+            for cls, want in _unprefixed_masks(d, th).items():
                 assert np.array_equal(masks[cls], want), cls
                 hits[cls] += int(want.sum())
             keep = _triple_one_survivors(d, th)
@@ -269,29 +219,62 @@ class TestStagedMasks:
                  "leading axes": (d, near.reshape(20, 100, 3))}
         for name, (dd, tt) in cases.items():
             masks, (d_in, th_in) = self._staged(monkeypatch, dd, tt)
-            for cls, want in _unstaged_masks(dd, tt).items():
-                assert masks[cls].shape == want.shape, (name, cls)
+            for cls, want in _unprefixed_masks(dd, tt).items():
+                assert masks[cls].shape == np.shape(want) == np.broadcast_shapes(
+                    dd.shape, tt.shape)[:-1], (name, cls)
                 assert np.array_equal(masks[cls], want), (name, cls)
             dd, tt = (x.reshape(-1, 3) for x in np.broadcast_arrays(dd, tt))
             keep = _triple_one_survivors(dd, tt)
             assert np.array_equal(th_in, tt[keep]), name
+        assert class_masks(d, th)[R_PLUS]
         assert 0 < class_masks(d, near)[R_PLUS].sum() < len(near)
         assert 0 < class_masks(d, TWO_PI - near)[L_MINUS].sum() < len(near)
 
     def test_angles_at_the_window_edges(self, monkeypatch, rng):
-        # angles at 0, pi and 2*pi - ulp, the ends of the two windows
-        n = 60_000
+        # angles at 0, pi -+ ulp, pi and 2*pi - ulp, the ends of the two
+        # windows, on lanes with a leading shape of two axes
+        n = 100_000
         d = sample_action_batch(rng, n)
         th = sample_angles_batch(rng, n)
+        edges = np.array([0.0, np.nextafter(np.pi, 0.0), np.pi, np.nextafter(np.pi, 4.0),
+                          np.nextafter(TWO_PI, 0.0)])
         pick = rng.random(th.shape) < 0.3
-        th[pick] = rng.choice([0.0, np.pi, np.nextafter(TWO_PI, 0.0)], int(pick.sum()))
+        th[pick] = rng.choice(edges, int(pick.sum()))
+        d, th, pick = (x.reshape(2, n // 2, 3) for x in (d, th, pick))
         masks, (d_in, th_in) = self._staged(monkeypatch, d, th)
-        for cls, want in _unstaged_masks(d, th).items():
+        hits = 0
+        for cls, want in _unprefixed_masks(d, th).items():
+            assert masks[cls].shape == (2, n // 2)
             assert np.array_equal(masks[cls], want), cls
+            hits += int(want.sum())
+        assert hits > 0
         keep = _triple_one_survivors(d, th)
         assert np.array_equal(th_in, th[keep])
-        # some survivor has an edge angle
+        # the edge angles reach lanes inside a window, and some survivor has one
+        window = _angles_in_window(th)
+        assert np.any(pick.any(axis=-1) & (window[1] | window[-1]))
         assert (pick[keep] & (th[keep] == np.nextafter(TWO_PI, 0.0))).any()
+
+
+class TestArcCertificate:
+    """The predicate set along theta_1, checked against the geometry. A
+    hexagon changes knot type only by passing through itself, so the
+    class_masks set is exactly the trefoil set along theta_1 when each
+    piece between roots of the six theta_1-dependent functions has the
+    predicted class at its midpoint, and the hexagon touches itself
+    wherever the predicate switches between counted and uncounted."""
+
+    @pytest.mark.parametrize("seed", [5, 17])
+    def test_stream_chunk(self, seed):
+        d, th = next(sample_coordinate_stream(seed, CHUNK_SIZE))
+        arcs = certify_theta1_pieces(d, th)
+        assert np.array_equal(arcs["predicted"], arcs["oracle"])
+        # every class and the unknot, on about 20,000 pieces
+        assert set(np.unique(arcs["predicted"])) == {0, *map(int, TREFOIL_PAIRS)}
+        assert len(arcs["predicted"]) > 10_000
+        # two switching ends per counted piece: no trefoil arc reaches 0 or pi
+        assert len(arcs["gaps"]) == 2 * np.count_nonzero(arcs["predicted"])
+        assert arcs["gaps"].max() <= EPS_CONTACT
 
 
 def _filter_clauses_reference(diagonals, angles):
