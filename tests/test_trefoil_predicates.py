@@ -160,6 +160,44 @@ class TestClassPredicates:
         assert np.array_equal(masks[R_MINUS], mirrored[L_PLUS])
         assert np.array_equal(masks[L_MINUS], mirrored[R_PLUS])
 
+    def test_one_side_prefix_matches_unprefixed_rule(self, rng):
+        # class_masks evaluates the nine functions only where all three
+        # angles are on one side of pi; the rule without that prefix
+        # evaluates them everywhere and ANDs in the curl's window
+        n = 100_000
+        d = sample_action_batch(rng, n)
+        th = sample_angles_batch(rng, n)
+        edges = np.array([0.0, np.pi, np.nextafter(np.pi, 0.0), np.nextafter(np.pi, 4.0),
+                          np.nextafter(TWO_PI, 0.0)])
+        pick = rng.random(th.shape) < 0.2
+        th[pick] = rng.choice(edges, int(pick.sum()))
+        d, th = d.reshape(2, n // 2, 3), th.reshape(2, n // 2, 3)
+        window = _angles_in_window(th)
+        masks = class_masks(d, th)
+        hits = 0
+        for cls, want in _unprefixed_masks(d, th).items():
+            assert masks[cls].shape == (2, n // 2)
+            assert np.array_equal(masks[cls], want)
+            hits += int(want.sum())
+        assert hits > 0
+        # the edge angles reach lanes inside a window
+        assert np.any(pick.reshape(2, n // 2, 3).any(axis=-1) & (window[1] | window[-1]))
+
+    def test_shapes_match_unprefixed_rule(self, rng):
+        # one lane, one diagonal triple against many angle triples, and no lanes
+        d, th = (np.array(x) for x in WITNESSES["trefoil_R+"])
+        near = (th + rng.normal(0.0, 0.05, (2000, 3))) % TWO_PI
+        cases = {"lane": (d, th), "broadcast": (d, near),
+                 "empty": (np.empty((0, 3)), np.empty((0, 3)))}
+        for name, (dd, tt) in cases.items():
+            masks = class_masks(dd, tt)
+            for cls, want in _unprefixed_masks(dd, tt).items():
+                assert masks[cls].shape == np.shape(want) == np.broadcast_shapes(
+                    dd.shape, tt.shape)[:-1], (name, cls)
+                assert np.array_equal(masks[cls], want), (name, cls)
+        assert class_masks(d, th)[R_PLUS]
+        assert 0 < class_masks(d, near)[R_PLUS].sum() < len(near)
+
     def test_necessity_on_sampled_trefoils(self, rng):
         d = sample_action_batch(rng, 300_000)
         th = sample_angles_batch(rng, 300_000)
@@ -220,39 +258,27 @@ class TestStagedMasks:
         for name, (dd, tt) in cases.items():
             masks, (d_in, th_in) = self._staged(monkeypatch, dd, tt)
             for cls, want in _unprefixed_masks(dd, tt).items():
-                assert masks[cls].shape == np.shape(want) == np.broadcast_shapes(
-                    dd.shape, tt.shape)[:-1], (name, cls)
+                assert masks[cls].shape == want.shape, (name, cls)
                 assert np.array_equal(masks[cls], want), (name, cls)
             dd, tt = (x.reshape(-1, 3) for x in np.broadcast_arrays(dd, tt))
             keep = _triple_one_survivors(dd, tt)
             assert np.array_equal(th_in, tt[keep]), name
-        assert class_masks(d, th)[R_PLUS]
         assert 0 < class_masks(d, near)[R_PLUS].sum() < len(near)
         assert 0 < class_masks(d, TWO_PI - near)[L_MINUS].sum() < len(near)
 
     def test_angles_at_the_window_edges(self, monkeypatch, rng):
-        # angles at 0, pi -+ ulp, pi and 2*pi - ulp, the ends of the two
-        # windows, on lanes with a leading shape of two axes
-        n = 100_000
+        # angles at 0, pi and 2*pi - ulp, the ends of the two windows
+        n = 60_000
         d = sample_action_batch(rng, n)
         th = sample_angles_batch(rng, n)
-        edges = np.array([0.0, np.nextafter(np.pi, 0.0), np.pi, np.nextafter(np.pi, 4.0),
-                          np.nextafter(TWO_PI, 0.0)])
         pick = rng.random(th.shape) < 0.3
-        th[pick] = rng.choice(edges, int(pick.sum()))
-        d, th, pick = (x.reshape(2, n // 2, 3) for x in (d, th, pick))
+        th[pick] = rng.choice([0.0, np.pi, np.nextafter(TWO_PI, 0.0)], int(pick.sum()))
         masks, (d_in, th_in) = self._staged(monkeypatch, d, th)
-        hits = 0
         for cls, want in _unprefixed_masks(d, th).items():
-            assert masks[cls].shape == (2, n // 2)
             assert np.array_equal(masks[cls], want), cls
-            hits += int(want.sum())
-        assert hits > 0
         keep = _triple_one_survivors(d, th)
         assert np.array_equal(th_in, th[keep])
-        # the edge angles reach lanes inside a window, and some survivor has one
-        window = _angles_in_window(th)
-        assert np.any(pick.any(axis=-1) & (window[1] | window[-1]))
+        # some survivor has an edge angle
         assert (pick[keep] & (th[keep] == np.nextafter(TWO_PI, 0.0))).any()
 
 
