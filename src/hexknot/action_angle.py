@@ -87,16 +87,15 @@ def interior_coordinates(diagonals, angles):
     return np.broadcast_arrays(d, th)
 
 
-def _fold_terms(d, th, columns=(0, 1, 2)):
+def _fold_terms(d, th):
     """Terms shared by the vertex formulas and the nine sign functions,
     for validated d and th.
 
     Returns (dl, e, dd, r, c, s): the diagonal columns; the three
     law-of-cosines numerators e, where e[i] / (2 d_j d_k) is the cosine
     of the central triangle's angle between diagonals j and k; four
-    times that triangle's area; one triple of r_i = sqrt(4 - d_i^2)
-    (twice the distance of apex i from its diagonal); and cos(theta_i)
-    and sin(theta_i) of the angle columns listed, None in the others.
+    times that triangle's area; r_i = sqrt(4 - d_i^2), twice the
+    distance of apex i from its diagonal; and cos and sin of each theta_i.
     """
     dl = tuple(d[..., i] for i in range(3))
     q1, q2, q3 = (x * x for x in dl)
@@ -104,8 +103,7 @@ def _fold_terms(d, th, columns=(0, 1, 2)):
     expr = 2.0 * (q1 * q2 + q1 * q3 + q2 * q3) - q1 * q1 - q2 * q2 - q3 * q3  # Heron: 16 area^2
     dd = np.sqrt(np.maximum(expr, 0.0))
     r = tuple(np.sqrt(4.0 - q) for q in (q1, q2, q3))
-    c, s = (tuple(f(th[..., i]) if i in columns else None for i in range(3))
-            for f in (np.cos, np.sin))
+    c, s = (tuple(f(th[..., i]) for i in range(3)) for f in (np.cos, np.sin))
     return dl, e, dd, r, c, s
 
 

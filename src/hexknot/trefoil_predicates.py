@@ -49,9 +49,8 @@ def nine_functions(diagonals, angles):
     g3, h3); broadcasts over leading axes.
 
     Index i pairs the two angle arguments it depends on: 1 -> (t2, t3),
-    2 -> (t3, t1), 3 -> (t1, t2). Within each triple, f is antisymmetric
-    under swapping its two (d, theta) argument pairs and g/h exchange
-    under the same swap.
+    2 -> (t3, t1), 3 -> (t1, t2). Swapping the two (d, theta) pairs of a
+    triple negates its f and exchanges its g and h.
     """
     terms = _fold_terms(*interior_coordinates(diagonals, angles))
     return tuple(value for i in range(3) for value in _triple(i, *terms))
@@ -65,10 +64,6 @@ def _predicate_coordinates(diagonals, angles):
     return d, th
 
 
-def _angles_in(th, lo, hi):
-    return reduce(and_, ((th[..., i] > lo) & (th[..., i] < hi) for i in range(3)))
-
-
 def class_masks(diagonals, angles):
     """Predicate masks for all four trefoil classes at once.
 
@@ -76,19 +71,28 @@ def class_masks(diagonals, angles):
     that class: every angle strictly inside the curl's half of the
     circle, (0, pi) for positive curl and (pi, 2*pi) for negative, the
     three f_i strictly of the chirality's sign, and the six g_i, h_i
-    strictly of the curl's sign. Every term of every one of the nine
-    functions carries exactly one sine factor, so the whole vector is
-    odd under theta -> 2*pi - theta, which flips both chirality and
-    curl; one evaluation therefore covers both curl signs. This is the
-    hot path of the predicate-mode estimator.
+    strictly of the curl's sign. Every term of the nine functions has
+    one sine factor, so they are odd under theta -> 2*pi - theta, which
+    flips chirality and curl: one evaluation covers both curls.
 
-    No class holds unless all three angles are on one side of pi, the
-    lane's curl. The functions are elementwise, so g1 and h1, which read
-    theta_2 and theta_3 alone, are evaluated first on those lanes (about
-    a quarter), gathered by an integer index, and all nine only where
-    both have the curl's sign (about 4% of lanes). There a lane is in
-    the class of its (chirality = sign f1, curl) if every f has the
-    chirality's sign and every g and h the curl's; others are in none.
+    The rule implies the angle-sum window, so nine_functions runs only
+    on the lanes inside it (1/16 of uniform lanes): curl +1 where every
+    angle is positive and every pairwise sum below pi, curl -1 where
+    every pairwise sum is above 3*pi. Proof for triple i, (j, k) =
+    (i+1, i+2) mod 3, theta_j, theta_k in (0, pi) and cos(a) =
+    e_i / (2 d_j d_k) in (-1, 1): g_i = r_j A - dd s_k / (2 d_k) and
+    h_i = r_k B - dd s_j / (2 d_j), with A = cos(a) c_j s_k + s_j c_k
+    and B = cos(a) c_k s_j + s_k c_j. As r, s > 0 and dd >= 0, g_i > 0
+    and h_i > 0 force A, B > 0, and A + B = (1 + cos(a))
+    sin(theta_j + theta_k), so theta_j + theta_k < pi; the mirror puts a
+    curl -1 hit's sums above 3*pi. A window lane is in class (sign f1,
+    curl) if every f has sign f1 and every g and h the curl's sign.
+    In floats, for angles in [0, 2*pi), fl(a + b) < pi with b > 0 forces
+    a < pi and fl(a + b) > fl(3 pi) with b < 2*pi forces a > pi, so the
+    masks are a subset of the nine-sign rule's. They differ only where
+    rounding gives g_i or h_i the curl's sign against its exact value;
+    both its terms are then within rounding of zero, as at a flat
+    central triangle (dd = 0). No lane passing all nine signs so is known.
 
     Returns a dict KnotClass -> bool array. Raises ValueError unless
     every diagonal triple is interior and every angle lies in [0, 2*pi),
@@ -97,13 +101,10 @@ def class_masks(diagonals, angles):
     d, th = _predicate_coordinates(diagonals, angles)
     shape = th.shape[:-1]
     d, th = d.reshape(-1, 3), th.reshape(-1, 3)
-    below = _angles_in(th, 0.0, np.pi)
-    idx = np.flatnonzero(below | _angles_in(th, np.pi, TWO_PI))
-    # Stage 1, triple 1 alone: about 83% of window lanes fail here.
-    _, g1, h1 = _triple(0, *_fold_terms(d[idx], th[idx], (1, 2)))
-    curl = np.where(below[idx], 1.0, -1.0)
-    keep = (curl * g1 > 0.0) & (curl * h1 > 0.0)
-    idx, curl = idx[keep], curl[keep]
+    sums = [th[:, i] + th[:, (i + 1) % 3] for i in range(3)]
+    low = reduce(and_, [t > 0.0 for t in th.T] + [x < np.pi for x in sums])
+    idx = np.flatnonzero(low | reduce(and_, (x > 3.0 * np.pi for x in sums)))
+    curl = np.where(low[idx], 1.0, -1.0)
     nf = nine_functions(d[idx], th[idx])
     chirality = np.sign(nf[0])  # 0 where f1 = 0, a pair no class has
     hit = reduce(and_, (s * v > 0.0 for s, v in zip((chirality, curl, curl) * 3, nf)))
@@ -124,7 +125,8 @@ def filter_clauses(diagonals, angles):
     - distinct_diagonals: no two diagonals within 1e-9;
     - dominant_diagonal_window: windows keyed to the largest diagonal.
 
-    The first three are necessary conditions for a trefoil of that curl.
+    The first three are necessary conditions for a trefoil of that curl;
+    a class_masks hit passes the first two (for curl -1, up to rounding).
     dominant_diagonal_window is the tighter window; a rare fraction of
     genuine trefoils (measured: 32 of 1,398 in 10^7 oracle samples at
     seed 9, about 3.2 per 10^6 samples) falls outside it, so treat a
@@ -154,8 +156,8 @@ def filter_clauses(diagonals, angles):
         others_small = (big1 | small[..., 0]) & (big2 | small[..., 1]) & (big3 | small[..., 2])
         t_big = np.where(big1, t1, np.where(big2, t2, t3))
         window = others_small & (t_big > big_lo) & (t_big < np.pi)
-        clauses[curl_sign] = dict(zip(FILTER_CLAUSES, (
-            _angles_in(t, 0.0, np.pi), angle_sums, distinct, window)))
+        curl_window = reduce(and_, ((x > 0.0) & (x < np.pi) for x in (t1, t2, t3)))
+        clauses[curl_sign] = dict(zip(FILTER_CLAUSES, (curl_window, angle_sums, distinct, window)))
     return clauses
 
 
