@@ -49,8 +49,9 @@ def nine_functions(diagonals, angles):
     g3, h3); broadcasts over leading axes.
 
     Index i pairs the two angle arguments it depends on: 1 -> (t2, t3),
-    2 -> (t3, t1), 3 -> (t1, t2). Swapping the two (d, theta) pairs of a
-    triple negates its f and exchanges its g and h.
+    2 -> (t3, t1), 3 -> (t1, t2). Within each triple, f is antisymmetric
+    under swapping its two (d, theta) argument pairs and g/h exchange
+    under the same swap.
     """
     terms = _fold_terms(*interior_coordinates(diagonals, angles))
     return tuple(value for i in range(3) for value in _triple(i, *terms))
@@ -88,11 +89,10 @@ def class_masks(diagonals, angles):
     curl -1 hit's sums above 3*pi. A window lane is in class (sign f1,
     curl) if every f has sign f1 and every g and h the curl's sign.
     In floats, for angles in [0, 2*pi), fl(a + b) < pi with b > 0 forces
-    a < pi and fl(a + b) > fl(3 pi) with b < 2*pi forces a > pi, so the
-    masks are a subset of the nine-sign rule's. They differ only where
-    rounding gives g_i or h_i the curl's sign against its exact value;
-    both its terms are then within rounding of zero, as at a flat
-    central triangle (dd = 0). No lane passing all nine signs so is known.
+    a < pi and fl(a + b) > fl(3 pi) with b < 2*pi forces a > pi: the masks
+    are a subset of the nine-sign rule's, equal unless rounding gives a g_i
+    or h_i the curl's sign against its exact value, both of whose terms are
+    then within rounding of zero (a flat central triangle, dd = 0).
 
     Returns a dict KnotClass -> bool array. Raises ValueError unless
     every diagonal triple is interior and every angle lies in [0, 2*pi),
