@@ -121,16 +121,16 @@ def _input(path):
         raise CliError(f"cannot read {path}: {exc}") from exc
 
 
-def _parse_block(block):
-    """(texts, float rows) of (line number, line, text) entries; raises the
-    first bad line's error."""
+def _parse_block(block, widths):
+    """(texts, float rows) of (line number, line, text) entries, of a width in
+    widths; raises the first bad line's error, else the mixed-width one."""
     texts = [text for _, _, text in block]
     commas = set(map(str.count, texts, repeat(",")))
     width = commas.pop() + 1
     fields = ",".join(texts).split(",")
     try:
         values = np.fromiter(map(float, fields), float, len(fields))
-        if not commas and width in (6, 18) and np.isfinite(values).all():
+        if not commas and width in widths and np.isfinite(values).all():
             return texts, values.reshape(-1, width)
     except ValueError:
         pass
@@ -148,11 +148,11 @@ def _parse_block(block):
 
 
 def _read_blocks(fh, source):
-    """(texts, float rows) of the non-blank lines of a 6- or 18-column CSV,
-    GEOMETRY_BLOCK lines at a time. The first non-blank line is skipped
-    when no field of it parses (a header). CliError names source if not UTF-8."""
+    """(texts, float rows) of the non-blank lines of a 6- or 18-column CSV, all
+    as wide as the first, GEOMETRY_BLOCK lines at a time. The first non-blank line
+    is skipped when no field of it parses (a header). CliError names source if not UTF-8."""
     lines = enumerate(chain.from_iterable(map(str.splitlines, fh)), 1)
-    header = True
+    header, widths = True, (6, 18)
     try:
         while chunk := list(islice(lines, GEOMETRY_BLOCK)):
             block = [(n, line, text) for n, line in chunk if (text := line.strip())]
@@ -161,7 +161,9 @@ def _read_blocks(fh, source):
                 if all(_float_or_none(f) is None for f in block[0][2].split(",")):
                     del block[0]
             if block:
-                yield _parse_block(block)
+                texts, rows = _parse_block(block, widths)
+                widths = rows.shape[1:]
+                yield texts, rows
     except UnicodeDecodeError as exc:
         raise CliError(f"cannot read {source}: {exc}") from exc
 
@@ -173,8 +175,7 @@ def _classify_rows(data):
     d, th = data[:, :3], data[:, 3:]
     interior = is_interior(d)
     codes = np.full(len(data), int(KnotClass.DEGENERATE), dtype=np.int8)
-    if interior.any():
-        codes[interior] = classify_batch(build_hexagon(d[interior], th[interior]))
+    codes[interior] = classify_batch(build_hexagon(d[interior], th[interior]))
     return codes
 
 
@@ -199,8 +200,6 @@ def cmd_classify(args):
         with _output(args.output) as out:
             out.write((ACTION_HEADER if width == 6 else VERTEX_HEADER) + ",class\n")
             for texts, data in chain([first], blocks):
-                if data.shape[1] != width:
-                    raise CliError("mixed 6- and 18-column rows in input")
                 codes = _classify_rows(data)
                 out.write("".join(map("{},{}\n".format, texts,
                                       map(labels.__getitem__, codes.tolist()))))

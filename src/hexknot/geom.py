@@ -98,24 +98,22 @@ def crossing_signs(p, q, a, b, c):
     sign = np.zeros(p.shape[1], dtype=np.int8)
     degenerate = flat.copy()
 
-    main = ~near & ~flat & opposite
-    if main.any():
-        idx = np.nonzero(main)[0]
-        pm = p[:, idx]
-        d = q[:, idx] - pm
-        tsum = _dot(d, n[:, idx])
-        # Barycentric coordinates of the plane-crossing point are
-        # (t_bc, t_ca, t_ab) / tsum; scaling each by the opposite
-        # vertex height turns them into signed distances to the
-        # boundary edges. |tsum| > 0 here: the plane signs differ.
-        ap, bp, cp = a[:, idx], b[:, idx], c[:, idx]
-        margin = np.inf
-        for x, y in ((bp, cp), (cp, ap), (ap, bp)):
-            height = nn[idx] / np.maximum(_norm(y - x), _TINY)
-            # Relative to p only now: (y - p) - (x - p) rounds unlike y - x.
-            margin = np.minimum(margin, triple_product(d, x - pm, y - pm) / tsum * height)
-        sign[idx] = np.where(margin > EPS_EDGE, np.where(tsum > 0.0, 1, -1), 0)
-        degenerate[idx] = np.abs(margin) <= EPS_EDGE
+    idx = np.nonzero(~near & ~flat & opposite)[0]
+    pm = p[:, idx]
+    d = q[:, idx] - pm
+    tsum = _dot(d, n[:, idx])
+    # Barycentric coordinates of the plane-crossing point are
+    # (t_bc, t_ca, t_ab) / tsum; scaling each by the opposite
+    # vertex height turns them into signed distances to the
+    # boundary edges. |tsum| > 0 here: the plane signs differ.
+    ap, bp, cp = a[:, idx], b[:, idx], c[:, idx]
+    margin = np.inf
+    for x, y in ((bp, cp), (cp, ap), (ap, bp)):
+        height = nn[idx] / np.maximum(_norm(y - x), _TINY)
+        # Relative to p only now: (y - p) - (x - p) rounds unlike y - x.
+        margin = np.minimum(margin, triple_product(d, x - pm, y - pm) / tsum * height)
+    sign[idx] = np.where(margin > EPS_EDGE, np.where(tsum > 0.0, 1, -1), 0)
+    degenerate[idx] = np.abs(margin) <= EPS_EDGE
 
     check = near & ~flat
     if check.any():

@@ -111,13 +111,12 @@ def classify_batch(vertices):
     w = vertex_components(vertices)
     v = np.moveaxis(w, (0, 1), (-2, -1))  # an (n, 6, 3) view: no second copy
     degen = ~is_embedded(v)
-    chi, bad = _disk_count(w, 0)
-    live = np.nonzero((chi != 0) & ~bad)[0]
-    for k in (2, 4):
+    chi, bad, live = np.ones(len(v), np.int16), np.zeros(len(v), bool), slice(None)
+    for k in (0, 2, 4):
         count, flag = _disk_count(w[..., live], k)
         chi[live] *= count
         bad[live] |= flag
-        live = live[(count != 0) & ~flag]
+        live = np.flatnonzero((chi != 0) & ~bad)
     degen |= bad
 
     knotted = np.nonzero(np.abs(chi) == 1)[0]

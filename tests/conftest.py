@@ -149,6 +149,20 @@ def exact_crossing(p, q, a, b, c):
     return _sign(_dot(_sub(q, p), n)) if len(turns) == 1 else 0
 
 
+def exact_near_disk(p, q, a, b, c, edge_tol, plane_tol):
+    """True where the crossing test of edge p -> q against disk (a, b, c)
+    is within tolerance, exactly on Fraction points: the closed edge comes
+    within edge_tol of a side of the disk, or an endpoint lies within
+    plane_tol of the disk's plane with its foot in the closed disk."""
+    sides = ((a, b), (b, c), (c, a))
+    if any(exact_sq_distance(p, q, x, y) <= Fraction(edge_tol) ** 2 for x, y in sides):
+        return True
+    n = _cross(_sub(b, a), _sub(c, a))
+    return any(_dot(_sub(e, a), n) ** 2 <= Fraction(plane_tol) ** 2 * _dot(n, n)
+               and all(exact_triple_sign(_sub(x, e), _sub(y, e), n) >= 0 for x, y in sides)
+               for e in (p, q))
+
+
 def exact_class(vertices):
     """(embedded, chirality, curl) of one hexagon's float vertices, in
     rationals: embedded when every non-adjacent edge pair lies a positive

@@ -17,13 +17,21 @@ from hexknot.action_angle import (
     sample_angles_batch,
     vertex_components,
 )
-from hexknot.geom import EPS_CONTACT, EPS_LINE, segment_distances
+from hexknot.geom import (
+    EPS_CONTACT,
+    EPS_CROSS2,
+    EPS_EDGE,
+    EPS_LINE,
+    EPS_PLANE,
+    segment_distances,
+)
 from hexknot.invariants import TREFOIL_PAIRS, KnotClass, classify_batch, curl, disk_counts
 from hexknot.measure import CHUNK_SIZE, sample_coordinate_stream
 from conftest import (
     REGULAR_ANGLES,
     REGULAR_DIAGONALS,
     exact_class,
+    exact_near_disk,
     exact_sq_distance,
     pair_endpoints,
     random_rotation,
@@ -390,7 +398,10 @@ def near_contact_hexagons(rng, repeats=8):
     next to edge i: collinear and overlapping, parallel at gaps 0, 1e-13
     and 1e-11, nearly parallel at 1e-13 (tilt 1e-10) and 1e-11 (tilt
     1e-5), crossing in a plane, and skew crossings at line distances
-    1e-13 and from EPS_LINE/10 to 10*EPS_LINE."""
+    1e-13 and from EPS_LINE/10 to 10*EPS_LINE. After all of those come
+    the edges of the line-distance certificate: edge j at line distance
+    2*EPS_LINE, tilted so that |e_i x e_j|^2 is 0.99 and 1.01 times
+    EPS_CROSS2."""
     def offsets(h_skew):
         return [  # per end of edge j: (share of edge i, offset along n1, along n2)
             ((0.2, 0, 0), (1.3, 0, 0)),
@@ -403,19 +414,25 @@ def near_contact_hexagons(rng, repeats=8):
             ((0.5, 0.5, 1e-13), (0.5, -0.5, 1e-13)),
             ((0.5, 0.5, h_skew), (0.5, -0.5, h_skew)),
         ]
+
+    def moved(i, j, ends):
+        v = build_hexagon(sample_action_batch(rng, 1)[0], sample_angles_batch(rng, 1)[0])
+        p, u = v[i], v[(i + 1) % 6] - v[i]
+        n1 = np.cross(u, rng.normal(size=3))
+        n1 /= np.linalg.norm(n1)
+        n2 = np.cross(u / np.linalg.norm(u), n1)
+        for k, (s, a, b) in zip((j, (j + 1) % 6), ends):
+            v[k] = p + s * u + a * n1 + b * n2
+        return v
+
     hexagons = []
     for i, j in NON_ADJACENT_EDGE_PAIRS:
         for _ in range(repeats):
             h_skew = EPS_LINE * 10.0 ** rng.uniform(-1.0, 1.0)
-            for ends in offsets(h_skew):
-                v = build_hexagon(sample_action_batch(rng, 1)[0], sample_angles_batch(rng, 1)[0])
-                p, u = v[i], v[(i + 1) % 6] - v[i]
-                n1 = np.cross(u, rng.normal(size=3))
-                n1 /= np.linalg.norm(n1)
-                n2 = np.cross(u / np.linalg.norm(u), n1)
-                for k, (s, a, b) in zip((j, (j + 1) % 6), ends):
-                    v[k] = p + s * u + a * n1 + b * n2
-                hexagons.append(v)
+            hexagons += [moved(i, j, ends) for ends in offsets(h_skew)]
+    for i, j in NON_ADJACENT_EDGE_PAIRS:  # |e_i x e_j| is the tilt, as |e_i| = 1
+        hexagons += [moved(i, j, ((0.3, 2 * EPS_LINE, 0), (0.8, 2 * EPS_LINE, tilt)))
+                     for tilt in np.sqrt(EPS_CROSS2 * np.array([0.99, 1.01]))]
     return np.array(hexagons)
 
 
@@ -501,6 +518,36 @@ class TestEmbedded:
             else:
                 assert TREFOIL_PAIRS[cls] == (chirality, curl_sign), lane
 
+    @pytest.mark.parametrize("seed", [20240815, 7])
+    def test_degenerate_near_contact_lanes_have_an_exact_witness(self, seed):
+        """Every near-contact lane that classify_batch calls degenerate has
+        a reason within 10 tolerances, exact in rationals on the float
+        vertices: a non-adjacent pair within 10*EPS_CONTACT, or an edge of
+        a crossing test the cascade reached that comes within 10*EPS_EDGE
+        of the disk's boundary, or has an endpoint within 10*EPS_PLANE of
+        the disk's plane, over the disk. Float distances only pick the
+        pairs worth an exact one."""
+        near = near_contact_hexagons(np.random.default_rng(seed))
+        degenerate = np.flatnonzero(classify_batch(near) == KnotClass.DEGENERATE)
+        assert len(degenerate) >= 500
+        close = reference_distances(near) <= 20 * EPS_CONTACT
+        counts, flags = disk_counts(near)
+        clean = (counts != 0) & ~flags  # the cascade goes on past a clean nonzero count
+        reached = 1 + clean[:, 0] + clean[:, :2].all(axis=1)  # disks the cascade tested
+        by_crossing = 0
+        for lane in degenerate:
+            w = [[Fraction(x) for x in point] for point in near[lane].tolist()]
+            if any(exact_sq_distance(w[i], w[(i + 1) % 6], w[j], w[(j + 1) % 6])
+                   <= Fraction(10 * EPS_CONTACT) ** 2
+                   for (i, j), c in zip(NON_ADJACENT_EDGE_PAIRS, close[:, lane]) if c):
+                continue
+            by_crossing += 1
+            assert any(exact_near_disk(w[e], w[(e + 1) % 6], w[k], w[k + 1], w[(k + 2) % 6],
+                                       10 * EPS_EDGE, 10 * EPS_PLANE)
+                       for k in (0, 2, 4)[:reached[lane]]
+                       for e in ((k + 3) % 6, (k + 4) % 6)), lane
+        assert by_crossing >= 10
+
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     def test_non_finite_vertices_rejected(self, value):
         v = np.repeat(build_hexagon(REGULAR_DIAGONALS, REGULAR_ANGLES)[None], 18, axis=0)
@@ -516,6 +563,7 @@ class TestEmbedded:
 
     def test_empty_input(self):
         assert is_embedded(np.zeros((0, 6, 3))).shape == (0,)
+        assert classify_batch(np.zeros((0, 6, 3))).shape == (0,)
 
 
 @pytest.mark.parametrize("func", [classify_batch, is_embedded, curl, disk_counts,

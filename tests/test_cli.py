@@ -64,11 +64,15 @@ CLASSIFY_INPUTS = {
     "mixed-6-then-18": (
         lines(*ROWS[:10], ",".join(["0.5"] * 18), *ROWS[:2]), 1,
         "hexknot: error: mixed 6- and 18-column rows in input\n", None),
-    # block 1 (7 rows) is all 6-column and block 2 all 18-column, so the
-    # width check between blocks rejects it, not the one inside a block
+    # block 1 (7 rows) is all 6-column and block 2 all 18-column, so block 2
+    # is rejected for its width against block 1's, not for mixing widths
     "6-then-18-across-blocks": (
         lines(*ROWS[:7], *[",".join(["0.5"] * 18)] * 3), 1,
         "hexknot: error: mixed 6- and 18-column rows in input\n", None),
+    # no interior row in any block: each block classifies zero hexagons
+    "all-outside": (
+        lines(HEADER, *[OUTSIDE] * 9), 0,
+        "classified 9 rows: {'degenerate': 9}\n", classified([OUTSIDE] * 9)),
     "header-only": (lines(HEADER), 1, "hexknot: error: no data rows in input\n", None),
     "empty": ("", 1, "hexknot: error: no data rows in input\n", None),
     "blank-lines-padded-header": (

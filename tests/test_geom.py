@@ -67,6 +67,18 @@ def test_crossing_far_outside_is_zero():
     assert _crossing(seg, UNIT_TRI) == (0, False)
 
 
+def test_crossing_without_transversal_lanes(rng):
+    # no lane has its endpoints on opposite sides of the plane, so the
+    # transversal kernel runs on zero lanes; and on zero lanes at all
+    p, q = rng.uniform(-3.0, 3.0, (2, 3, 200))
+    p[2], q[2] = np.abs(p[2]) + 0.5, np.abs(q[2]) + 0.5
+    signs, degenerate = crossing_signs(p, q, *UNIT_TRI[:, :, None])
+    assert signs.shape == (200,) and not signs.any() and not degenerate.any()
+    signs, degenerate = crossing_signs(*np.zeros((5, 3, 0)))
+    assert signs.shape == degenerate.shape == (0,)
+    assert (signs.dtype, degenerate.dtype) == (np.int8, bool)
+
+
 def test_crossing_cyclic_triangle_permutation(rng):
     for _ in range(200):
         tri = rng.normal(size=(3, 3))
