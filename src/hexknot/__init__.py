@@ -7,10 +7,7 @@ knotting probability against the closed-form bound (14 - 3*pi)/192.
 """
 
 from .geom import (
-    EPS_AREA,
     EPS_CONTACT,
-    EPS_EDGE,
-    EPS_PLANE,
     crossing_signs,
     segment_distances,
     triple_product,
@@ -37,7 +34,6 @@ from .trefoil_predicates import (
     nine_functions,
 )
 from .measure import (
-    BoundReport,
     BoundViolatedError,
     EstimationReport,
     VolumeEstimate,

@@ -1,8 +1,9 @@
 """Command-line front end.
 
-Subcommands: sample, classify, estimate, volumes, bound, check. Every
-command with a fixed seed is reproducible byte-for-byte across runs and
-worker counts. Exit codes: 0 success, 1 runtime failure, 2 usage error.
+Subcommands: sample, classify, estimate, volumes, bound, check. With a
+fixed seed every output is byte-for-byte the same across runs and worker
+counts, but for estimate's wall_time_seconds and workers fields.
+Exit codes: 0 success, 1 runtime failure, 2 usage error.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ import dataclasses
 import json
 import math
 import os
+import re
 import sys
 from contextlib import contextmanager, nullcontext
 from itertools import chain, islice, repeat
@@ -344,9 +346,10 @@ def build_parser():
     p.set_defaults(func=cmd_bound)
 
     p = sub.add_parser("check", help="filters and class for one coordinate tuple")
+    # a token that reads as a float (-1e-3, -inf) is a coordinate, not an option
+    p._negative_number_matcher = re.compile(r"-(\d|\.\d|inf|nan)", re.I)
     p.add_argument("coords", type=_finite_float, nargs=6, metavar="X",
-                   help="d1 d2 d3 theta1 theta2 theta3 (give -- first if any starts "
-                        "with -)")
+                   help="d1 d2 d3 theta1 theta2 theta3")
     p.set_defaults(func=cmd_check)
     return parser
 

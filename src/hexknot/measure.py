@@ -323,7 +323,7 @@ def estimate_knotting_probability(n, seed, mode="predicate", workers=1):
     )
 
 
-def repeat_estimates(n, seed, mode="predicate", workers=1, repeats=10):
+def repeat_estimates(n, seed, mode="predicate", workers=1, *, repeats):
     """Run the estimator `repeats` times with seeds seed..seed+repeats-1.
 
     Returns (reports, summary) where summary carries the across-run mean
@@ -349,9 +349,9 @@ class BoundReport:
 
     estimate: float
     ci95: tuple
-    upper_bound: float = UPPER_BOUND
-    one_over_42: float = ONE_OVER_42
-    orderings: dict = field(default_factory=dict)
+    upper_bound: float = field(default=UPPER_BOUND, init=False)
+    one_over_42: float = field(default=ONE_OVER_42, init=False)
+    orderings: dict
 
     to_dict = asdict
 

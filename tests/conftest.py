@@ -168,8 +168,10 @@ def exact_class(vertices):
     rationals: embedded when every non-adjacent edge pair lies a positive
     exact distance apart; chirality the product of the signed crossing
     counts through disks (v_k, v_k+1, v_k+2), k = 0, 2, 4 (0-based), over
-    the edges disjoint from each disk, None if one of those tests is
-    degenerate; curl the sign of (v3 - v1) x (v5 - v1) . (v2 - v1).
+    the edges disjoint from each disk: 0 if a disk whose tests are all
+    decided counts 0 (that factor decides the product, as a clean disk-2
+    zero decides classify_batch's unknot), else None if one of those
+    tests is degenerate; curl the sign of (v3 - v1) x (v5 - v1) . (v2 - v1).
 
     Exact on the float vertices, not on the real hexagon they round."""
     w = [[Fraction(float(x)) for x in row] for row in np.asarray(vertices, dtype=float)]
@@ -177,14 +179,14 @@ def exact_class(vertices):
     embedded = all(exact_sq_distance(*edge[i], *edge[j]) > 0
                    for i in range(6) for j in range(i + 2, 6) if (i, j) != (0, 5))
     curl = exact_triple_sign(_sub(w[2], w[0]), _sub(w[4], w[0]), _sub(w[1], w[0]))
-    chirality = 1
+    counts = []
     for k in (0, 2, 4):
         disk = (w[k], w[k + 1], w[(k + 2) % 6])
         signs = [exact_crossing(*edge[j], *disk) for j in ((k + 3) % 6, (k + 4) % 6)]
-        if None in signs:
-            return embedded, None, curl
-        chirality *= sum(signs)
-    return embedded, chirality, curl
+        counts.append(None if None in signs else sum(signs))
+    if 0 in counts:
+        return embedded, 0, curl
+    return embedded, None if None in counts else counts[0] * counts[1] * counts[2], curl
 
 
 def theta1_pieces(d, th):

@@ -401,7 +401,9 @@ def near_contact_hexagons(rng, repeats=8):
     1e-13 and from EPS_LINE/10 to 10*EPS_LINE. After all of those come
     the edges of the line-distance certificate: edge j at line distance
     2*EPS_LINE, tilted so that |e_i x e_j|^2 is 0.99 and 1.01 times
-    EPS_CROSS2."""
+    EPS_CROSS2. Last come the edges of the contact threshold: edge j
+    parallel, and skew across edge i, at gaps +-0.5 and +-2 times
+    EPS_CONTACT."""
     def offsets(h_skew):
         return [  # per end of edge j: (share of edge i, offset along n1, along n2)
             ((0.2, 0, 0), (1.3, 0, 0)),
@@ -433,6 +435,10 @@ def near_contact_hexagons(rng, repeats=8):
     for i, j in NON_ADJACENT_EDGE_PAIRS:  # |e_i x e_j| is the tilt, as |e_i| = 1
         hexagons += [moved(i, j, ((0.3, 2 * EPS_LINE, 0), (0.8, 2 * EPS_LINE, tilt)))
                      for tilt in np.sqrt(EPS_CROSS2 * np.array([0.99, 1.01]))]
+    for i, j in NON_ADJACENT_EDGE_PAIRS:
+        hexagons += [moved(i, j, ends) for gap in EPS_CONTACT * np.array([0.5, -0.5, 2, -2])
+                     for ends in (((0.3, gap, 0), (0.8, gap, 0)),
+                                  ((0.5, 0.5, gap), (0.5, -0.5, gap)))]
     return np.array(hexagons)
 
 

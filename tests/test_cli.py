@@ -571,6 +571,22 @@ class TestEstimate:
             reports.append(payload)
         assert reports[0] == reports[1]
 
+    def test_oracle_bytes_across_worker_counts(self, tmp_path):
+        """The oracle JSON at 1 and 3 workers differs in wall_time_seconds and
+        workers alone, byte for byte."""
+        texts = []
+        for workers in (1, 3):
+            out = tmp_path / f"{workers}.json"
+            assert run(["estimate", "--samples", "200000", "--seed", "5", "--mode", "oracle",
+                        "--workers", str(workers), "--output", str(out)]) == 0
+            texts.append(out.read_text())
+        timed = ('  "wall_time_seconds": ', '  "workers": ')
+        kept = [[line for line in text.splitlines(True) if not line.startswith(timed)]
+                for text in texts]
+        assert kept[0] == kept[1]
+        assert [json.loads(text)["workers"] for text in texts] == [1, 3]
+        assert [len(text.splitlines()) - len(k) for text, k in zip(texts, kept)] == [2, 2]
+
 
 class TestVolumesAndBound:
     def test_volumes_table(self, capsys):
@@ -584,6 +600,14 @@ class TestVolumesAndBound:
         assert run(["volumes", "--samples", "100", "--seed", "0"]) == 0
         text = capsys.readouterr().out
         assert "torus_acute_window" in text and "largest |z| = inf" in text
+
+    def test_volumes_bytes_across_worker_counts(self, capsys):
+        texts = []
+        for workers in ("1", "3"):
+            assert run(["volumes", "--samples", "200000", "--seed", "5",
+                        "--workers", workers]) == 0
+            texts.append(capsys.readouterr().out)
+        assert texts[0] == texts[1]
 
     def test_volumes_closed_form_lines(self, capsys):
         assert run(["volumes", "--samples", "1000"]) == 0
@@ -758,11 +782,27 @@ class TestCheck:
     def test_non_finite_coordinate_is_usage_error(self, capsys):
         for args in (["1", "1", "1", "nan", "1", "1"],
                      ["1", "1", "1", "inf", "1", "1"],
-                     ["--", "1", "1", "1", "-inf", "1", "1"]):
+                     ["--", "1", "1", "1", "-inf", "1", "1"],
+                     ["1", "1", "1", "-inf", "1", "1"],
+                     ["1", "1", "1", "-Infinity", "1", "1"],
+                     ["1", "1", "1", "-nan", "1", "1"]):
             with pytest.raises(SystemExit) as err:
                 run(["check", *args])
             assert err.value.code == 2
             assert "non-finite" in capsys.readouterr().err
+
+    def test_negative_coordinate_needs_no_double_dash(self, capsys):
+        """A token that reads as a float is a coordinate, not an option:
+        -1e-3 is reduced as after --."""
+        for angle in ("-1e-3", "-1E-20", "-.5", "-0"):
+            assert run(["check", "--", "1", "1", "1", angle, "1", "1"]) == 0
+            after_dashes = capsys.readouterr().out
+            assert run(["check", "1", "1", "1", angle, "1", "1"]) == 0
+            assert capsys.readouterr().out == after_dashes
+        with pytest.raises(SystemExit) as err:
+            run(["check", "-h"])
+        assert err.value.code == 0
+        assert "d1 d2 d3 theta1 theta2 theta3" in capsys.readouterr().out
 
     def test_negative_curl_witness_filters(self, capsys):
         d, th = WITNESSES["trefoil_L-"]

@@ -21,6 +21,7 @@ from hexknot.measure import (
     POSITIVE_CURL_BOUND,
     REGIONS,
     UPPER_BOUND,
+    BoundReport,
     BoundViolatedError,
     EstimationReport,
     check_count,
@@ -453,6 +454,11 @@ class TestCountRule:
         with pytest.raises(ValueError, match="repeat count must be an integer"):
             repeat_estimates(1000, 1, repeats=repeats)
 
+    def test_repeats_is_keyword_only_with_no_default(self):
+        for args in ((1000, 1), (1000, 1, "predicate", 1, 2)):
+            with pytest.raises(TypeError):
+                repeat_estimates(*args)
+
     def test_numpy_integer_repeats_summary_is_json(self):
         _, summary = repeat_estimates(1000, 1, repeats=np.int64(2))
         assert type(summary["repeats"]) is int
@@ -521,6 +527,20 @@ class TestCompareBound:
         assert not b.orderings["upper_bound_lt_one_over_42"]
         payload = json.loads(json.dumps(b.to_dict()))
         assert payload["upper_bound"] == UPPER_BOUND
+
+    def test_report_fields_and_constants(self):
+        """to_dict() keeps five keys in this order, the two constants as
+        compare_bound states them; a caller sets only the run's values."""
+        payload = compare_bound(WELL_FORMED).to_dict()
+        assert payload == {
+            "estimate": 0.0, "ci95": (0.0, 0.01), "upper_bound": UPPER_BOUND,
+            "one_over_42": ONE_OVER_42,
+            "orderings": {"estimate_lt_upper_bound": True, "estimate_lt_one_over_42": True,
+                          "upper_bound_lt_one_over_42": False}}
+        assert list(payload) == [
+            "estimate", "ci95", "upper_bound", "one_over_42", "orderings"]
+        with pytest.raises(TypeError):
+            BoundReport(estimate=0.0, ci95=(0.0, 0.01), orderings={}, upper_bound=1.0)
 
     def test_no_samples(self):
         r = estimate_knotting_probability(1000, seed=1, mode="predicate")

@@ -11,6 +11,11 @@ leading underscore is used only when code in src/ reads it. __init__.py
 imports to re-export, so the import check skips it, and it skips
 __future__.
 
+A re-export is read by its callers, so __init__.py's own import of a
+name does not count for it: every name __init__.py imports must be read
+by code in demos/ or benchmarks/, or named in README.md or
+pyproject.toml.
+
 No package module reads the process environment: every default is a
 constant, so a run is fixed by its arguments alone.
 """
@@ -21,7 +26,8 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 MODULES = sorted((ROOT / "src" / "hexknot").glob("*.py"))
-CODE = MODULES + sorted((ROOT / "demos").glob("*.py")) + sorted((ROOT / "benchmarks").glob("*.py"))
+CALLERS = sorted((ROOT / "demos").glob("*.py")) + sorted((ROOT / "benchmarks").glob("*.py"))
+CODE = MODULES + CALLERS
 TEXTS = [ROOT / "README.md", ROOT / "pyproject.toml"]
 
 
@@ -52,13 +58,25 @@ def references(path):
     return found
 
 
-def test_every_public_name_is_used_outside_tests():
-    used = set().union(*map(references, CODE))
+def unused(names, code):
+    """Names no file of code references and README.md and pyproject.toml do not mention."""
+    used = set().union(*map(references, code))
     text = "\n".join(path.read_text(encoding="utf-8") for path in TEXTS)
-    unused = [f"{path.stem}.{name}" for path in MODULES
-              for name in sorted(definitions(path)) if not name.startswith("_")
-              and name not in used and not re.search(rf"\b{name}\b", text)]
-    assert unused == []
+    return [name for name in sorted(names)
+            if name not in used and not re.search(rf"\b{name}\b", text)]
+
+
+def test_every_public_name_is_used_outside_tests():
+    dead = [f"{path.stem}.{name}" for path in MODULES
+            for name in unused({n for n in definitions(path) if not n.startswith("_")}, CODE)]
+    assert dead == []
+
+
+def test_every_re_export_is_read_outside_src():
+    tree = ast.parse((ROOT / "src" / "hexknot" / "__init__.py").read_text(encoding="utf-8"))
+    exported = {alias.asname or alias.name for node in tree.body
+                if isinstance(node, ast.ImportFrom) for alias in node.names}
+    assert unused(exported, CALLERS) == []
 
 
 def test_every_private_name_is_read_in_src():
