@@ -15,7 +15,7 @@ import math
 import os
 import re
 import sys
-from contextlib import contextmanager, nullcontext
+from contextlib import nullcontext
 from itertools import chain, islice, repeat
 
 import numpy as np
@@ -81,13 +81,8 @@ def _checked(check, *name):
     return parse
 
 
-@contextmanager
 def _output(path):
-    if path is None or path == "-":
-        yield sys.stdout
-    else:
-        with open(path, "w", encoding="utf-8") as out:
-            yield out
+    return nullcontext(sys.stdout) if path == "-" else open(path, "w", encoding="utf-8")
 
 
 def cmd_sample(args):
@@ -114,7 +109,7 @@ def cmd_sample(args):
 
 def _input(path):
     """Input text with universal newlines and a leading byte-order mark dropped."""
-    if path is None or path == "-":
+    if path == "-":
         sys.stdin.reconfigure(encoding="utf-8-sig", newline=None)
         return nullcontext(sys.stdin)
     try:
@@ -186,7 +181,7 @@ def cmd_classify(args):
     counts = np.zeros(len(labels), dtype=np.int64)
     with _input(args.input) as fh:
         # streaming output would truncate the input before it is read
-        if args.output not in (None, "-"):
+        if args.output != "-":
             try:  # one file identity covers a path, a link and redirected stdin
                 same = os.path.samestat(os.fstat(fh.fileno()), os.stat(args.output))
             except (OSError, ValueError):  # no output file yet, or stdin has no descriptor
@@ -194,7 +189,7 @@ def cmd_classify(args):
             if same:
                 raise CliError(
                     f"--output {args.output} is the file classify reads; nothing written")
-        blocks = _read_blocks(fh, args.input if args.input not in (None, "-") else "stdin")
+        blocks = _read_blocks(fh, "stdin" if args.input == "-" else args.input)
         first = next(blocks, None)
         if first is None:
             raise CliError("no data rows in input")
@@ -316,13 +311,13 @@ def build_parser():
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.add_argument("--vertices", action="store_true",
                    help="emit 18-column vertex rows instead of coordinates")
-    p.add_argument("--output", default=None, help="output path (default stdout)")
+    p.add_argument("--output", default="-", help="output path (default stdout)")
     p.set_defaults(func=cmd_sample)
 
     p = sub.add_parser("classify", help="append a knot class column to a CSV")
-    p.add_argument("--input", default=None,
+    p.add_argument("--input", default="-",
                    help="6- or 18-column CSV (default stdin)")
-    p.add_argument("--output", default=None, help="output path (default stdout)")
+    p.add_argument("--output", default="-", help="output path (default stdout)")
     p.set_defaults(func=cmd_classify)
 
     p = sub.add_parser("estimate", help="Monte Carlo knotting probability")
@@ -331,7 +326,7 @@ def build_parser():
     p.add_argument("--mode", choices=MODES, default="predicate")
     p.add_argument("--workers", type=_checked(check_count, "worker"), default=1)
     p.add_argument("--repeats", type=_checked(check_count, "repeat"), default=1)
-    p.add_argument("--output", default=None, help="JSON output path (default stdout)")
+    p.add_argument("--output", default="-", help="JSON output path (default stdout)")
     p.set_defaults(func=cmd_estimate)
 
     p = sub.add_parser("volumes", help="MC verification of the volume constants")

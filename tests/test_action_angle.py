@@ -352,7 +352,10 @@ class TestPolygonSpaceMoments:
     has E|v_i - v_{i+k}|^2 = k (6 - k) / 5. The same hexagons with their
     edges put in a random order per lane are uniform too, so their
     diagonals are uniform on the polytope: d1 is the largest on a third
-    of them, and the central triangle is obtuse on pi/2 - 1 of those.
+    of them, and the central triangle is obtuse on pi/2 - 1 of those. They
+    are knotted as often as the stream hexagons they come from; at 2^18
+    lanes each (about 30 trefoils) that two-sample z catches only a gross
+    dependence of the knot type on edge order.
     """
 
     N_CHUNKS, N_PERMUTED_CHUNKS = 16, 4  # 2^20 and 2^18 stream samples
@@ -367,7 +370,7 @@ class TestPolygonSpaceMoments:
         rng = np.random.default_rng(2024)
         pairs = [(i, j) for i in range(6) for j in range(i + 1, 6)]
         total = total_sq = 0.0
-        permuted = []
+        permuted, knotted = [], []
         for k, (d, th) in enumerate(sample_coordinate_stream(11, self.N_CHUNKS * CHUNK_SIZE)):
             v = build_hexagon(d, th)
             edges = np.roll(v, -1, axis=-2) - v
@@ -382,6 +385,8 @@ class TestPolygonSpaceMoments:
                 w = np.concatenate([np.zeros_like(v[:, :1]), np.cumsum(shuffled[:, :5], axis=1)],
                                    axis=1)
                 permuted.append(extract_action_angle(w)[0])
+                knotted.append([np.isin(classify_batch(x), list(TREFOIL_PAIRS)).sum()
+                                for x in (v, w)])
         expected = np.array([-0.2] * 15 + [1.6] * 6 + [1.8] * 3)
         z = list(self.z_scores(total, total_sq, self.N_CHUNKS * CHUNK_SIZE, expected))
 
@@ -390,7 +395,10 @@ class TestPolygonSpaceMoments:
         obtuse = d[largest, 0] ** 2 > d[largest, 1] ** 2 + d[largest, 2] ** 2
         for hits, share in ((largest, 1.0 / 3.0), (obtuse, np.pi / 2.0 - 1.0)):
             z.append(self.z_scores(hits.sum(), hits.sum(), hits.size, share))
-        assert len(z) == 26 and np.abs(z).max() < 4.5, np.round(z, 2)
+        (from_stream, from_permuted), n = np.sum(knotted, axis=0), len(d)
+        pooled = (from_stream + from_permuted) / (2 * n)
+        z.append((from_permuted - from_stream) / np.sqrt(2 * n * pooled * (1 - pooled)))
+        assert len(z) == 27 and np.abs(z).max() < 4.5, np.round(z, 2)
 
 
 def near_contact_hexagons(rng, repeats=8):

@@ -116,6 +116,23 @@ def classify_text(text, source, tmp_path, monkeypatch):
     return run(["classify", "--input", str(src)])
 
 
+@pytest.mark.parametrize("argv", [
+    ["sample", "--n", "50", "--seed", "3"],
+    ["classify", "--input", "rows.csv"],
+    ["estimate", "--samples", "20000", "--seed", "2"],
+], ids=["sample", "classify", "estimate"])
+def test_dash_output_is_stdout(tmp_path, capsys, monkeypatch, argv):
+    """`--output -` writes to stdout the bytes of no --output at all."""
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "rows.csv").write_text(lines(HEADER, *ROWS))
+    texts = []
+    for extra in ([], ["--output", "-"]):
+        assert run(argv + extra) == 0
+        texts.append([line for line in capsys.readouterr().out.splitlines(True)
+                      if not line.startswith('  "wall_time_seconds": ')])
+    assert texts[0] == texts[1] and len(texts[0]) > 1
+
+
 class TestSample:
     def test_csv_contract(self, tmp_path, capsys):
         out = tmp_path / "rows.csv"

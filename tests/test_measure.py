@@ -1,3 +1,4 @@
+import ctypes
 import dataclasses
 import json
 import math
@@ -425,6 +426,24 @@ def test_estimator_keeps_freed_heap_between_chunks():
     faults, trim, mmap = map(int, out.split())
     assert (trim, mmap) == (1, 1)  # both mallopt calls accepted
     assert faults < 1000, faults
+
+
+def _raises(exc):
+    def cdll(name):
+        raise exc
+    return cdll
+
+
+@pytest.mark.parametrize("cdll", [_raises(OSError("no C library")), _raises(TypeError("no handle")),
+                                  lambda name: object()],
+                         ids=["OSError", "TypeError", "no-mallopt"])
+def test_estimator_runs_without_mallopt(monkeypatch, cdll):
+    # musl and macOS have no mallopt, Windows no C library to open by None:
+    # the estimator then keeps the allocator's defaults and its counts
+    hits = estimate_knotting_probability(2 ** 16, 1).hits
+    monkeypatch.setattr(ctypes, "CDLL", cdll)
+    assert measure._keep_freed_heap() is None
+    assert estimate_knotting_probability(2 ** 16, 1).hits == hits
 
 
 class TestCountRule:
