@@ -47,10 +47,6 @@ ACTION_HEADER = "d1,d2,d3,theta1,theta2,theta3"
 VERTEX_HEADER = ",".join(f"v{i}{c}" for i in range(1, 7) for c in "xyz")
 
 
-class CliError(RuntimeError):
-    """Runtime failure reported on stderr with exit code 1."""
-
-
 def _float_or_none(text):
     try:
         return float(text)
@@ -82,6 +78,8 @@ def _checked(check, *name):
 
 
 def _output(path):
+    if path == "-" and sys.stdout is None:  # Python was started with stdout closed
+        raise RuntimeError("cannot write stdout: it is closed")
     return nullcontext(sys.stdout) if path == "-" else open(path, "w", encoding="utf-8")
 
 
@@ -110,12 +108,14 @@ def cmd_sample(args):
 def _input(path):
     """Input text with universal newlines and a leading byte-order mark dropped."""
     if path == "-":
+        if sys.stdin is None:  # Python was started with stdin closed
+            raise RuntimeError("cannot read stdin: it is closed")
         sys.stdin.reconfigure(encoding="utf-8-sig", newline=None)
         return nullcontext(sys.stdin)
     try:
         return open(path, "r", encoding="utf-8-sig")
     except OSError as exc:
-        raise CliError(f"cannot read {path}: {exc}") from exc
+        raise RuntimeError(f"cannot read {path}: {exc}") from exc
 
 
 def _parse_block(block, widths):
@@ -135,19 +135,19 @@ def _parse_block(block, widths):
         try:
             values = [float(f) for f in text.split(",")]
         except ValueError:
-            raise CliError(f"line {lineno}: cannot parse {line!r}")
+            raise RuntimeError(f"line {lineno}: cannot parse {line!r}")
         if not all(map(math.isfinite, values)):
-            raise CliError(f"line {lineno}: non-finite value in {line!r}")
+            raise RuntimeError(f"line {lineno}: non-finite value in {line!r}")
         if len(values) not in (6, 18):
-            raise CliError(
+            raise RuntimeError(
                 f"line {lineno}: expected 6 or 18 columns, got {len(values)}")
-    raise CliError("mixed 6- and 18-column rows in input")
+    raise RuntimeError("mixed 6- and 18-column rows in input")
 
 
 def _read_blocks(fh, source):
     """(texts, float rows) of the non-blank lines of a 6- or 18-column CSV, all
     as wide as the first, GEOMETRY_BLOCK lines at a time. The first non-blank line
-    is skipped when no field of it parses (a header). CliError names source if not UTF-8."""
+    is skipped when no field of it parses (a header). RuntimeError names source if not UTF-8."""
     lines = enumerate(chain.from_iterable(map(str.splitlines, fh)), 1)
     header, widths = True, (6, 18)
     try:
@@ -162,7 +162,7 @@ def _read_blocks(fh, source):
                 widths = rows.shape[1:]
                 yield texts, rows
     except UnicodeDecodeError as exc:
-        raise CliError(f"cannot read {source}: {exc}") from exc
+        raise RuntimeError(f"cannot read {source}: {exc}") from exc
 
 
 def _classify_rows(data):
@@ -187,12 +187,12 @@ def cmd_classify(args):
             except (OSError, ValueError):  # no output file yet, or stdin has no descriptor
                 same = False
             if same:
-                raise CliError(
+                raise RuntimeError(
                     f"--output {args.output} is the file classify reads; nothing written")
         blocks = _read_blocks(fh, "stdin" if args.input == "-" else args.input)
         first = next(blocks, None)
         if first is None:
-            raise CliError("no data rows in input")
+            raise RuntimeError("no data rows in input")
         width = first[1].shape[1]
         with _output(args.output) as out:
             out.write((ACTION_HEADER if width == 6 else VERTEX_HEADER) + ",class\n")
@@ -249,17 +249,17 @@ def cmd_bound(args):
             try:
                 payload = json.load(fh)
             except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-                raise CliError(f"cannot read estimate report: {exc}") from exc
+                raise RuntimeError(f"cannot read estimate report: {exc}") from exc
         repeats = isinstance(payload, dict) and "across_runs" in payload
         runs = payload.get("runs") if repeats else [payload]
         if not runs or not isinstance(runs, list):
-            raise CliError("estimate report has no runs")
+            raise RuntimeError("estimate report has no runs")
         bounds = []
         for i, run in enumerate(runs):
             try:
                 bounds.append(compare_bound(_report_from_dict(run)))
             except (ValueError, RuntimeError) as exc:
-                raise CliError(f"runs[{i}]: {exc}" if repeats else str(exc)) from exc
+                raise RuntimeError(f"runs[{i}]: {exc}" if repeats else str(exc)) from exc
         bound = bounds[0]
         print(f"estimate fraction_total = {bound.estimate:.6e}, "
               f"ci95 = [{bound.ci95[0]:.6e}, {bound.ci95[1]:.6e}]")
@@ -270,13 +270,13 @@ def cmd_bound(args):
 
 def _report_from_dict(payload):
     if not isinstance(payload, dict):
-        raise CliError("estimate report is not a JSON object")
+        raise RuntimeError("estimate report is not a JSON object")
     kwargs = {}
     for f in dataclasses.fields(EstimationReport):
         if f.name in payload:
             kwargs[f.name] = payload[f.name]
         elif f.default is dataclasses.MISSING:
-            raise CliError(f"estimate report is missing field {f.name!r}")
+            raise RuntimeError(f"estimate report is missing field {f.name!r}")
     return EstimationReport(**kwargs)  # compare_bound checks the fields it reads
 
 
@@ -361,7 +361,7 @@ def main(argv=None) -> int:
         # including the flush at exit, to devnull and fail quietly.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
-    except Exception as exc:  # noqa: BLE001 - CLI boundary; CliError included
+    except Exception as exc:  # noqa: BLE001 - CLI boundary: every failure is exit 1
         print(f"hexknot: error: {exc}", file=sys.stderr)
         return 1
 

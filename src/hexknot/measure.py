@@ -81,7 +81,7 @@ def _run_chunks(chunk, seed, n, workers):
     n = check_count("sample", n)
     chunks = ((i // CHUNK_SIZE, min(CHUNK_SIZE, n - i)) for i in range(0, n, CHUNK_SIZE))
     workers = check_count("worker", workers)
-    if workers == 1:  # serial: a one-thread pool raised peak RSS by 10-18%
+    if workers == 1:  # serial: a pool draws 2 chunks ahead, doubling `sample`'s memory
         yield from (chunk(seed, k, m) for k, m in chunks)
         return
     with ThreadPoolExecutor(max_workers=workers) as pool:  # in chunk order, 2 * workers ahead

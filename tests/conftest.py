@@ -258,8 +258,8 @@ def certify_theta1_pieces(d, th):
     end shared by two pieces, the hexagon at that end is returned too:
     its closest non-adjacent edges are the contact that lets the knot
     type change there. Returns a dict of the pieces' lane, ends and
-    midpoint, their predicted and geometric class, and the closest edge
-    gap at each switching end.
+    midpoint, their predicted and geometric class, and the (m, 6, 3)
+    vertices and closest edge gap of the hexagon at each switching end.
     """
     d, th = (np.asarray(x, dtype=float) for x in (d, th))
     lane, lo, hi = theta1_pieces(d, th)
@@ -270,11 +270,11 @@ def certify_theta1_pieces(d, th):
         predicted[masks[cls]] = int(cls)
     counted = predicted != 0
     switch = np.flatnonzero((lane[1:] == lane[:-1]) & (counted[1:] != counted[:-1]))
-    ends = at_theta1(d, th, lane[switch], hi[switch])
+    ends = build_hexagon(*at_theta1(d, th, lane[switch], hi[switch]))
     return {
         "lane": lane, "lo": lo, "hi": hi, "mid": mid, "predicted": predicted,
         "oracle": classify_batch(build_hexagon(*at_theta1(d, th, lane, mid))),
-        "gaps": reference_distances(build_hexagon(*ends)).min(axis=0),
+        "ends": ends, "gaps": reference_distances(ends).min(axis=0),
     }
 
 

@@ -133,6 +133,39 @@ def test_dash_output_is_stdout(tmp_path, capsys, monkeypatch, argv):
     assert texts[0] == texts[1] and len(texts[0]) > 1
 
 
+@pytest.mark.parametrize("stream, argv", [
+    ("stdin", ["classify"]),
+    ("stdin", ["bound", "--with-estimate", "-"]),
+    ("stdout", ["sample", "--n", "3"]),
+    ("stdout", ["estimate", "--samples", "10"]),
+], ids=["classify", "bound", "sample", "estimate"])
+def test_closed_stream_fails_by_name(capsys, monkeypatch, stream, argv):
+    """Python started without a standard stream (`<&-`, `>&-`) sets it to
+    None; a command that needs it fails naming the stream."""
+    monkeypatch.setattr(sys, stream, None)
+    assert run(argv) == 1
+    verb = "read" if stream == "stdin" else "write"
+    assert capsys.readouterr().err == f"hexknot: error: cannot {verb} {stream}: it is closed\n"
+
+
+def test_closed_streams_a_command_does_not_use_are_harmless(tmp_path, monkeypatch):
+    monkeypatch.setattr(sys, "stdin", None)
+    monkeypatch.setattr(sys, "stdout", None)
+    path = tmp_path / "rows.csv"
+    assert run(["sample", "--n", "3", "--output", str(path)]) == 0
+    rows = path.read_text().splitlines()
+    assert rows[0] == HEADER and len(rows) == 4
+
+
+def test_closed_stdin_descriptor_fails_by_name():
+    # `hexknot classify <&-`: the interpreter starts with descriptor 0 closed
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run(["sh", "-c", 'exec "$0" -m hexknot.cli classify <&-', sys.executable],
+                          env=env, capture_output=True, timeout=120)
+    assert proc.returncode == 1
+    assert proc.stderr == b"hexknot: error: cannot read stdin: it is closed\n"
+
+
 class TestSample:
     def test_csv_contract(self, tmp_path, capsys):
         out = tmp_path / "rows.csv"

@@ -16,11 +16,18 @@ name does not count for it: every name __init__.py imports must be read
 by code in demos/ or benchmarks/, or named in README.md or
 pyproject.toml.
 
+An exception class is there to be told apart from its base class, so
+every exception class defined in src/ must be named outside its own
+module: by code in tests/, demos/, benchmarks/ or another src/ module,
+or in README.md or pyproject.toml. __init__.py's re-export does not
+count.
+
 No package module reads the process environment: every default is a
 constant, so a run is fixed by its arguments alone.
 """
 
 import ast
+import importlib
 import re
 from pathlib import Path
 
@@ -28,6 +35,7 @@ ROOT = Path(__file__).resolve().parent.parent
 MODULES = sorted((ROOT / "src" / "hexknot").glob("*.py"))
 CALLERS = sorted((ROOT / "demos").glob("*.py")) + sorted((ROOT / "benchmarks").glob("*.py"))
 CODE = MODULES + CALLERS
+TESTS = sorted((ROOT / "tests").glob("*.py"))
 TEXTS = [ROOT / "README.md", ROOT / "pyproject.toml"]
 
 
@@ -85,6 +93,19 @@ def test_every_private_name_is_read_in_src():
               for name in sorted(definitions(path))
               if name.startswith("_") and not name.startswith("__") and name not in read]
     assert unread == []
+
+
+def test_every_exception_class_is_named_outside_its_module():
+    sources = [path for path in MODULES if path.name != "__init__.py"]
+    dead = []
+    for path in sources:
+        module = importlib.import_module(f"hexknot.{path.stem}")
+        errors = {name for name in definitions(path)
+                  if isinstance(obj := getattr(module, name), type)
+                  and issubclass(obj, BaseException)}
+        outside = [other for other in sources if other != path] + CALLERS + TESTS
+        dead += [f"{path.stem}.{name}" for name in unused(errors, outside)]
+    assert dead == []
 
 
 def stale_imports(path):

@@ -1,8 +1,12 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
 from hexknot.action_angle import (
+    NON_ADJACENT_EDGE_PAIRS,
     build_hexagon,
+    is_embedded,
     is_interior,
     sample_action_batch,
     sample_angles_batch,
@@ -19,7 +23,7 @@ from hexknot.trefoil_predicates import (
     passes_window_filters,
 )
 from hexknot.geom import EPS_CONTACT
-from conftest import WITNESSES, certify_theta1_pieces
+from conftest import WITNESSES, certify_theta1_pieces, exact_sq_distance
 
 TWO_PI = 2.0 * np.pi
 R_PLUS = KnotClass.TREFOIL_R_PLUS
@@ -358,7 +362,10 @@ class TestArcCertificate:
     class_masks set is exactly the trefoil set along theta_1 when each
     piece between roots of the six theta_1-dependent functions has the
     predicted class at its midpoint, and the hexagon touches itself
-    wherever the predicate switches between counted and uncounted."""
+    wherever the predicate switches between counted and uncounted. Those
+    switching ends are hexagons within rounding of contact: not embedded,
+    degenerate, and with a non-adjacent pair within EPS_CONTACT exactly,
+    in rationals on the float vertices."""
 
     @pytest.mark.parametrize("seed", [5, 17])
     def test_stream_chunk(self, seed):
@@ -371,6 +378,14 @@ class TestArcCertificate:
         # two switching ends per counted piece: no trefoil arc reaches 0 or pi
         assert len(arcs["gaps"]) == 2 * np.count_nonzero(arcs["predicted"])
         assert arcs["gaps"].max() <= EPS_CONTACT
+        ends = arcs["ends"]
+        assert not is_embedded(ends).any()
+        assert (classify_batch(ends) == KnotClass.DEGENERATE).all()
+        limit = Fraction(EPS_CONTACT) ** 2
+        for v in ends.tolist():
+            w = [[Fraction(x) for x in point] for point in v]
+            assert any(exact_sq_distance(w[i], w[(i + 1) % 6], w[j], w[(j + 1) % 6]) <= limit
+                       for i, j in NON_ADJACENT_EDGE_PAIRS)
 
 
 def _filter_clauses_reference(diagonals, angles):
