@@ -78,8 +78,6 @@ def _checked(check, *name):
 
 
 def _output(path):
-    if path == "-" and sys.stdout is None:  # Python was started with stdout closed
-        raise RuntimeError("cannot write stdout: it is closed")
     return nullcontext(sys.stdout) if path == "-" else open(path, "w", encoding="utf-8")
 
 
@@ -354,7 +352,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.command == "estimate" and args.seed + args.repeats > 1 << 64:
         parser.error("estimate: --seed + --repeats - 1 must be below 2**64")
-    try:
+    try:  # a command writes stdout unless its --output names a file
+        if getattr(args, "output", "-") == "-" and sys.stdout is None:  # started with >&-
+            raise RuntimeError("cannot write stdout: it is closed")
         return args.func(args)
     except BrokenPipeError:
         # The reader went away (e.g. `| head`): send the rest of stdout,

@@ -133,37 +133,70 @@ def test_dash_output_is_stdout(tmp_path, capsys, monkeypatch, argv):
     assert texts[0] == texts[1] and len(texts[0]) > 1
 
 
-@pytest.mark.parametrize("stream, argv", [
-    ("stdin", ["classify"]),
-    ("stdin", ["bound", "--with-estimate", "-"]),
-    ("stdout", ["sample", "--n", "3"]),
-    ("stdout", ["estimate", "--samples", "10"]),
-], ids=["classify", "bound", "sample", "estimate"])
-def test_closed_stream_fails_by_name(capsys, monkeypatch, stream, argv):
+CLOSED_STREAM_CASES = {
+    "classify": ("stdin", ["classify"]),
+    "bound": ("stdin", ["bound", "--with-estimate", "-"]),
+    "sample": ("stdout", ["sample", "--n", "3"]),
+    "estimate": ("stdout", ["estimate", "--samples", "10"]),
+    # the stdout check comes before any work: missing.csv is never opened
+    "classify-stdout": ("stdout", ["classify", "--input", "missing.csv"]),
+    "bound-stdout": ("stdout", ["bound"]),
+    "volumes": ("stdout", ["volumes", "--samples", "10"]),
+    "check": ("stdout", ["check", "1", "1", "1", "0", "1", "1"]),
+}
+
+
+@pytest.mark.parametrize("stream, argv", CLOSED_STREAM_CASES.values(),
+                         ids=CLOSED_STREAM_CASES.keys())
+def test_closed_stream_fails_by_name(tmp_path, capsys, monkeypatch, stream, argv):
     """Python started without a standard stream (`<&-`, `>&-`) sets it to
     None; a command that needs it fails naming the stream."""
+    monkeypatch.chdir(tmp_path)
     monkeypatch.setattr(sys, stream, None)
     assert run(argv) == 1
     verb = "read" if stream == "stdin" else "write"
     assert capsys.readouterr().err == f"hexknot: error: cannot {verb} {stream}: it is closed\n"
 
 
+def test_every_command_is_a_closed_stdout_case():
+    commands = next(a.choices for a in cli.build_parser()._actions if a.dest == "command")
+    stdout_cases = {argv[0] for stream, argv in CLOSED_STREAM_CASES.values() if stream == "stdout"}
+    assert stdout_cases == set(commands)
+
+
 def test_closed_streams_a_command_does_not_use_are_harmless(tmp_path, monkeypatch):
     monkeypatch.setattr(sys, "stdin", None)
     monkeypatch.setattr(sys, "stdout", None)
-    path = tmp_path / "rows.csv"
+    path, labelled, report = (tmp_path / name for name in ("rows.csv", "out.csv", "est.json"))
     assert run(["sample", "--n", "3", "--output", str(path)]) == 0
     rows = path.read_text().splitlines()
     assert rows[0] == HEADER and len(rows) == 4
+    # main reads --output: a command writing to a file never needs stdout
+    assert run(["classify", "--input", str(path), "--output", str(labelled)]) == 0
+    assert labelled.read_text().splitlines()[0] == HEADER + ",class"
+    assert run(["estimate", "--samples", "10", "--output", str(report)]) == 0
+    assert json.loads(report.read_text())["samples"] == 10
+
+
+def run_with_closed(redirect, *argv):
+    """hexknot in a fresh interpreter that starts with a descriptor really
+    closed by the shell redirect (`<&-`, `>&-`)."""
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    script = f'exec "$0" -m hexknot.cli {" ".join(argv)} {redirect}'
+    return subprocess.run(["sh", "-c", script, sys.executable],
+                          env=env, capture_output=True, timeout=120)
 
 
 def test_closed_stdin_descriptor_fails_by_name():
-    # `hexknot classify <&-`: the interpreter starts with descriptor 0 closed
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    proc = subprocess.run(["sh", "-c", 'exec "$0" -m hexknot.cli classify <&-', sys.executable],
-                          env=env, capture_output=True, timeout=120)
+    proc = run_with_closed("<&-", "classify")
     assert proc.returncode == 1
     assert proc.stderr == b"hexknot: error: cannot read stdin: it is closed\n"
+
+
+def test_closed_stdout_descriptor_fails_by_name():
+    proc = run_with_closed(">&-", "bound")
+    assert proc.returncode == 1
+    assert proc.stderr == b"hexknot: error: cannot write stdout: it is closed\n"
 
 
 class TestSample:

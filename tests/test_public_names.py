@@ -24,6 +24,10 @@ count.
 
 No package module reads the process environment: every default is a
 constant, so a run is fixed by its arguments alone.
+
+No package module but cli calls print or names sys.stdout: stdout
+carries a command's output, and cli.main alone checks that it is open,
+so library progress and diagnostics go to stderr.
 """
 
 import ast
@@ -133,3 +137,12 @@ def test_no_module_reads_the_process_environment():
     readers = [f"{path.stem}.{name}" for path in MODULES
                for name in sorted(references(path) & ENVIRONMENT_READERS)]
     assert readers == []
+
+
+STDOUT_WRITERS = {"print", "stdout", "__stdout__"}
+
+
+def test_only_the_cli_writes_stdout():
+    writers = [f"{path.stem}.{name}" for path in MODULES if path.name != "cli.py"
+               for name in sorted(references(path) & STDOUT_WRITERS)]
+    assert writers == []
